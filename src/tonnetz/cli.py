@@ -26,13 +26,7 @@ from .core import (
     parse_window,
     parse_word,
 )
-from .lattice import (
-    BASE_TRIANGLE,
-    format_triangle,
-    gallery_distance_bfs,
-    perm_of,
-    triangle_of,
-)
+from .lattice import format_triangle, perm_of, triangle_of
 from .pitch import (
     ChordParseError,
     format_chord,
@@ -129,13 +123,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     f = parse_element(args.element)
     order = f.order()
     coords = f.center_coords()
-    oracle = gallery_distance_bfs(BASE_TRIANGLE, triangle_of(f))
     payload = {
         "type": f.classify().value,
         "order": order,
         "center": list(coords),
         "center_distance": f.center_distance(),
-        "flip_distance": oracle,
+        "flip_distance": f.length(),
         "window": list(f.window),
     }
     _emit(
@@ -146,7 +139,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             f"order: {order if order is not None else 'infinite'}",
             f"center: ({coords[0]},{coords[1]},{coords[2]})",
             f"center-distance: {f.center_distance()}",
-            f"flip-distance: {oracle}",
+            f"flip-distance: {f.length()}",
         ],
     )
     return 0

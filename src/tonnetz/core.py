@@ -123,9 +123,26 @@ class AffinePermutation:
         letters.reverse()
         return tuple(letters)
 
+    @property
+    def residues(self) -> tuple[int, int, int]:
+        """The window entries mod 3; they name the coset of the translations.
+
+        >>> AffinePermutation(-3, 2, 1).residues
+        (0, 2, 1)
+        """
+        return (self.a % 3, self.b % 3, self.c % 3)
+
     def length(self) -> int:
-        """Coxeter length; equals the flip distance from the base triangle."""
-        return len(self.reduced_word())
+        """Coxeter length; equals the flip distance from the base triangle.
+
+        Shi's inversion formula: the sum over window pairs i < j of
+        |floor((w(j) - w(i)) / 3)|.
+
+        >>> AffinePermutation(-3, 2, 1).length()
+        3
+        """
+        a, b, c = self.window
+        return abs((b - a) // 3) + abs((c - a) // 3) + abs((c - b) // 3)
 
     def is_even(self) -> bool:
         """Whether the element is a product of an even number of generators.
@@ -255,6 +272,31 @@ def from_word(word: Iterable[int]) -> AffinePermutation:
     return g
 
 
+# The six elements of the finite subgroup generated by s2 and s3.  A
+# translation fixes every residue class mod 3, so f = t * sigma and its
+# finite factor sigma share window residues, and the residues pick sigma.
+FINITE_WORDS = ((), (2,), (3,), (2, 3), (3, 2), (2, 3, 2))
+
+_FINITE_BY_RESIDUES = {
+    from_word(w).residues: (w, from_word(w).inverse()) for w in FINITE_WORDS
+}
+
+
+def translation_factor(f: AffinePermutation) -> tuple[int, int, tuple[int, ...]]:
+    """(e1, e2, word of sigma) with f = t1^e1 * t2^e2 * sigma, sigma in <s2, s3>.
+
+    The translation t1^e1 * t2^e2 has the window [3e1 - 1, 3(e2 - e1), 1 - 3e2].
+
+    >>> translation_factor(AffinePermutation(-3, 2, 1))
+    (0, 0, (2, 3, 2))
+    >>> translation_factor(AffinePermutation(2, -3, 1))
+    (1, 0, ())
+    """
+    word, sigma_inverse = _FINITE_BY_RESIDUES[f.residues]
+    t = f * sigma_inverse
+    return (t.a + 1) // 3, (1 - t.c) // 3, word
+
+
 def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePermutation:
     """Invert center_coords: recover the window from axis coordinates.
 
@@ -299,20 +341,14 @@ def ball(radius: int) -> list[AffinePermutation]:
 
 
 def length_layers(radius: int) -> list[int]:
-    """Number of elements of each length 0..radius."""
-    counts = [1]
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    for _ in range(radius):
-        nxt = []
-        for f in frontier:
-            for i in GENERATOR_INDICES:
-                g = right_mult_generator(f, i)
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-        counts.append(len(nxt))
-        frontier = nxt
+    """Number of elements of each length 0..radius.
+
+    >>> length_layers(3)
+    [1, 3, 6, 9]
+    """
+    counts = [0] * (radius + 1)
+    for f in ball(radius):
+        counts[f.length()] += 1
     return counts
 
 

@@ -15,8 +15,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
-from .core import AffinePermutation, TriangleCoords, triangle_to_perm
+from .core import (
+    FINITE_WORDS,
+    AffinePermutation,
+    TriangleCoords,
+    translation_factor,
+    triangle_to_perm,
+)
 
 Vertex = tuple[int, int]
 
@@ -158,18 +165,38 @@ def generator_isometry(i: int) -> Isometry:
         raise ValueError(f"generator index must be 1, 2 or 3, got {i!r}") from None
 
 
+# lattice displacement vectors of the translations t1 and t2
+T1_VECTOR = (-1, 2)
+T2_VECTOR = (2, -1)
+
+# isometries of the six finite factors, keyed by their words
+_FINITE_ISOMETRIES = {
+    w: reduce(Isometry.__mul__, map(generator_isometry, w), IDENTITY_ISOMETRY)
+    for w in FINITE_WORDS
+}
+
+
 def perm_to_iso(f: AffinePermutation) -> Isometry:
-    """The lattice isometry realizing f; a group homomorphism."""
-    iso = IDENTITY_ISOMETRY
-    for i in f.reduced_word():
-        iso = iso * generator_isometry(i)
-    return iso
+    """The lattice isometry realizing f; a group homomorphism.
+
+    For f = t1^e1 * t2^e2 * sigma it is sigma's isometry followed by the
+    shift e1 * T1_VECTOR + e2 * T2_VECTOR.
+
+    >>> perm_to_iso(AffinePermutation(2, -3, 1))
+    Isometry(m=(1, 0, 0, 1), v=(-1, 2))
+    """
+    e1, e2, word = translation_factor(f)
+    shift = (e1 * T1_VECTOR[0] + e2 * T2_VECTOR[0], e1 * T1_VECTOR[1] + e2 * T2_VECTOR[1])
+    return Isometry(IDENTITY_ISOMETRY.m, shift) * _FINITE_ISOMETRIES[word]
 
 
 def triangle_of(f: AffinePermutation) -> Triangle:
-    """Image of the base triangle under f's isometry."""
-    iso = perm_to_iso(f)
-    return triangle_from_vertices({iso.apply(x) for x in BASE_TRIANGLE.vertices()})
+    """Image of the base triangle under f's isometry, read off its center.
+
+    >>> format_triangle(triangle_of(AffinePermutation(-3, 2, 1)))
+    'D(-1,2)'
+    """
+    return triangle_from_coords(f.center_coords())
 
 
 # --- the coordinate route between triangles and windows --------------------

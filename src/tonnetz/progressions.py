@@ -19,6 +19,8 @@ from enum import Enum
 
 from .core import AffinePermutation, from_word, right_mult_generator
 from .lattice import (
+    T1_VECTOR,
+    T2_VECTOR,
     Edge,
     Triangle,
     Vertex,
@@ -30,7 +32,6 @@ from .lattice import (
     vertex_class,
 )
 from .pitch import ChordName, NoteName, chord_triangle, name_triangle, parse_chord, spell_vertex
-from .subgroups import T1_VECTOR, T2_VECTOR
 
 PLR_EDGES = {
     "P": Edge.FIFTH,
@@ -63,36 +64,41 @@ def apply_plr(t: Triangle, word: str) -> Triangle:
 def plr_path(start: Triangle, goal: Triangle) -> str:
     """A shortest PLR word taking start to goal, rightmost letter first.
 
-    Breadth-first search trying P, L, R in that order, so the result is
-    deterministic.  Its length equals the gallery distance.
+    Walks from start, each step taking the first of P, L, R that brings
+    the triangle closer to goal.  Of all shortest words this is the
+    least when moves are compared in the order they are applied, with
+    P < L < R.  Its length is the gallery distance.
+
+    >>> from .lattice import BASE_TRIANGLE
+    >>> plr_path(BASE_TRIANGLE, Triangle((1, 0), up=True))
+    'RL'
     """
-    if start == goal:
-        return ""
-    parent: dict[Triangle, tuple[Triangle, str]] = {start: (start, "")}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for letter in "PLR":
-                nb = apply_move(t, letter)
-                if nb in parent:
-                    continue
-                parent[nb] = (t, letter)
-                if nb == goal:
-                    letters = []
-                    cur = nb
-                    while cur != start:
-                        cur, letter = parent[cur]
-                        letters.append(letter)
-                    return "".join(letters)
-                nxt.append(nb)
-        frontier = nxt
-    raise RuntimeError("flip graph is connected; unreachable")
+    letters = []
+    t, d = start, triangle_distance(start, goal)
+    while d:
+        for letter in "PLR":
+            nb = apply_move(t, letter)
+            nd = triangle_distance(nb, goal)
+            if nd < d:
+                break
+        letters.append(letter)
+        t, d = nb, nd
+    return "".join(reversed(letters))
 
 
 def triangle_distance(t1: Triangle, t2: Triangle) -> int:
-    """Gallery distance via Coxeter length of the relating element."""
-    return (perm_of(t1).inverse() * perm_of(t2)).length()
+    """Gallery distance: the number of grid lines separating the triangles.
+
+    The lines of each direction cut the plane into strips, and each flip
+    crosses one line.  A triangle lies in strips p, q' and p + q, where
+    q' = q for up and q - 1 for down triangles.
+
+    >>> triangle_distance(Triangle((0, 0), up=True), Triangle((1, 0), up=True))
+    2
+    """
+    (p1, q1), (p2, q2) = t1.root, t2.root
+    dq = (q1 - (not t1.up)) - (q2 - (not t2.up))
+    return abs(p1 - p2) + abs(dq) + abs(p1 + q1 - p2 - q2)
 
 
 # --- hexagon cycles ----------------------------------------------------------

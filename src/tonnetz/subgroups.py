@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .core import AffinePermutation, from_word, generator, identity
-from .lattice import Isometry, perm_to_iso
+from .core import IDENTITY, AffinePermutation, from_word, generator, translation_factor
 
 
 class NotATranslationError(ValueError):
@@ -78,15 +77,13 @@ _S3_TABLE = _build_s3_table()
 
 S3_ELEMENTS = tuple(FiniteS3Element)
 
+_IDENTITY_RESIDUES = IDENTITY.residues
+
 _TRANSLATION_WORDS = {
     1: (2, 3, 2, 1),
     2: (3, 1, 3, 2),
     3: (1, 2, 1, 3),
 }
-
-# lattice displacement vectors of t1 and t2
-T1_VECTOR = (-1, 2)
-T2_VECTOR = (2, -1)
 
 
 def translation_generator(i: int) -> AffinePermutation:
@@ -102,44 +99,33 @@ def translation_generator(i: int) -> AffinePermutation:
 
 
 def is_translation(f: AffinePermutation) -> bool:
-    """True iff f's isometry has the identity matrix part."""
-    return perm_to_iso(f).m == (1, 0, 0, 1)
+    """True iff f fixes every residue class mod 3, like the identity does.
 
-
-def _coords_from_iso(iso: Isometry) -> TranslationVector:
-    vx, vy = iso.v
-    e1, r1 = divmod(vx + 2 * vy, 3)
-    e2, r2 = divmod(2 * vx + vy, 3)
-    if r1 or r2:
-        raise NotATranslationError(f"vector {iso.v} is not in the translation lattice")
-    return TranslationVector(e1, e2)
+    >>> is_translation(translation_generator(2)), is_translation(generator(1))
+    (True, False)
+    """
+    return f.residues == _IDENTITY_RESIDUES
 
 
 def translation_coords(f: AffinePermutation) -> TranslationVector:
-    """Exponents (e1, e2) with f = t1^e1 * t2^e2.
+    """Exponents (e1, e2) with f = t1^e1 * t2^e2, read off the window.
 
     >>> translation_coords(translation_generator(3).inverse())
     TranslationVector(e1=1, e2=1)
     """
-    iso = perm_to_iso(f)
-    if iso.m != (1, 0, 0, 1):
+    if not is_translation(f):
         raise NotATranslationError(f"{f.window} is not a translation")
-    return _coords_from_iso(iso)
+    return TranslationVector((f.a + 1) // 3, (1 - f.c) // 3)
 
 
 def translation_perm(vec: TranslationVector | tuple[int, int]) -> AffinePermutation:
-    """The translation t1^e1 * t2^e2 as a window."""
+    """The translation t1^e1 * t2^e2 as a window.
+
+    >>> translation_perm((1, 2)).window
+    (2, 3, -5)
+    """
     e1, e2 = vec
-    g = identity()
-    t1 = translation_generator(1)
-    t2 = translation_generator(2)
-    step1 = t1 if e1 >= 0 else t1.inverse()
-    for _ in range(abs(e1)):
-        g = g * step1
-    step2 = t2 if e2 >= 0 else t2.inverse()
-    for _ in range(abs(e2)):
-        g = g * step2
-    return g
+    return AffinePermutation(3 * e1 - 1, 3 * (e2 - e1), 1 - 3 * e2)
 
 
 def decompose(f: AffinePermutation) -> tuple[TranslationVector, FiniteS3Element]:
@@ -148,12 +134,8 @@ def decompose(f: AffinePermutation) -> tuple[TranslationVector, FiniteS3Element]
     >>> decompose(from_word([2, 3, 2, 1]))[0]
     TranslationVector(e1=1, e2=0)
     """
-    for sigma in S3_ELEMENTS:
-        t = f * sigma.inverse().perm
-        iso = perm_to_iso(t)
-        if iso.m == (1, 0, 0, 1):
-            return _coords_from_iso(iso), sigma
-    raise RuntimeError("every element factors over the finite subgroup")
+    e1, e2, word = translation_factor(f)
+    return TranslationVector(e1, e2), FiniteS3Element(word)
 
 
 def coset_mod_T(f: AffinePermutation) -> FiniteS3Element:

@@ -1,9 +1,8 @@
 """Acceptance criteria for the package, one checked criterion per test.
 
 Each test prints a single "AC<n> <name>: PASS" or "... FAIL" line, so a
-plain pytest run of this file doubles as an acceptance report.  The
-center-distance comparison table is written to build/ as a side effect
-of AC4.
+plain pytest run of this file doubles as an acceptance report.  AC4
+writes the center-distance comparison table to a temporary directory.
 """
 
 import functools
@@ -71,15 +70,12 @@ from tonnetz.subgroups import (
 )
 from tonnetz.verify import center_distance_table
 
-BUILD_DIR = Path(__file__).resolve().parent.parent / "build"
-
-
 def criterion(n, name):
     def deco(fn):
         @functools.wraps(fn)
-        def wrapper():
+        def wrapper(*args, **kwargs):
             try:
-                fn()
+                fn(*args, **kwargs)
             except BaseException:
                 print(f"AC{n} {name}: FAIL")
                 raise
@@ -140,15 +136,15 @@ def test_ac3_bijectivity():
 
 
 @criterion(4, "length equals flip distance; closed form tabulated")
-def test_ac4_length_oracle():
+def test_ac4_length_oracle(tmp_path):
     elements = ball(6)
     for f in elements:
         assert f.length() == gallery_distance_bfs(BASE_TRIANGLE, triangle_of(f))
     table = center_distance_table(6)
-    BUILD_DIR.mkdir(exist_ok=True)
-    out = BUILD_DIR / "center_distance_vs_flip_distance.tsv"
+    out = tmp_path / "center_distance_vs_flip_distance.tsv"
     out.write_text(table, encoding="utf-8")
-    rows = [line.split("\t") for line in table.strip().splitlines()[1:]]
+    text = out.read_text(encoding="utf-8")
+    rows = [line.split("\t") for line in text.strip().splitlines()[1:]]
     assert len(rows) == len(elements)
     disagreements = [r for r in rows if r[4] == "no"]
     assert disagreements, "expected at least one disagreement"

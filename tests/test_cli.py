@@ -1,10 +1,15 @@
 """End-to-end CLI checks: runs main() in process and reads stdout."""
 
 import json
+import time
 
 import pytest
 
 from tonnetz.cli import main
+from tonnetz.core import parse_window
+from tonnetz.lattice import BASE_TRIANGLE, parse_triangle, perm_of
+from tonnetz.pitch import parse_chord
+from tonnetz.progressions import apply_plr, triangle_distance
 
 
 def run(capsys, *argv):
@@ -254,3 +259,46 @@ def test_default_comma_env_invalid(monkeypatch, capsys):
     code, _, err = run(capsys, "locate", "C")
     assert code == 1
     assert "TONNETZ_DEFAULT_COMMA" in err
+
+
+# --- hostile inputs: huge windows and far chords finish quickly ----------------
+
+BUDGET_S = 2.0
+HUGE_WINDOWS = ["[-3000001,3000000,1]", "[2999999,-999999,-2000000]"]
+
+
+def timed_json(capsys, *argv):
+    start = time.perf_counter()
+    payload = run_json(capsys, *argv)
+    assert time.perf_counter() - start < BUDGET_S
+    return payload
+
+
+@pytest.mark.parametrize("window", HUGE_WINDOWS)
+def test_huge_window_classify_chord_hexagon(capsys, window):
+    f = parse_window(window)
+    classified = timed_json(capsys, "classify", window)
+    chord = timed_json(capsys, "chord", window)
+    # two independent closed forms: Shi's length and the strip distance
+    t = parse_triangle(chord["triangle"])
+    assert classified["flip_distance"] == triangle_distance(BASE_TRIANGLE, t) > 10**6
+    symbol = "%s[q=%d]" % (chord["chord"], chord["comma"])
+    assert perm_of(parse_chord(symbol)[1]) == f
+    hexagon = timed_json(capsys, "hexagon", symbol)
+    assert hexagon["chords"][0] == chord["chord"]
+
+
+def test_far_comma_hexagon(capsys):
+    far = timed_json(capsys, "hexagon", "C[q=100000]")
+    # three comma levels up is a translation, so q = 100000 looks like q = 1
+    near = run_json(capsys, "hexagon", "C[q=1]")
+    assert (far["tone"], far["chords"]) == (near["tone"], near["chords"])
+    assert far["coset"] != near["coset"]
+
+
+def test_far_comma_path(capsys):
+    payload = timed_json(capsys, "path", "C", "C[q=2000]")
+    assert payload["length"] == len(payload["plr"]) == len(payload["word"]) == 16000
+    _, start = parse_chord("C")
+    _, goal = parse_chord("C[q=2000]")
+    assert apply_plr(start, payload["plr"]) == goal

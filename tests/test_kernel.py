@@ -1,0 +1,212 @@
+"""Closed-form kernel against independent oracles.
+
+Each O(1) formula is compared with the routine it replaced, kept here as
+a reference: the isometry multiplied out along the reduced word, the
+translation built by repeated multiplication, and the shortest PLR word
+found by breadth-first search.  Whole balls are checked exhaustively;
+hypothesis covers long random words, where only the BFS checks are left
+out.
+"""
+
+from collections import deque
+
+from hypothesis import given, settings, strategies as st
+
+from tonnetz.core import (
+    FINITE_WORDS,
+    IDENTITY,
+    ball,
+    from_word,
+    length_layers,
+    translation_factor,
+)
+from tonnetz.lattice import (
+    BASE_TRIANGLE,
+    IDENTITY_ISOMETRY,
+    Triangle,
+    gallery_distance_bfs,
+    generator_isometry,
+    perm_of,
+    perm_to_iso,
+    triangle_ball,
+    triangle_from_vertices,
+    triangle_of,
+)
+from tonnetz.progressions import apply_move, apply_plr, plr_path, triangle_distance
+from tonnetz.subgroups import (
+    FiniteS3Element,
+    coset_mod_T,
+    decompose,
+    hexagon_of,
+    is_translation,
+    translation_coords,
+    translation_generator,
+    translation_perm,
+)
+
+BALL = ball(8)
+TRIANGLES = sorted(triangle_ball(BASE_TRIANGLE, 5))
+PAIRS = [(a, b) for a in TRIANGLES for b in TRIANGLES]
+
+long_words = st.lists(st.sampled_from([1, 2, 3]), max_size=200)
+exponents = st.integers(min_value=-40, max_value=40)
+
+
+# --- reference routines -------------------------------------------------------
+
+
+def ref_iso(f):
+    """The isometry multiplied out along the reduced word."""
+    iso = IDENTITY_ISOMETRY
+    for i in f.reduced_word():
+        iso = iso * generator_isometry(i)
+    return iso
+
+
+def ref_triangle(f):
+    iso = ref_iso(f)
+    return triangle_from_vertices({iso.apply(x) for x in BASE_TRIANGLE.vertices()})
+
+
+def ref_translation_perm(vec):
+    """t1^e1 * t2^e2 by repeated multiplication."""
+    e1, e2 = vec
+    g = IDENTITY
+    t1, t2 = translation_generator(1), translation_generator(2)
+    step1 = t1 if e1 >= 0 else t1.inverse()
+    for _ in range(abs(e1)):
+        g = g * step1
+    step2 = t2 if e2 >= 0 else t2.inverse()
+    for _ in range(abs(e2)):
+        g = g * step2
+    return g
+
+
+def ref_plr_path(start, goal):
+    """Breadth-first search trying P, L, R in that order."""
+    if start == goal:
+        return ""
+    parent = {start: (start, "")}
+    queue = deque([start])
+    while queue:
+        t = queue.popleft()
+        for letter in "PLR":
+            nb = apply_move(t, letter)
+            if nb in parent:
+                continue
+            parent[nb] = (t, letter)
+            if nb == goal:
+                letters = []
+                cur = nb
+                while cur != start:
+                    cur, letter = parent[cur]
+                    letters.append(letter)
+                return "".join(letters)
+            queue.append(nb)
+    raise AssertionError("flip graph is connected")
+
+
+def ref_distance(t1, t2):
+    """Length of the reduced word of the element relating the triangles."""
+    return len((perm_of(t1).inverse() * perm_of(t2)).reduced_word())
+
+
+def check_element(f):
+    assert f.length() == len(f.reduced_word())
+    assert perm_to_iso(f) == ref_iso(f)
+    assert triangle_of(f) == ref_triangle(f)
+    vec, sigma = decompose(f)
+    assert translation_perm(vec) * sigma.perm == f
+    translation_cosets = [
+        tau for tau in FiniteS3Element if ref_iso(f * tau.inverse().perm).m == (1, 0, 0, 1)
+    ]
+    assert translation_cosets == [sigma]
+    assert coset_mod_T(f) is sigma
+    assert hexagon_of(f).base == vec
+    assert is_translation(f) == (ref_iso(f).m == (1, 0, 0, 1))
+    if is_translation(f):
+        assert translation_coords(f) == vec
+
+
+def check_translation(vec):
+    t = translation_perm(vec)
+    assert t == ref_translation_perm(vec)
+    assert is_translation(t)
+    assert translation_coords(t) == tuple(vec)
+
+
+# --- exhaustive over balls ----------------------------------------------------
+
+
+def test_finite_words_are_the_finite_subgroup():
+    assert {el.word for el in FiniteS3Element} == set(FINITE_WORDS)
+    assert len({from_word(w).residues for w in FINITE_WORDS}) == 6
+
+
+def test_ball_elements():
+    for f in BALL:
+        check_element(f)
+        assert f.length() == gallery_distance_bfs(BASE_TRIANGLE, triangle_of(f))
+
+
+def test_translation_box():
+    for e1 in range(-6, 7):
+        for e2 in range(-6, 7):
+            check_translation((e1, e2))
+
+
+def test_translation_factor_recombines():
+    for f in BALL:
+        e1, e2, word = translation_factor(f)
+        assert translation_perm((e1, e2)) * from_word(word) == f
+
+
+def test_length_layers_count_the_triangle_ball():
+    dist = triangle_ball(BASE_TRIANGLE, 8)
+    assert length_layers(8) == [sum(1 for d in dist.values() if d == k) for k in range(9)]
+
+
+def test_triangle_distance_is_bfs_distance():
+    for a, b in PAIRS:
+        assert triangle_distance(a, b) == gallery_distance_bfs(a, b)
+
+
+def test_plr_path_is_the_bfs_word():
+    for a, b in PAIRS:
+        assert plr_path(a, b) == ref_plr_path(a, b)
+
+
+# --- hypothesis over long words -----------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_words)
+def test_long_word_element(word):
+    f = from_word(word)
+    check_element(f)
+    assert f.length() <= len(word)
+    assert f.length() % 2 == len(word) % 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponents, exponents)
+def test_long_translation(e1, e2):
+    check_translation((e1, e2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_words, long_words)
+def test_long_range_distance_and_path(u, v):
+    a, b = triangle_of(from_word(u)), triangle_of(from_word(v))
+    d = triangle_distance(a, b)
+    assert d == ref_distance(a, b)
+    word = plr_path(a, b)
+    assert len(word) == d
+    assert apply_plr(a, word) == b
+
+
+def test_far_triangles():
+    a, b = Triangle((-50, 70), up=False), Triangle((90, -30), up=True)
+    word = plr_path(a, b)
+    assert len(word) == triangle_distance(a, b) == ref_distance(a, b)
+    assert apply_plr(a, word) == b
