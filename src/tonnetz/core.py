@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
 
 WINDOW_POSITIONS = (-1, 0, 1)
 
@@ -320,24 +321,41 @@ def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePer
     return AffinePermutation(slots[-1], slots[0], slots[1])
 
 
+Node = TypeVar("Node", bound=Hashable)
+
+
+def bfs_layers(start: Node, step: Callable[[Node], Iterable[Node]]) -> Iterator[list[Node]]:
+    """Breadth-first layers of the graph whose edges out of n are step(n).
+
+    Yields [start], then the nodes first reached from each layer, in the
+    order step lists them.  On an infinite graph the caller decides where
+    to stop; a layer is computed only when it is asked for.
+
+    >>> list(bfs_layers(0, lambda n: [(n + 1) % 4, (n - 1) % 4]))
+    [[0], [1, 3], [2]]
+    """
+    seen = {start}
+    layer = [start]
+    while layer:
+        yield layer
+        nxt = []
+        for node in layer:
+            for nb in step(node):
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        layer = nxt
+
+
 def ball(radius: int) -> list[AffinePermutation]:
     """All elements of length <= radius, in breadth-first order."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    out = [IDENTITY]
-    for _ in range(radius):
-        nxt = []
-        for f in frontier:
-            for i in GENERATOR_INDICES:
-                g = right_mult_generator(f, i)
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-                    out.append(g)
-        frontier = nxt
-    return out
+
+    def step(f: AffinePermutation) -> list[AffinePermutation]:
+        return [right_mult_generator(f, i) for i in GENERATOR_INDICES]
+
+    return [f for layer in islice(bfs_layers(IDENTITY, step), radius + 1) for f in layer]
 
 
 def length_layers(radius: int) -> list[int]:

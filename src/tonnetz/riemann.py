@@ -112,14 +112,6 @@ def p_order(x: PElement) -> int | None:
     return None
 
 
-def p_power(x: PElement, n: int) -> PElement:
-    g = P_IDENTITY
-    step = x if n >= 0 else p_inverse(x)
-    for _ in range(abs(n)):
-        g = p_compose(g, step)
-    return g
-
-
 def p_isometry(x: PElement) -> Isometry:
     """The lattice isometry of x: a translation, or a point reflection."""
     if x.flip:

@@ -3,21 +3,25 @@
 Each O(1) formula is compared with the routine it replaced, kept here as
 a reference: the isometry multiplied out along the reduced word, the
 translation built by repeated multiplication, and the shortest PLR word
-found by breadth-first search.  Whole balls are checked exhaustively;
-hypothesis covers long random words, where only the BFS checks are left
-out.
+found by breadth-first search.  The layered BFS behind ball,
+triangle_ball and gallery_distance_bfs is compared with the hand-written
+loops it replaced.  Whole balls are checked exhaustively; hypothesis
+covers long random words, where only the BFS checks are left out.
 """
 
 from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tonnetz.core import (
     FINITE_WORDS,
+    GENERATOR_INDICES,
     IDENTITY,
     ball,
     from_word,
     length_layers,
+    right_mult_generator,
     translation_factor,
 )
 from tonnetz.lattice import (
@@ -26,6 +30,7 @@ from tonnetz.lattice import (
     Triangle,
     gallery_distance_bfs,
     generator_isometry,
+    neighbors,
     perm_of,
     perm_to_iso,
     triangle_ball,
@@ -106,6 +111,56 @@ def ref_plr_path(start, goal):
     raise AssertionError("flip graph is connected")
 
 
+def ref_ball(radius):
+    """Elements of length <= radius, layer by layer, generators in index order."""
+    seen = {IDENTITY}
+    frontier = [IDENTITY]
+    out = [IDENTITY]
+    for _ in range(radius):
+        nxt = []
+        for f in frontier:
+            for i in GENERATOR_INDICES:
+                g = right_mult_generator(f, i)
+                if g not in seen:
+                    seen.add(g)
+                    nxt.append(g)
+                    out.append(g)
+        frontier = nxt
+    return out
+
+
+def ref_triangle_ball(center, radius):
+    """Triangles within the flip distance, layer by layer, with distances."""
+    dist = {center: 0}
+    frontier = [center]
+    for d in range(1, radius + 1):
+        nxt = []
+        for t in frontier:
+            for nb in neighbors(t):
+                if nb not in dist:
+                    dist[nb] = d
+                    nxt.append(nb)
+        frontier = nxt
+    return dist
+
+
+def ref_gallery_distance(t1, t2):
+    """Flip distance by a queue-driven BFS that stops at the first hit."""
+    if t1 == t2:
+        return 0
+    seen = {t1}
+    queue = deque([(t1, 0)])
+    while queue:
+        t, d = queue.popleft()
+        for nb in neighbors(t):
+            if nb == t2:
+                return d + 1
+            if nb not in seen:
+                seen.add(nb)
+                queue.append((nb, d + 1))
+    raise AssertionError("flip graph is connected")
+
+
 def ref_distance(t1, t2):
     """Length of the reduced word of the element relating the triangles."""
     return len((perm_of(t1).inverse() * perm_of(t2)).reduced_word())
@@ -164,6 +219,37 @@ def test_translation_factor_recombines():
 def test_length_layers_count_the_triangle_ball():
     dist = triangle_ball(BASE_TRIANGLE, 8)
     assert length_layers(8) == [sum(1 for d in dist.values() if d == k) for k in range(9)]
+
+
+def test_ball_is_the_layer_loop():
+    assert ball(8) == ref_ball(8)
+
+
+@pytest.mark.parametrize("center", [BASE_TRIANGLE, Triangle((3, -2), up=False)])
+def test_triangle_ball_is_the_layer_loop(center):
+    assert list(triangle_ball(center, 6).items()) == list(ref_triangle_ball(center, 6).items())
+
+
+def test_gallery_distance_bfs_is_the_queue_bfs():
+    small = list(triangle_ball(BASE_TRIANGLE, 4))
+    for a in small:
+        for b in small:
+            d = gallery_distance_bfs(a, b)
+            assert d == ref_gallery_distance(a, b) == triangle_distance(a, b)
+
+
+def test_triangle_value_semantics():
+    t = Triangle((1, -2), up=False)
+    assert repr(t) == "Triangle(root=(1, -2), up=False)"
+    assert t == Triangle(root=(1, -2), up=False) and hash(t) == hash(Triangle((1, -2), False))
+    assert sorted(TRIANGLES) == sorted(TRIANGLES, key=lambda s: (s.root, s.up))
+    assert sorted([t, Triangle((1, -2), up=True), Triangle((0, 5), up=True)]) == [
+        Triangle((0, 5), up=True),
+        Triangle((1, -2), up=False),
+        Triangle((1, -2), up=True),
+    ]
+    with pytest.raises(AttributeError):
+        t.up = True
 
 
 def test_triangle_distance_is_bfs_distance():

@@ -75,6 +75,20 @@ def test_neighbors_are_adjacent():
     assert len(set(neighbors(t))) == 3
 
 
+def test_flip_table_is_parallelogram_completion():
+    # the vertex lists alone, not the flip table, say where each flip lands
+    for t in [*triangle_ball(BASE_TRIANGLE, 6), Triangle((7, -5), up=False)]:
+        for e in Edge:
+            other = flip(t, e)
+            a, b = t.edge_vertices(e)
+            (c,) = set(t.vertices()) - {a, b}
+            completion = (a[0] + b[0] - c[0], a[1] + b[1] - c[1])
+            assert flip(other, e) == t
+            assert set(t.vertices()) & set(other.vertices()) == {a, b}
+            assert set(other.vertices()) == {a, b, completion}
+        assert neighbors(t) == tuple(flip(t, e) for e in Edge)
+
+
 def test_generator_isometries_fix_their_edges():
     for i, e in ((1, Edge.FIFTH), (2, Edge.MAJOR_THIRD), (3, Edge.MINOR_THIRD)):
         iso = generator_isometry(i)

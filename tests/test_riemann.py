@@ -28,7 +28,6 @@ from tonnetz.riemann import (
     p_isometry,
     p_left_action,
     p_order,
-    p_power,
     p_to_r,
     parse_p,
     parse_r,
@@ -103,7 +102,9 @@ def test_p_normal_form():
     b_gen = p_compose(pi1, pi2)
     assert a_gen == PElement(1, 0, False)
     assert b_gen == PElement(0, 1, False)
-    x = p_compose(p_compose(p_power(a_gen, -2), p_power(b_gen, 3)), pi1)
+    a_inv = p_inverse(a_gen)
+    b_cubed = p_compose(p_compose(b_gen, b_gen), b_gen)
+    x = p_compose(p_compose(p_compose(a_inv, a_inv), b_cubed), pi1)
     assert x == PElement(-2, 3, True)
 
 
