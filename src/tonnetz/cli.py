@@ -97,11 +97,12 @@ def _window_payload(f: AffinePermutation) -> dict:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     f = parse_element(args.element)
+    payload = _window_payload(f)
     _emit(
         args,
-        _window_payload(f),
+        payload,
         [
-            f"word: {format_word(f.reduced_word())}",
+            f"word: {format_word(payload['word'])}",
             f"window: {format_window(f)}",
             f"length: {f.length()}",
         ],
@@ -111,10 +112,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_mult(args: argparse.Namespace) -> int:
     f = parse_element(args.left) * parse_element(args.right)
+    payload = _window_payload(f)
     _emit(
         args,
-        _window_payload(f),
-        [f"window: {format_window(f)}", f"word: {format_word(f.reduced_word())}"],
+        payload,
+        [f"window: {format_window(f)}", f"word: {format_word(payload['word'])}"],
     )
     return 0
 
@@ -190,7 +192,7 @@ def cmd_path(args: argparse.Namespace) -> int:
         payload,
         [
             f"plr: {word if word else '(empty)'}",
-            f"word: {format_word(g.reduced_word())}",
+            f"word: {format_word(payload['word'])}",
             f"length: {len(word)}",
         ],
     )

@@ -96,17 +96,6 @@ class AffinePermutation:
             out[target + 1] = p + (target - v)
         return AffinePermutation(*out)
 
-    def right_descents(self) -> set[int]:
-        """Generator indices i with length(self * s_i) < length(self)."""
-        found = set()
-        if self.a > self.b:
-            found.add(1)
-        if self.b > self.c:
-            found.add(2)
-        if self.c > self.a + 3:
-            found.add(3)
-        return found
-
     def reduced_word(self) -> tuple[int, ...]:
         """The canonical reduced word, stripping the smallest descent first.
 
@@ -115,12 +104,22 @@ class AffinePermutation:
         >>> AffinePermutation(1, -1, 0).reduced_word()
         (2, 1)
         """
+        # the window rewriting rules of right_mult_generator, on bare
+        # integers; only the identity [-1, 0, 1] has no right descent
         letters = []
-        g = self
-        while g != IDENTITY:
-            i = min(g.right_descents())
-            letters.append(i)
-            g = right_mult_generator(g, i)
+        a, b, c = self.window
+        while True:
+            if a > b:
+                letters.append(1)
+                a, b = b, a
+            elif b > c:
+                letters.append(2)
+                b, c = c, b
+            elif c > a + 3:
+                letters.append(3)
+                a, c = c - 3, a + 3
+            else:
+                break
         letters.reverse()
         return tuple(letters)
 
@@ -325,26 +324,31 @@ Node = TypeVar("Node", bound=Hashable)
 
 
 def bfs_layers(start: Node, step: Callable[[Node], Iterable[Node]]) -> Iterator[list[Node]]:
-    """Breadth-first layers of the graph whose edges out of n are step(n).
+    """Breadth-first layers of the undirected graph whose edges out of n are step(n).
 
     Yields [start], then the nodes first reached from each layer, in the
-    order step lists them.  On an infinite graph the caller decides where
-    to stop; a layer is computed only when it is asked for.
+    order step lists them.  step must be symmetric (m in step(n) exactly
+    when n in step(m)): then every neighbour of layer k lies in layer
+    k - 1, k or k + 1, so only two layers are remembered, not the whole
+    ball.  On an infinite graph the caller decides where to stop; a
+    layer is computed only when it is asked for.
 
     >>> list(bfs_layers(0, lambda n: [(n + 1) % 4, (n - 1) % 4]))
     [[0], [1, 3], [2]]
     """
-    seen = {start}
+    near = {start}  # the last two layers, plus the next one as it is found
+    back: list[Node] = []
     layer = [start]
     while layer:
         yield layer
         nxt = []
         for node in layer:
             for nb in step(node):
-                if nb not in seen:
-                    seen.add(nb)
+                if nb not in near:
+                    near.add(nb)
                     nxt.append(nb)
-        layer = nxt
+        near.difference_update(back)
+        back, layer = layer, nxt
 
 
 def ball(radius: int) -> list[AffinePermutation]:

@@ -283,12 +283,28 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     """Minimal number of edge flips from t1 to t2, by breadth-first search.
 
     This is the independent oracle for Coxeter length: for any element f,
-    gallery_distance_bfs(base, triangle_of(f)) == f.length().
+    gallery_distance_bfs(base, triangle_of(f)) == f.length().  Two searches
+    meet in the middle: each round the side with the smaller frontier
+    takes one more layer, and the first new layer that shares a triangle
+    with the other side's frontier gives the distance.
+
+    >>> gallery_distance_bfs(BASE_TRIANGLE, Triangle((2, -1), up=False))
+    5
     """
-    for d, layer in enumerate(bfs_layers(t1, neighbors)):
-        if t2 in layer:
-            return d
-    raise RuntimeError("flip graph is connected; unreachable")
+    for t in (t1, t2):
+        if not all(isinstance(x, int) for x in t.root):
+            raise ValueError(f"{t} is not a lattice triangle: its root must be integers")
+    if t1 == t2:
+        return 0
+    sides = [bfs_layers(t1, neighbors), bfs_layers(t2, neighbors)]
+    frontiers = [next(sides[0]), next(sides[1])]
+    depths = [0, 0]
+    while True:
+        i = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        frontiers[i] = next(sides[i])
+        depths[i] += 1
+        if not set(frontiers[1 - i]).isdisjoint(frontiers[i]):
+            return depths[0] + depths[1]
 
 
 def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:

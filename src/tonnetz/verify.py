@@ -120,9 +120,10 @@ def suite_reduce(radius: int) -> list[CheckResult]:
 
 def suite_length_oracle(radius: int) -> list[CheckResult]:
     """Coxeter length equals flip distance from the base triangle."""
+    dist = triangle_ball(BASE_TRIANGLE, radius)
     cases = []
     for f in ball(radius):
-        d = gallery_distance_bfs(BASE_TRIANGLE, triangle_of(f))
+        d = dist.get(triangle_of(f))
         cases.append((d == f.length(), f"{f.window}: bfs {d} vs length {f.length()}"))
     return [_check("length = flip distance", *_count_failures(cases))]
 

@@ -288,6 +288,12 @@ def test_huge_window_classify_chord_hexagon(capsys, window):
     assert hexagon["chords"][0] == chord["chord"]
 
 
+def test_huge_window_reduce(capsys):
+    window = "[999999,-1000000,1]"
+    payload = timed_json(capsys, "reduce", window)
+    assert len(payload["word"]) == payload["length"] == parse_window(window).length()
+
+
 def test_far_comma_hexagon(capsys):
     far = timed_json(capsys, "hexagon", "C[q=100000]")
     # three comma levels up is a translation, so q = 100000 looks like q = 1

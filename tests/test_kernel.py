@@ -5,10 +5,12 @@ a reference: the isometry multiplied out along the reduced word, the
 translation built by repeated multiplication, and the shortest PLR word
 found by breadth-first search.  The layered BFS behind ball,
 triangle_ball and gallery_distance_bfs is compared with the hand-written
-loops it replaced.  Whole balls are checked exhaustively; hypothesis
-covers long random words, where only the BFS checks are left out.
+loops it replaced, and the integer descent loop of reduced_word with the
+walk over validated elements.  Whole balls are checked exhaustively;
+hypothesis covers long random words and distant triangle pairs.
 """
 
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -161,12 +163,24 @@ def ref_gallery_distance(t1, t2):
     raise AssertionError("flip graph is connected")
 
 
+def ref_reduced_word(f):
+    """Strip the smallest right descent, found by length, until the identity."""
+    letters = []
+    g = f
+    while g != IDENTITY:
+        i = min(i for i in GENERATOR_INDICES if right_mult_generator(g, i).length() < g.length())
+        letters.append(i)
+        g = right_mult_generator(g, i)
+    return tuple(reversed(letters))
+
+
 def ref_distance(t1, t2):
     """Length of the reduced word of the element relating the triangles."""
     return len((perm_of(t1).inverse() * perm_of(t2)).reduced_word())
 
 
 def check_element(f):
+    assert f.reduced_word() == ref_reduced_word(f)
     assert f.length() == len(f.reduced_word())
     assert perm_to_iso(f) == ref_iso(f)
     assert triangle_of(f) == ref_triangle(f)
@@ -238,6 +252,25 @@ def test_gallery_distance_bfs_is_the_queue_bfs():
             assert d == ref_gallery_distance(a, b) == triangle_distance(a, b)
 
 
+def test_gallery_distance_bfs_edge_cases():
+    for t in TRIANGLES:
+        assert gallery_distance_bfs(t, t) == 0
+        for nb in neighbors(t):
+            assert gallery_distance_bfs(t, nb) == gallery_distance_bfs(nb, t) == 1
+
+
+def test_gallery_distance_bfs_holds_two_layers():
+    far = triangle_of(translation_perm((40, 0)))
+    tracemalloc.start()
+    try:
+        d = gallery_distance_bfs(BASE_TRIANGLE, far)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d == 160
+    assert peak < 1_000_000
+
+
 def test_triangle_value_semantics():
     t = Triangle((1, -2), up=False)
     assert repr(t) == "Triangle(root=(1, -2), up=False)"
@@ -289,6 +322,18 @@ def test_long_range_distance_and_path(u, v):
     word = plr_path(a, b)
     assert len(word) == d
     assert apply_plr(a, word) == b
+
+
+near_triangles = st.builds(
+    Triangle, st.tuples(st.integers(-8, 8), st.integers(-8, 8)), st.booleans()
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_triangles, near_triangles)
+def test_gallery_distance_bfs_meets_in_the_middle(a, b):
+    d = gallery_distance_bfs(a, b)
+    assert d == gallery_distance_bfs(b, a) == ref_gallery_distance(a, b) == triangle_distance(a, b)
 
 
 def test_far_triangles():

@@ -1,7 +1,13 @@
 """Lattice geometry: triangles, flips, isometries, the window bijection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tonnetz
 from tonnetz.core import ball, from_word, generator, parse_window
 from tonnetz.lattice import (
     BASE_TRIANGLE,
@@ -146,6 +152,28 @@ def test_two_coordinate_routes_agree():
 def test_length_equals_bfs_distance():
     for f in ball(5):
         assert gallery_distance_bfs(BASE_TRIANGLE, triangle_of(f)) == f.length()
+
+
+def test_gallery_distance_bfs_rejects_off_lattice_triangles():
+    # no flip reaches a triangle whose root is not integral, so a search
+    # for one would never end; the child process is killed if it hangs
+    code = (
+        "from tonnetz.lattice import BASE_TRIANGLE, Triangle, gallery_distance_bfs\n"
+        "off = Triangle((0.5, 0), True)\n"
+        "for pair in ((BASE_TRIANGLE, off), (off, BASE_TRIANGLE)):\n"
+        "    try:\n"
+        "        gallery_distance_bfs(*pair)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+    )
+    src = str(Path(tonnetz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all("not a lattice triangle" in line for line in lines)
 
 
 def test_right_multiplication_is_a_flip():
