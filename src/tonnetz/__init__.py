@@ -43,6 +43,7 @@ from .lattice import (
     triangle_from_vertices,
     triangle_of,
     vertex_class,
+    wall_flip,
 )
 from .pitch import (
     ChordName,

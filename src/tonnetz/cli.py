@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .core import (
     AffinePermutation,
@@ -79,11 +80,16 @@ def parse_element(text: str) -> AffinePermutation:
     return perm_of(parse_chord(s, _default_comma())[1])
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, human: Callable[[], list[str]]) -> None:
+    """Print the payload as JSON, or else the lines human() builds.
+
+    The human lines are built only when printed: some of them format a
+    reduced word that can run to millions of letters.
+    """
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in human:
+        for line in human():
             print(line)
 
 
@@ -101,7 +107,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     _emit(
         args,
         payload,
-        [
+        lambda: [
             f"word: {format_word(payload['word'])}",
             f"window: {format_window(f)}",
             f"length: {f.length()}",
@@ -116,7 +122,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
     _emit(
         args,
         payload,
-        [f"window: {format_window(f)}", f"word: {format_word(payload['word'])}"],
+        lambda: [f"window: {format_window(f)}", f"word: {format_word(payload['word'])}"],
     )
     return 0
 
@@ -136,7 +142,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     _emit(
         args,
         payload,
-        [
+        lambda: [
             f"type: {f.classify().value}",
             f"order: {order if order is not None else 'infinite'}",
             f"center: ({coords[0]},{coords[1]},{coords[2]})",
@@ -156,7 +162,11 @@ def cmd_chord(args: argparse.Namespace) -> int:
         "comma": chord.root.comma,
         "triangle": format_triangle(t),
     }
-    _emit(args, payload, [f"chord: {format_chord(chord)}", f"triangle: {format_triangle(t)}"])
+    _emit(
+        args,
+        payload,
+        lambda: [f"chord: {format_chord(chord)}", f"triangle: {format_triangle(t)}"],
+    )
     return 0
 
 
@@ -171,7 +181,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
     _emit(
         args,
         payload,
-        [f"window: {format_window(f)}", f"triangle: {format_triangle(t)}"],
+        lambda: [f"window: {format_window(f)}", f"triangle: {format_triangle(t)}"],
     )
     return 0
 
@@ -190,7 +200,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     _emit(
         args,
         payload,
-        [
+        lambda: [
             f"plr: {word if word else '(empty)'}",
             f"word: {format_word(payload['word'])}",
             f"length: {len(word)}",
@@ -212,7 +222,7 @@ def cmd_hexagon(args: argparse.Namespace) -> int:
     _emit(
         args,
         payload,
-        [
+        lambda: [
             f"tone: {format_note(cyc.common_tone)}",
             f"cycle: {' '.join(chords)}",
             f"coset: {format_translation_vector(coset.base)}",
@@ -232,7 +242,7 @@ def cmd_stripe(args: argparse.Namespace) -> int:
         "chords": chords,
         "triangles": [format_triangle(u) for u in chain],
     }
-    _emit(args, payload, [f"stripe: {' '.join(chords)}"])
+    _emit(args, payload, lambda: [f"stripe: {' '.join(chords)}"])
     return 0
 
 
@@ -250,7 +260,7 @@ def cmd_riemann(args: argparse.Namespace) -> int:
         _emit(
             args,
             payload,
-            [
+            lambda: [
                 f"element: {format_r(x)}",
                 f"order: {order if order is not None else 'infinite'}",
             ],
@@ -266,13 +276,13 @@ def cmd_riemann(args: argparse.Namespace) -> int:
         _emit(
             args,
             payload,
-            [f"coset: {format_p(coset)}", f"order: {d12_order(coset)}"],
+            lambda: [f"coset: {format_p(coset)}", f"order: {d12_order(coset)}"],
         )
         return 0
     x = parse_p(args.element)
     member = in_comma_subgroup(x)
     payload = {"element": format_p(x), "in_comma_subgroup": member}
-    _emit(args, payload, [f"in-comma-subgroup: {'yes' if member else 'no'}"])
+    _emit(args, payload, lambda: [f"in-comma-subgroup: {'yes' if member else 'no'}"])
     return 0
 
 
@@ -317,7 +327,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)
     payload = {"out": args.out, "bytes": len(doc.encode("utf-8"))}
-    _emit(args, payload, [f"wrote {args.out} ({payload['bytes']} bytes)"])
+    _emit(args, payload, lambda: [f"wrote {args.out} ({payload['bytes']} bytes)"])
     return 0
 
 

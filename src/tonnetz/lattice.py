@@ -41,6 +41,10 @@ class Edge(Enum):
     MINOR_THIRD = "minor-third"
     MAJOR_THIRD = "major-third"
 
+    # members are singletons compared by identity; Enum's own __hash__ is a
+    # Python-level call on every flip-table lookup
+    __hash__ = object.__hash__
+
 
 class Triangle(NamedTuple):
     """A unit triangle, in normal form (root, orientation).
@@ -103,6 +107,11 @@ _FLIP_OFFSETS = {
 }
 
 
+# builds a Triangle from (root, up) without the named tuple's Python-level
+# __new__, a call that takes about a fifth of the time of a flip-graph BFS
+_make_triangle = tuple.__new__
+
+
 def flip(t: Triangle, edge: Edge) -> Triangle:
     """The other triangle sharing the given edge; an involution.
 
@@ -111,12 +120,7 @@ def flip(t: Triangle, edge: Edge) -> Triangle:
     """
     (p, q), up = t
     dp, dq = _FLIP_OFFSETS[up][edge]
-    return Triangle((p + dp, q + dq), not up)
-
-
-# builds a Triangle from (root, up) without the named tuple's Python-level
-# __new__, a call that takes about a fifth of the time of a flip-graph BFS
-_make_triangle = tuple.__new__
+    return _make_triangle(Triangle, ((p + dp, q + dq), not up))
 
 
 def neighbors(t: Triangle) -> tuple[Triangle, Triangle, Triangle]:
@@ -129,6 +133,32 @@ def neighbors(t: Triangle) -> tuple[Triangle, Triangle, Triangle]:
         _make_triangle(Triangle, ((p + p2, q + q2), down)),
         _make_triangle(Triangle, ((p + p3, q + q3), down)),
     )
+
+
+# the wall of s_i, the edge it fixes on the base triangle, lies opposite the
+# vertex of class 2, 1, 0 for i = 1, 2, 3; the group keeps vertex classes,
+# so the same holds on every triangle
+_WALL_CLASS = {1: 2, 2: 1, 3: 0}
+
+# the edge opposite the vertex whose class is the root's plus 0, 1, 2
+_OPPOSITE_EDGES = {
+    True: (Edge.MINOR_THIRD, Edge.MAJOR_THIRD, Edge.FIFTH),
+    False: (Edge.MAJOR_THIRD, Edge.MINOR_THIRD, Edge.FIFTH),
+}
+
+
+def wall_flip(t: Triangle, i: int) -> Triangle:
+    """The triangle of perm_of(t) * s_i: the flip across t's wall of type i.
+
+    >>> wall_flip(BASE_TRIANGLE, 1)
+    Triangle(root=(0, 0), up=False)
+    """
+    try:
+        k = _WALL_CLASS[i]
+    except KeyError:
+        raise ValueError(f"generator index must be 1, 2 or 3, got {i!r}") from None
+    (p, q), up = t
+    return flip(t, _OPPOSITE_EDGES[up][(k - p + q) % 3])
 
 
 # --- isometries ------------------------------------------------------------
@@ -279,6 +309,15 @@ def class_vertex(t: Triangle, cls: int) -> Vertex:
 # --- BFS over the flip graph -------------------------------------------------
 
 
+def _check_lattice_triangle(t: Triangle) -> None:
+    # the flip graph is infinite: a search from or toward a triangle off the
+    # lattice never ends, and a non-bool orientation has no flip table
+    if not all(isinstance(x, int) for x in t.root) or not isinstance(t.up, bool):
+        raise ValueError(
+            f"{t} is not a lattice triangle: its root must be integers and up a bool"
+        )
+
+
 def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     """Minimal number of edge flips from t1 to t2, by breadth-first search.
 
@@ -291,9 +330,8 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     >>> gallery_distance_bfs(BASE_TRIANGLE, Triangle((2, -1), up=False))
     5
     """
-    for t in (t1, t2):
-        if not all(isinstance(x, int) for x in t.root):
-            raise ValueError(f"{t} is not a lattice triangle: its root must be integers")
+    _check_lattice_triangle(t1)
+    _check_lattice_triangle(t2)
     if t1 == t2:
         return 0
     sides = [bfs_layers(t1, neighbors), bfs_layers(t2, neighbors)]
@@ -311,6 +349,7 @@ def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:
     """All triangles within the given flip distance, with their distances."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
+    _check_lattice_triangle(center)
     layers = islice(bfs_layers(center, neighbors), radius + 1)
     return {t: d for d, layer in enumerate(layers) for t in layer}
 

@@ -9,7 +9,7 @@ vertices in different third-rows, written as a [q=n] suffix when needed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import Triangle, Vertex
 
@@ -18,9 +18,15 @@ LETTERS = "FCGDAEB"
 _ACCIDENTAL_VALUE = {"#": 1, "x": 2, "b": -1}
 
 
-@dataclass(frozen=True, order=True)
-class NoteName:
-    """A spelled pitch: position on the line of fifths plus comma level."""
+class NoteName(NamedTuple):
+    """A spelled pitch: position on the line of fifths plus comma level.
+
+    Being a named tuple, a note equals the plain tuple (fifth_index,
+    comma) and sorts by fifth index, then comma level.
+
+    >>> NoteName(4, 1) == (4, 1)
+    True
+    """
 
     fifth_index: int
     comma: int
@@ -35,8 +41,9 @@ class NoteName:
         return (self.fifth_index + 1) // 7
 
 
-@dataclass(frozen=True, order=True)
-class ChordName:
+class ChordName(NamedTuple):
+    """A chord symbol: its spelled root and whether it is minor."""
+
     root: NoteName
     minor: bool
 

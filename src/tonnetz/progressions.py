@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import AffinePermutation, from_word, right_mult_generator
+from .core import from_word
 from .lattice import (
     T1_VECTOR,
     T2_VECTOR,
@@ -26,10 +26,9 @@ from .lattice import (
     Vertex,
     class_vertex,
     flip,
-    perm_of,
     perm_to_iso,
-    triangle_of,
     vertex_class,
+    wall_flip,
 )
 from .pitch import ChordName, NoteName, chord_triangle, name_triangle, parse_chord, spell_vertex
 
@@ -122,16 +121,12 @@ class HexagonCycle:
     chords: tuple[ChordName, ...]
 
 
-def cycle_by_pair(f: AffinePermutation, i: int, j: int) -> list[AffinePermutation]:
-    """The six elements f, f*s_i, f*s_i*s_j, ... of the coset of <s_i, s_j>."""
-    elems = [f]
-    for k in range(5):
-        elems.append(right_mult_generator(elems[-1], i if k % 2 == 0 else j))
-    return elems
-
-
 def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
     """The six triangles around a vertex of t, starting at t.
+
+    Each step flips across a wall through v, alternating the generator
+    pair of v's class; the triangles are those of f, f*s_i, f*s_i*s_j, ...
+    for the element f of t.
 
     >>> from .lattice import BASE_TRIANGLE
     >>> from .pitch import format_chord
@@ -141,13 +136,14 @@ def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
     """
     if v not in t.vertices():
         raise ValueError(f"{v} is not a vertex of {t}")
-    i, j = PAIR_OF_CLASS[vertex_class(v)]
-    elems = cycle_by_pair(perm_of(t), i, j)
-    triangles = tuple(triangle_of(g) for g in elems)
+    pair = PAIR_OF_CLASS[vertex_class(v)]
+    triangles = [t]
+    for k in range(5):
+        triangles.append(wall_flip(triangles[-1], pair[k % 2]))
     return HexagonCycle(
         center=v,
         common_tone=spell_vertex(v),
-        triangles=triangles,
+        triangles=tuple(triangles),
         chords=tuple(name_triangle(u) for u in triangles),
     )
 
@@ -276,16 +272,16 @@ def _resolve(symbol: str, prev: Triangle, default_comma: int | None) -> tuple[Ch
     chord, t = parse_chord(symbol, default_comma)
     if "[q=" in symbol:
         return chord, t
-    prev_comma = spell_vertex(prev.root).comma
-    best = None
-    for q in range(prev_comma - 4, prev_comma + 5):
-        cand = ChordName(NoteName(chord.root.fifth_index, q), chord.minor)
-        cand_t = chord_triangle(cand)
-        key = (triangle_distance(prev, cand_t), abs(q), q)
-        if best is None or key < best[0]:
-            best = (key, cand, cand_t)
-    assert best is not None
-    return best[1], best[2]
+    # the instance at comma level c is rooted at (fifth - 4c, c), and the
+    # previous root's comma level is its q coordinate; only the winner is named
+    fifth, up = chord.root.fifth_index, t.up
+    prev_comma = prev.root[1]
+    _, _, comma = min(
+        (triangle_distance(prev, Triangle((fifth - 4 * c, c), up)), abs(c), c)
+        for c in range(prev_comma - 4, prev_comma + 5)
+    )
+    best = ChordName(NoteName(fifth, comma), chord.minor)
+    return best, chord_triangle(best)
 
 
 def analyze(symbols: list[str], default_comma: int | None = None) -> ProgressionReport:

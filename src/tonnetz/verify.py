@@ -501,6 +501,16 @@ def suite_progressions(radius: int) -> list[CheckResult]:
         )
         cases.append((ok, f"path to {lattice.format_triangle(t)}"))
     results = [_check("PLR paths are shortest and land", *_count_failures(cases))]
+    # vertex cycles walk by wall flips; the windows are the oracle
+    cases = [
+        (
+            lattice.wall_flip(t, i) == triangle_of(lattice.perm_of(t) * generator(i)),
+            f"s{i} on {lattice.format_triangle(t)}",
+        )
+        for t in triangles
+        for i in (1, 2, 3)
+    ]
+    results.append(_check("wall flips are right multiplications", *_count_failures(cases)))
     cases = []
     for t in triangles:
         for v in t.vertices():

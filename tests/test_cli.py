@@ -308,3 +308,16 @@ def test_far_comma_path(capsys):
     _, start = parse_chord("C")
     _, goal = parse_chord("C[q=2000]")
     assert apply_plr(start, payload["plr"]) == goal
+
+
+def test_json_builds_no_human_lines(capsys, monkeypatch):
+    # the human lines format the whole reduced word; --json must not pay for it
+    def no_format_word(word):
+        raise AssertionError("format_word called under --json")
+
+    monkeypatch.setattr("tonnetz.cli.format_word", no_format_word)
+    for argv in (("reduce", "[-3,2,1]"), ("mult", "s1", "s2"), ("path", "C", "Em")):
+        payload = run_json(capsys, *argv)
+        assert payload["word"]
+    with pytest.raises(AssertionError, match="under --json"):
+        main(["reduce", "[-3,2,1]"])

@@ -6,8 +6,11 @@ translation built by repeated multiplication, and the shortest PLR word
 found by breadth-first search.  The layered BFS behind ball,
 triangle_ball and gallery_distance_bfs is compared with the hand-written
 loops it replaced, and the integer descent loop of reduced_word with the
-walk over validated elements.  Whole balls are checked exhaustively;
-hypothesis covers long random words and distant triangle pairs.
+walk over validated elements.  Wall flips and the hexagon cycles walked
+by them are compared with right multiplication of windows, and the
+progression analyzer's ranking with the loop over nine chord names.
+Whole balls are checked exhaustively; hypothesis covers long random
+words, distant triangle pairs and chord progressions.
 """
 
 import tracemalloc
@@ -38,8 +41,26 @@ from tonnetz.lattice import (
     triangle_ball,
     triangle_from_vertices,
     triangle_of,
+    vertex_class,
+    wall_flip,
 )
-from tonnetz.progressions import apply_move, apply_plr, plr_path, triangle_distance
+from tonnetz.pitch import (
+    ChordName,
+    NoteName,
+    chord_triangle,
+    name_triangle,
+    parse_chord,
+    spell_vertex,
+)
+from tonnetz.progressions import (
+    PAIR_OF_CLASS,
+    analyze,
+    apply_move,
+    apply_plr,
+    plr_path,
+    triangle_distance,
+    vertex_cycle,
+)
 from tonnetz.subgroups import (
     FiniteS3Element,
     coset_mod_T,
@@ -174,6 +195,36 @@ def ref_reduced_word(f):
     return tuple(reversed(letters))
 
 
+def ref_vertex_cycle(t, v):
+    """Right-multiply t's element by the pair of v's class; map each back."""
+    i, j = PAIR_OF_CLASS[vertex_class(v)]
+    elems = [perm_of(t)]
+    for k in range(5):
+        elems.append(right_mult_generator(elems[-1], i if k % 2 == 0 else j))
+    return tuple(triangle_of(g) for g in elems)
+
+
+def ref_placements(symbols, default_comma):
+    """Each chord's (name, triangle), ranking nine built chord names per chord."""
+    out = []
+    prev = None
+    for symbol in symbols:
+        chord, t = parse_chord(symbol, default_comma)
+        if prev is not None and "[q=" not in symbol:
+            prev_comma = spell_vertex(prev.root).comma
+            best = None
+            for q in range(prev_comma - 4, prev_comma + 5):
+                cand = ChordName(NoteName(chord.root.fifth_index, q), chord.minor)
+                cand_t = chord_triangle(cand)
+                key = (triangle_distance(prev, cand_t), abs(q), q)
+                if best is None or key < best[0]:
+                    best = (key, cand, cand_t)
+            _, chord, t = best
+        out.append((chord, t))
+        prev = t
+    return out
+
+
 def ref_distance(t1, t2):
     """Length of the reduced word of the element relating the triangles."""
     return len((perm_of(t1).inverse() * perm_of(t2)).reduced_word())
@@ -285,6 +336,41 @@ def test_triangle_value_semantics():
         t.up = True
 
 
+def test_note_and_chord_name_value_semantics():
+    n = NoteName(-3, 1)
+    c = ChordName(n, minor=True)
+    assert repr(n) == "NoteName(fifth_index=-3, comma=1)"
+    assert repr(c) == "ChordName(root=NoteName(fifth_index=-3, comma=1), minor=True)"
+    assert n == NoteName(fifth_index=-3, comma=1) == (-3, 1)
+    assert c == ChordName(root=NoteName(-3, 1), minor=True) == ((-3, 1), True)
+    assert hash(n) == hash((-3, 1)) and hash(c) == hash(((-3, 1), True))
+    assert sorted([NoteName(1, 0), NoteName(-3, 2), n]) == [n, NoteName(-3, 2), NoteName(1, 0)]
+    chords = [ChordName(NoteName(0, 0), True), ChordName(NoteName(0, 0), False), c]
+    assert sorted(chords) == [c, chords[1], chords[0]]
+    with pytest.raises(AttributeError):
+        n.comma = 0
+    with pytest.raises(AttributeError):
+        c.minor = False
+
+
+def test_wall_flip_is_right_multiplication():
+    for t in triangle_ball(BASE_TRIANGLE, 8):
+        f = perm_of(t)
+        for i in GENERATOR_INDICES:
+            assert wall_flip(t, i) == triangle_of(right_mult_generator(f, i))
+    with pytest.raises(ValueError):
+        wall_flip(BASE_TRIANGLE, 4)
+
+
+def test_vertex_cycle_is_the_window_walk():
+    for t in triangle_ball(BASE_TRIANGLE, 8):
+        for v in t.vertices():
+            cyc = vertex_cycle(t, v)
+            assert cyc.triangles == ref_vertex_cycle(t, v)
+            assert cyc.chords == tuple(name_triangle(u) for u in cyc.triangles)
+            assert cyc.center == v and cyc.common_tone == spell_vertex(v)
+
+
 def test_triangle_distance_is_bfs_distance():
     for a, b in PAIRS:
         assert triangle_distance(a, b) == gallery_distance_bfs(a, b)
@@ -341,3 +427,24 @@ def test_far_triangles():
     word = plr_path(a, b)
     assert len(word) == triangle_distance(a, b) == ref_distance(a, b)
     assert apply_plr(a, word) == b
+
+
+def _symbol(letter, accidentals, mode, comma):
+    return letter + accidentals + mode + ("" if comma is None else f"[q={comma}]")
+
+
+chord_symbols = st.builds(
+    _symbol,
+    st.sampled_from("ABCDEFG"),
+    st.sampled_from(["", "#", "b", "x", "bb", "x#"]),
+    st.sampled_from(["", "m", "min"]),
+    st.one_of(st.none(), st.none(), st.integers(-6, 6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(chord_symbols, min_size=1, max_size=12), st.one_of(st.none(), st.integers(-3, 3)))
+def test_analyze_is_the_nine_candidate_loop(symbols, default_comma):
+    report = analyze(symbols, default_comma)
+    placed = [(s.chord, s.triangle) for s in report.steps]
+    assert placed == ref_placements(symbols, default_comma)

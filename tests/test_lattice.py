@@ -176,6 +176,18 @@ def test_gallery_distance_bfs_rejects_off_lattice_triangles():
     assert len(lines) == 2 and all("not a lattice triangle" in line for line in lines)
 
 
+def test_bfs_rejects_non_bool_orientation():
+    # the flip table is keyed by orientation; 2 used to surface as KeyError
+    odd = Triangle((3, 0), 2)
+    for pair in ((BASE_TRIANGLE, odd), (odd, BASE_TRIANGLE)):
+        with pytest.raises(ValueError, match="not a lattice triangle"):
+            gallery_distance_bfs(*pair)
+    with pytest.raises(ValueError, match="not a lattice triangle"):
+        triangle_ball(odd, 2)
+    with pytest.raises(ValueError, match="not a lattice triangle"):
+        triangle_ball(Triangle((0.5, 0), True), 2)
+
+
 def test_right_multiplication_is_a_flip():
     # multiplying by a generator on the right flips across one own edge
     for f in ball(4):
