@@ -143,11 +143,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
         args,
         payload,
         lambda: [
-            f"type: {f.classify().value}",
+            f"type: {payload['type']}",
             f"order: {order if order is not None else 'infinite'}",
             f"center: ({coords[0]},{coords[1]},{coords[2]})",
-            f"center-distance: {f.center_distance()}",
-            f"flip-distance: {f.length()}",
+            f"center-distance: {payload['center_distance']}",
+            f"flip-distance: {payload['flip_distance']}",
         ],
     )
     return 0

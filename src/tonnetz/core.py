@@ -11,7 +11,6 @@ that correspondence lives in :mod:`tonnetz.lattice`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
@@ -41,29 +40,41 @@ class TriangleCoords(NamedTuple):
     c3: int
 
 
-@dataclass(frozen=True, order=True)
-class AffinePermutation:
+def _not_a_sequence(self: object, other: object) -> object:
+    # __add__ and __rmul__ of tuple-backed group elements and isometries:
+    # without it, tuple concatenation and repetition answer f + g and 3 * f
+    return NotImplemented
+
+
+class _Window(NamedTuple):
+    a: int
+    b: int
+    c: int
+
+
+class AffinePermutation(_Window):
     """An element of the affine triangle group, stored by its window.
+
+    Being a named tuple, an element equals the plain tuple (a, b, c),
+    hashes like it and sorts by window.  Tuple repetition and
+    concatenation are switched off, so 3 * f and f + g raise TypeError.
 
     >>> AffinePermutation(-3, 1, 2).window
     (-3, 1, 2)
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a + self.b + self.c != 0:
-            raise ValueError(f"window {self.window} does not sum to zero")
-        if {self.a % 3, self.b % 3, self.c % 3} != {0, 1, 2}:
-            raise ValueError(
-                f"window {self.window} must meet each residue class mod 3 once"
-            )
+    def __new__(cls, a: int, b: int, c: int) -> AffinePermutation:
+        if a + b + c != 0:
+            raise ValueError(f"window {(a, b, c)} does not sum to zero")
+        if {a % 3, b % 3, c % 3} != {0, 1, 2}:
+            raise ValueError(f"window {(a, b, c)} must meet each residue class mod 3 once")
+        return tuple.__new__(cls, (a, b, c))
 
     @property
     def window(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
+        return tuple(self)
 
     def __call__(self, n: int) -> int:
         """Evaluate the underlying map at any integer.
@@ -73,15 +84,20 @@ class AffinePermutation:
         >>> AffinePermutation(0, -1, 1)(-4)
         -3
         """
-        r = ((n + 1) % 3) - 1
-        shift = n - r
-        return self.window[r + 1] + shift
+        r = (n + 1) % 3
+        return self[r] + n + 1 - r
 
     def __mul__(self, other: AffinePermutation) -> AffinePermutation:
-        """Composition f * g, with g applied first."""
+        """Composition f * g, with g applied first: f read at g's window entries."""
         if not isinstance(other, AffinePermutation):
             return NotImplemented
-        return AffinePermutation(*(self(other(p)) for p in WINDOW_POSITIONS))
+        a, b, c = other
+        i, j, k = (a + 1) % 3, (b + 1) % 3, (c + 1) % 3
+        return _make_element(
+            AffinePermutation, (self[i] + a + 1 - i, self[j] + b + 1 - j, self[k] + c + 1 - k)
+        )
+
+    __add__ = __rmul__ = _not_a_sequence
 
     def inverse(self) -> AffinePermutation:
         """The inverse bijection.
@@ -90,11 +106,11 @@ class AffinePermutation:
         (-2, 2, 0)
         """
         out = [0, 0, 0]
-        for p, v in zip(WINDOW_POSITIONS, self.window):
+        for p, v in zip(WINDOW_POSITIONS, self):
             r = v % 3
             target = r if r != 2 else -1
             out[target + 1] = p + (target - v)
-        return AffinePermutation(*out)
+        return _make_element(AffinePermutation, out)
 
     def reduced_word(self) -> tuple[int, ...]:
         """The canonical reduced word, stripping the smallest descent first.
@@ -107,7 +123,7 @@ class AffinePermutation:
         # the window rewriting rules of right_mult_generator, on bare
         # integers; only the identity [-1, 0, 1] has no right descent
         letters = []
-        a, b, c = self.window
+        a, b, c = self
         while True:
             if a > b:
                 letters.append(1)
@@ -141,40 +157,37 @@ class AffinePermutation:
         >>> AffinePermutation(-3, 2, 1).length()
         3
         """
-        a, b, c = self.window
+        a, b, c = self
         return abs((b - a) // 3) + abs((c - a) // 3) + abs((c - b) // 3)
 
     def is_even(self) -> bool:
         """Whether the element is a product of an even number of generators.
 
-        Computed from the permutation the window residues induce on the
-        residues (2, 0, 1) of the identity window; each generator swaps two
-        of the three slots, so this parity equals length mod 2.
+        The parity of the finite factor sigma's word: translations are
+        even, and each generator changes the parity of sigma.
         """
-        slot_of = {2: 0, 0: 1, 1: 2}
-        seq = [slot_of[v % 3] for v in self.window]
-        inversions = sum(
-            1 for i in range(3) for j in range(i + 1, 3) if seq[i] > seq[j]
-        )
-        return inversions % 2 == 0
+        return len(_FINITE_BY_RESIDUES[self.residues][0]) % 2 == 0
 
     def order(self) -> int | None:
         """Order of the element, or None when no power returns to identity.
 
-        Finite orders here are only 1, 2 and 3, so six iterations decide.
+        Read off the finite factor sigma: a 3-cycle makes a rotation of
+        order 3; a transposition makes a reflection of order 2 when
+        f * f = e and a glide reflection otherwise; sigma = e makes a
+        translation, of infinite order unless it is the identity.
         """
-        g = self
-        for k in range(1, 7):
-            if g == IDENTITY:
-                return k
-            g = g * self
-        return None
+        sigma_length = len(_FINITE_BY_RESIDUES[self.residues][0])
+        if sigma_length == 2:
+            return 3
+        if sigma_length:
+            return 2 if self * self == IDENTITY else None
+        return 1 if self == IDENTITY else None
 
     def classify(self) -> ElementType:
         """Sort the element into the four isometry types (plus identity)."""
-        if self == IDENTITY:
-            return ElementType.IDENTITY
         order = self.order()
+        if order == 1:
+            return ElementType.IDENTITY
         if order == 2:
             return ElementType.REFLECTION
         if order == 3:
@@ -217,6 +230,10 @@ class AffinePermutation:
         return sum(c for c in self.center_coords() if c > 0)
 
 
+# builds an element from a window without the validating __new__, for the
+# group operations, whose results are windows of the group by construction
+_make_element = tuple.__new__
+
 IDENTITY = AffinePermutation(-1, 0, 1)
 
 _GENERATORS = {
@@ -248,13 +265,13 @@ def right_mult_generator(f: AffinePermutation, i: int) -> AffinePermutation:
     >>> right_mult_generator(AffinePermutation(-1, 1, 0), 3).window
     (-3, 1, 2)
     """
-    a, b, c = f.window
+    a, b, c = f
     if i == 1:
-        return AffinePermutation(b, a, c)
+        return _make_element(AffinePermutation, (b, a, c))
     if i == 2:
-        return AffinePermutation(a, c, b)
+        return _make_element(AffinePermutation, (a, c, b))
     if i == 3:
-        return AffinePermutation(c - 3, b, a + 3)
+        return _make_element(AffinePermutation, (c - 3, b, a + 3))
     raise ValueError(f"generator index must be 1, 2 or 3, got {i!r}")
 
 

@@ -12,7 +12,6 @@ action on triangles is simply transitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import islice
@@ -22,6 +21,7 @@ from .core import (
     FINITE_WORDS,
     AffinePermutation,
     TriangleCoords,
+    _not_a_sequence,
     bfs_layers,
     translation_factor,
     triangle_to_perm,
@@ -68,6 +68,7 @@ class Triangle(NamedTuple):
         return ((p, q), (p + 1, q), (p + 1, q - 1))
 
     def edge_vertices(self, edge: Edge) -> tuple[Vertex, Vertex]:
+        """The two vertices of an edge; kept as the tests' oracle for flip."""
         p, q = self.root
         if self.up:
             if edge is Edge.FIFTH:
@@ -164,8 +165,7 @@ def wall_flip(t: Triangle, i: int) -> Triangle:
 # --- isometries ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(NamedTuple):
     """Affine map x -> m @ x + v with an integer 2x2 matrix m."""
 
     m: tuple[int, int, int, int]
@@ -188,6 +188,8 @@ class Isometry:
             a10 * b01 + a11 * b11,
         )
         return Isometry(m, self.apply(other.v))
+
+    __add__ = __rmul__ = _not_a_sequence
 
     def det(self) -> int:
         m00, m01, m10, m11 = self.m
@@ -362,7 +364,7 @@ def format_triangle(t: Triangle) -> str:
 
 
 def parse_triangle(text: str) -> Triangle:
-    """Parse "U(p,q)" or "D(p,q)"."""
+    """Parse "U(p,q)" or "D(p,q)"; the tests read --json triangles with it."""
     s = text.strip().replace("−", "-")
     if len(s) < 6 or s[0] not in "UD" or s[1] != "(" or not s.endswith(")"):
         raise ValueError(f"triangle must look like U(p,q) or D(p,q), got {text!r}")

@@ -101,7 +101,7 @@ def chord_triangle(chord: ChordName) -> Triangle:
 
 
 def chord_tones(t: Triangle) -> tuple[NoteName, NoteName, NoteName]:
-    """The three spelled tones, root first, then by interval above the root."""
+    """The three spelled tones, root first, then by interval above the root; README API."""
     root, fifth, third = t.vertices()
     return (spell_vertex(root), spell_vertex(third), spell_vertex(fifth))
 

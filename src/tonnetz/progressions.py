@@ -14,8 +14,8 @@ chords can tear them apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import from_word
 from .lattice import (
@@ -111,8 +111,7 @@ PAIR_OF_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class HexagonCycle:
+class HexagonCycle(NamedTuple):
     """Six triangles around one vertex, all sharing that tone."""
 
     center: Vertex
@@ -244,8 +243,7 @@ def stripe(seed: Triangle, kind: StripeKind, count: int = 3) -> list[Triangle]:
 # --- progression analysis ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProgressionStep:
+class ProgressionStep(NamedTuple):
     """One chord of an analyzed progression."""
 
     symbol: str
@@ -256,8 +254,7 @@ class ProgressionStep:
     shares_hexagon: bool
 
 
-@dataclass(frozen=True)
-class ProgressionReport:
+class ProgressionReport(NamedTuple):
     steps: tuple[ProgressionStep, ...]
     total_distance: int
 

@@ -9,8 +9,8 @@ decision; numbers are only formatted with two decimals at emit time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import format_window
 from .lattice import Triangle, Vertex, perm_of, triangle_ball
@@ -42,17 +42,21 @@ class LabelMode(Enum):
     CHORDS = "chords"
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """A diagram request: a ball of triangles with labels and overlays."""
-
+class _RenderFields(NamedTuple):
     center: Triangle
     radius: int
     highlights: tuple[tuple[Triangle, str], ...] = ()
     path: str = ""
     label_mode: LabelMode = LabelMode.NOTES
 
-    def __post_init__(self) -> None:
+
+class RenderSpec(_RenderFields):
+    """A diagram request: a ball of triangles with labels and overlays."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> RenderSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
         for _, style in self.highlights:
@@ -61,6 +65,7 @@ class RenderSpec:
         for letter in self.path:
             if letter not in "PLR":
                 raise ValueError(f"path letters must be P, L or R, got {letter!r}")
+        return self
 
 
 def _vertex_centi(v: Vertex) -> tuple[int, int]:

@@ -17,13 +17,12 @@ has 24 elements and is dihedral of order 24.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .lattice import Isometry, Triangle, triangle_from_vertices
+from .lattice import Isometry
 
 
-@dataclass(frozen=True)
-class RElement:
+class RElement(NamedTuple):
     """A Schritt (wechsel False) or Wechsel, with Q and Z exponents."""
 
     wechsel: bool
@@ -31,8 +30,7 @@ class RElement:
     terz: int
 
 
-@dataclass(frozen=True)
-class PElement:
+class PElement(NamedTuple):
     """Normal form (pi3 pi1)^a (pi1 pi2)^b pi1^flip."""
 
     a: int
@@ -40,17 +38,21 @@ class PElement:
     flip: bool
 
 
-@dataclass(frozen=True)
-class D12Coset:
-    """An element of the quotient P/K: (a mod 3, b mod 4, flip)."""
-
+class _D12Fields(NamedTuple):
     a: int
     b: int
     flip: bool
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.a < 3 and 0 <= self.b < 4):
-            raise ValueError(f"coset exponents out of range: {(self.a, self.b)}")
+
+class D12Coset(_D12Fields):
+    """An element of the quotient P/K: (a mod 3, b mod 4, flip)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, flip: bool) -> D12Coset:
+        if not (0 <= a < 3 and 0 <= b < 4):
+            raise ValueError(f"coset exponents out of range: {(a, b)}")
+        return tuple.__new__(cls, (a, b, flip))
 
 
 R_IDENTITY = RElement(False, 0, 0)
@@ -104,25 +106,11 @@ def p_inverse(x: PElement) -> PElement:
     return PElement(-x.a, -x.b, False)
 
 
-def p_order(x: PElement) -> int | None:
-    if x == P_IDENTITY:
-        return 1
-    if x.flip:
-        return 2
-    return None
-
-
 def p_isometry(x: PElement) -> Isometry:
     """The lattice isometry of x: a translation, or a point reflection."""
     if x.flip:
         return Isometry((-1, 0, 0, -1), (1 + x.b, x.a - x.b))
     return Isometry((1, 0, 0, 1), (x.b, x.a - x.b))
-
-
-def p_left_action(x: PElement, t: Triangle) -> Triangle:
-    """Apply x to a triangle; point reflections exchange orientations."""
-    iso = p_isometry(x)
-    return triangle_from_vertices({iso.apply(v) for v in t.vertices()})
 
 
 def p_to_r(x: PElement) -> RElement:

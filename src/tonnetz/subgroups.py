@@ -10,7 +10,6 @@ finite subgroup tile the Tonnetz by hexagons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -28,8 +27,7 @@ class TranslationVector(NamedTuple):
     e2: int
 
 
-@dataclass(frozen=True)
-class HexagonId:
+class HexagonId(NamedTuple):
     """A hexagon of the coset tiling, keyed by its base translation."""
 
     base: TranslationVector
@@ -51,25 +49,25 @@ class FiniteS3Element(Enum):
 
     @property
     def perm(self) -> AffinePermutation:
-        return from_word(self.value)
+        return _S3_PERMS[self]
 
     def inverse(self) -> "FiniteS3Element":
-        if self is FiniteS3Element.S2S3:
-            return FiniteS3Element.S3S2
-        if self is FiniteS3Element.S3S2:
-            return FiniteS3Element.S2S3
-        return self
+        return _S3_BY_PERM[self.perm.inverse()]
 
     def __mul__(self, other: "FiniteS3Element") -> "FiniteS3Element":
         return _S3_TABLE[self, other]
 
 
+_S3_PERMS = {el: from_word(el.value) for el in FiniteS3Element}
+
+_S3_BY_PERM = {perm: el for el, perm in _S3_PERMS.items()}
+
+
 def _build_s3_table() -> dict[tuple[FiniteS3Element, FiniteS3Element], FiniteS3Element]:
-    by_perm = {el.perm: el for el in FiniteS3Element}
     table = {}
-    for x in FiniteS3Element:
-        for y in FiniteS3Element:
-            table[x, y] = by_perm[x.perm * y.perm]
+    for x, px in _S3_PERMS.items():
+        for y, py in _S3_PERMS.items():
+            table[x, y] = _S3_BY_PERM[px * py]
     return table
 
 
@@ -113,9 +111,10 @@ def translation_coords(f: AffinePermutation) -> TranslationVector:
     >>> translation_coords(translation_generator(3).inverse())
     TranslationVector(e1=1, e2=1)
     """
-    if not is_translation(f):
+    e1, e2, word = translation_factor(f)
+    if word:
         raise NotATranslationError(f"{f.window} is not a translation")
-    return TranslationVector((f.a + 1) // 3, (1 - f.c) // 3)
+    return TranslationVector(e1, e2)
 
 
 def translation_perm(vec: TranslationVector | tuple[int, int]) -> AffinePermutation:
@@ -150,17 +149,6 @@ def hexagon_of(f: AffinePermutation) -> HexagonId:
 
 def format_translation_vector(vec: TranslationVector | tuple[int, int]) -> str:
     return "t1^%d t2^%d" % tuple(vec)
-
-
-def parse_translation_vector(text: str) -> TranslationVector:
-    """Parse "t1^{e1} t2^{e2}"."""
-    tokens = text.replace("−", "-").split()
-    if len(tokens) != 2 or not tokens[0].startswith("t1^") or not tokens[1].startswith("t2^"):
-        raise ValueError(f"expected 't1^e1 t2^e2', got {text!r}")
-    try:
-        return TranslationVector(int(tokens[0][3:]), int(tokens[1][3:]))
-    except ValueError:
-        raise ValueError(f"bad exponent in {text!r}") from None
 
 
 def conjugate_translation(i: int, vec: TranslationVector | tuple[int, int]) -> TranslationVector:

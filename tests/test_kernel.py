@@ -9,20 +9,29 @@ loops it replaced, and the integer descent loop of reduced_word with the
 walk over validated elements.  Wall flips and the hexagon cycles walked
 by them are compared with right multiplication of windows, and the
 progression analyzer's ranking with the loop over nine chord names.
+Order, parity and type, read off the finite factor sigma, are compared
+with multiplying up to six times and counting residue inversions.
 Whole balls are checked exhaustively; hypothesis covers long random
 words, distant triangle pairs and chord progressions.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tonnetz
 from tonnetz.core import (
     FINITE_WORDS,
     GENERATOR_INDICES,
     IDENTITY,
+    AffinePermutation,
+    ElementType,
     ball,
     from_word,
     length_layers,
@@ -32,6 +41,7 @@ from tonnetz.core import (
 from tonnetz.lattice import (
     BASE_TRIANGLE,
     IDENTITY_ISOMETRY,
+    Isometry,
     Triangle,
     gallery_distance_bfs,
     generator_isometry,
@@ -61,6 +71,8 @@ from tonnetz.progressions import (
     triangle_distance,
     vertex_cycle,
 )
+from tonnetz.render import RenderSpec
+from tonnetz.riemann import D12Coset
 from tonnetz.subgroups import (
     FiniteS3Element,
     coset_mod_T,
@@ -225,12 +237,51 @@ def ref_placements(symbols, default_comma):
     return out
 
 
+def ref_order(f):
+    """The least k <= 6 with f^k = e, multiplying up; None if there is none."""
+    g = f
+    for k in range(1, 7):
+        if g == IDENTITY:
+            return k
+        g = g * f
+    return None
+
+
+def ref_is_even(f):
+    """Parity of the permutation the window residues make of the identity's (2, 0, 1)."""
+    slot_of = {2: 0, 0: 1, 1: 2}
+    seq = [slot_of[v % 3] for v in f.window]
+    inversions = sum(1 for i in range(3) for j in range(i + 1, 3) if seq[i] > seq[j])
+    return inversions % 2 == 0
+
+
+def ref_classify(f):
+    """The type from ref_order, and from ref_is_even for infinite order."""
+    if f == IDENTITY:
+        return ElementType.IDENTITY
+    order = ref_order(f)
+    if order == 2:
+        return ElementType.REFLECTION
+    if order == 3:
+        return ElementType.ROTATION
+    if ref_is_even(f):
+        return ElementType.TRANSLATION
+    return ElementType.GLIDE_REFLECTION
+
+
 def ref_distance(t1, t2):
     """Length of the reduced word of the element relating the triangles."""
     return len((perm_of(t1).inverse() * perm_of(t2)).reduced_word())
 
 
+def check_sigma_reads(f):
+    assert f.order() == ref_order(f)
+    assert f.is_even() == ref_is_even(f)
+    assert f.classify() is ref_classify(f)
+
+
 def check_element(f):
+    check_sigma_reads(f)
     assert f.reduced_word() == ref_reduced_word(f)
     assert f.length() == len(f.reduced_word())
     assert perm_to_iso(f) == ref_iso(f)
@@ -267,6 +318,13 @@ def test_ball_elements():
     for f in BALL:
         check_element(f)
         assert f.length() == gallery_distance_bfs(BASE_TRIANGLE, triangle_of(f))
+
+
+def test_order_parity_classify_are_the_loops():
+    elems = ball(12)
+    for f in elems:
+        check_sigma_reads(f)
+    assert {f.classify() for f in elems} == set(ElementType)
 
 
 def test_translation_box():
@@ -351,6 +409,55 @@ def test_note_and_chord_name_value_semantics():
         n.comma = 0
     with pytest.raises(AttributeError):
         c.minor = False
+
+
+def test_element_value_semantics():
+    f = AffinePermutation(-3, 1, 2)
+    assert repr(f) == "AffinePermutation(a=-3, b=1, c=2)"
+    assert f == AffinePermutation(a=-3, b=1, c=2) == (-3, 1, 2)
+    assert hash(f) == hash(f.window) and type(f.window) is tuple
+    elems = ball(4)
+    assert sorted(elems) == sorted(elems, key=lambda g: g.window)
+    iso = perm_to_iso(f)
+    assert repr(iso) == "Isometry(m=(0, 1, -1, -1), v=(-1, 2))"
+    assert iso == Isometry(m=(0, 1, -1, -1), v=(-1, 2)) == ((0, 1, -1, -1), (-1, 2))
+    assert hash(iso) == hash(((0, 1, -1, -1), (-1, 2)))
+    with pytest.raises(AttributeError):
+        f.a = 0
+    with pytest.raises(AttributeError):
+        iso.v = (0, 0)
+    for product in (lambda: 3 * f, lambda: f + f, lambda: 3 * iso, lambda: iso + iso):
+        with pytest.raises(TypeError):
+            product()
+    with pytest.raises(ValueError, match=r"^window \(1, 2, 3\) does not sum to zero$"):
+        AffinePermutation(1, 2, 3)
+    once = r"^window \(0, 0, 0\) must meet each residue class mod 3 once$"
+    with pytest.raises(ValueError, match=once):
+        AffinePermutation(0, 0, 0)
+    with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        RenderSpec(BASE_TRIANGLE, -1)
+    styles = r"\['accent', 'center', 'path', 'warm'\]"
+    with pytest.raises(ValueError, match=rf"^unknown style 'neon'; choose from {styles}$"):
+        RenderSpec(BASE_TRIANGLE, 1, highlights=((BASE_TRIANGLE, "neon"),))
+    with pytest.raises(ValueError, match="^path letters must be P, L or R, got 'Q'$"):
+        RenderSpec(BASE_TRIANGLE, 1, path="PLQ")
+    assert RenderSpec(BASE_TRIANGLE, 1) == RenderSpec(center=BASE_TRIANGLE, radius=1, path="")
+    for a, b in ((3, 0), (0, 4), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=rf"^coset exponents out of range: \({a}, {b}\)$"):
+            D12Coset(a, b, False)
+
+
+def test_library_import_loads_no_dataclasses():
+    # the library's value types are named tuples; dataclasses, with the
+    # inspect module it imports, would add to every interpreter's start-up
+    code = "import sys, tonnetz\nprint('dataclasses' in sys.modules)\n"
+    src = str(Path(tonnetz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_wall_flip_is_right_multiplication():

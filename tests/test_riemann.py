@@ -26,8 +26,6 @@ from tonnetz.riemann import (
     p_generator,
     p_inverse,
     p_isometry,
-    p_left_action,
-    p_order,
     p_to_r,
     parse_p,
     parse_r,
@@ -93,7 +91,6 @@ def test_p_generators_are_involutions():
     for i in (1, 2, 3):
         g = p_generator(i)
         assert p_compose(g, g) == P_IDENTITY
-        assert p_order(g) == 2
 
 
 def test_p_normal_form():
@@ -129,8 +126,9 @@ def test_p_isometry_homomorphism():
 
 def test_p_left_action_on_base():
     # pi1 exchanges the base triangle with its fifth-edge neighbor
-    assert p_left_action(p_generator(1), BASE_TRIANGLE) == Triangle((0, 0), up=False)
-    assert p_left_action(p_generator(1), Triangle((0, 0), up=False)) == BASE_TRIANGLE
+    pi1 = p_isometry(p_generator(1))
+    assert pi1.apply_triangle(BASE_TRIANGLE) == Triangle((0, 0), up=False)
+    assert pi1.apply_triangle(Triangle((0, 0), up=False)) == BASE_TRIANGLE
 
 
 def test_p_to_r_fixtures():
