@@ -28,34 +28,31 @@ from .core import (
     parse_word,
 )
 from .lattice import format_triangle, perm_of, triangle_of
-from .pitch import (
-    ChordParseError,
-    format_chord,
-    format_note,
-    name_triangle,
-    parse_chord,
+from .pitch import format_chord, format_note, name_triangle, parse_chord
+
+# Each cmd_* imports the modules beyond these three that it runs, so a
+# command loads only what it needs.  The parser takes its choices from
+# these literals; tests hold them equal to StripeKind, LabelMode and
+# verify.SUITES.
+STRIPE_KINDS = ("fifths", "hexatonic", "octatonic")
+LABEL_MODES = ("notes", "windows", "chords")
+SUITE_NAMES = (
+    "bijection",
+    "center-distance",
+    "hexagons",
+    "isometries",
+    "length-oracle",
+    "pitch",
+    "progressions",
+    "reduce",
+    "relations",
+    "render",
+    "riemann-p",
+    "riemann-r",
+    "translations",
+    "vertex-classes",
+    "windows",
 )
-from .progressions import (
-    StripeKind,
-    analyze,
-    hexagon_cycle,
-    plr_path,
-    stripe,
-)
-from .render import LabelMode, RenderSpec, render_svg
-from .riemann import (
-    format_p,
-    format_r,
-    in_comma_subgroup,
-    parse_p,
-    parse_r,
-    project_d12,
-    d12_order,
-    r_compose,
-    r_order,
-)
-from .subgroups import format_translation_vector, hexagon_of
-from .verify import SUITES, run_all, run_suite
 
 
 def _default_comma() -> int | None:
@@ -187,6 +184,8 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
+    from .progressions import plr_path
+
     comma = _default_comma()
     _, start = parse_chord(args.start, comma)
     _, goal = parse_chord(args.goal, comma)
@@ -210,6 +209,9 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def cmd_hexagon(args: argparse.Namespace) -> int:
+    from .progressions import hexagon_cycle
+    from .subgroups import format_translation_vector, hexagon_of
+
     _, t = parse_chord(args.chord, _default_comma())
     cyc = hexagon_cycle(t)
     coset = hexagon_of(perm_of(t))
@@ -232,6 +234,8 @@ def cmd_hexagon(args: argparse.Namespace) -> int:
 
 
 def cmd_stripe(args: argparse.Namespace) -> int:
+    from .progressions import StripeKind, stripe
+
     _, t = parse_chord(args.chord, _default_comma())
     kind = StripeKind(args.kind)
     chain = stripe(t, kind, args.count)
@@ -247,6 +251,18 @@ def cmd_stripe(args: argparse.Namespace) -> int:
 
 
 def cmd_riemann(args: argparse.Namespace) -> int:
+    from .riemann import (
+        d12_order,
+        format_p,
+        format_r,
+        in_comma_subgroup,
+        parse_p,
+        parse_r,
+        project_d12,
+        r_compose,
+        r_order,
+    )
+
     if args.riemann_cmd == "mult":
         x = r_compose(parse_r(args.left), parse_r(args.right))
         order = r_order(x)
@@ -287,6 +303,8 @@ def cmd_riemann(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_all, run_suite
+
     if args.suite == "all":
         rows = run_all(args.radius)
     else:
@@ -313,6 +331,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .render import LabelMode, RenderSpec, render_svg
+
     comma = _default_comma()
     _, center = parse_chord(args.center, comma)
     highlights = [(center, "center")]
@@ -332,6 +352,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .progressions import analyze
+
     report = analyze(args.chords, _default_comma())
     if args.json:
         payload = {
@@ -402,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("stripe", cmd_stripe, "stripe of chords through a seed")
     p.add_argument("chord")
-    p.add_argument("--kind", choices=[k.value for k in StripeKind], default="fifths")
+    p.add_argument("--kind", choices=STRIPE_KINDS, default="fifths")
     p.add_argument("--count", type=int, default=3)
 
     p = add("analyze", cmd_analyze, "place a chord progression on the lattice")
@@ -425,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_riemann)
 
     p = add("verify", cmd_verify, "run invariant suites")
-    p.add_argument("--suite", default="all", choices=["all"] + sorted(SUITES))
+    p.add_argument("--suite", default="all", choices=("all", *SUITE_NAMES))
     p.add_argument("--radius", type=int, default=4)
 
     p = add("render", cmd_render, "write a deterministic SVG diagram")
@@ -433,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--out", required=True)
     p.add_argument("--path", default="")
-    p.add_argument("--labels", choices=[m.value for m in LabelMode], default="notes")
+    p.add_argument("--labels", choices=LABEL_MODES, default="notes")
 
     return parser
 
@@ -449,13 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except ChordParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,11 +5,13 @@ import time
 
 import pytest
 
+from tonnetz import cli, verify
 from tonnetz.cli import main
 from tonnetz.core import parse_window
 from tonnetz.lattice import BASE_TRIANGLE, parse_triangle, perm_of
 from tonnetz.pitch import parse_chord
-from tonnetz.progressions import apply_plr, triangle_distance
+from tonnetz.progressions import StripeKind, apply_plr, triangle_distance
+from tonnetz.render import LabelMode
 
 
 def run(capsys, *argv):
@@ -321,3 +323,10 @@ def test_json_builds_no_human_lines(capsys, monkeypatch):
         assert payload["word"]
     with pytest.raises(AssertionError, match="under --json"):
         main(["reduce", "[-3,2,1]"])
+
+
+def test_parser_choices_are_the_enums():
+    # the parser reads literal tuples so that building it imports nothing
+    assert cli.STRIPE_KINDS == tuple(k.value for k in StripeKind)
+    assert cli.LABEL_MODES == tuple(m.value for m in LabelMode)
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))

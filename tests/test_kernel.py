@@ -15,7 +15,9 @@ Whole balls are checked exhaustively; hypothesis covers long random
 words, distant triangle pairs and chord progressions.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -448,16 +450,88 @@ def test_element_value_semantics():
 
 
 def test_library_import_loads_no_dataclasses():
-    # the library's value types are named tuples; dataclasses, with the
-    # inspect module it imports, would add to every interpreter's start-up
-    code = "import sys, tonnetz\nprint('dataclasses' in sys.modules)\n"
+    # the library's value types are named tuples and each CLI command
+    # imports only the modules it runs; dataclasses, with the inspect
+    # module it imports, would add to every interpreter's start-up
+    code = (
+        "import sys, tonnetz\n"
+        "if sys.argv[1:]:\n"
+        "    import tonnetz.cli\n"
+        "    assert tonnetz.cli.main(sys.argv[1:]) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
     src = str(Path(tonnetz.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    for argv in (
+        [],
+        ["classify", "[1,-3,2]"],
+        ["chord", "C"],
+        ["path", "C", "G"],
+        ["riemann", "mult", "Q^1", "W"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert "dataclasses" not in loaded, argv
+        assert "tonnetz.verify" not in loaded and "tonnetz.render" not in loaded, argv
+        assert ("tonnetz.progressions" in loaded) == (argv[:1] == ["path"]), argv
+        if not argv:
+            assert {m for m in loaded if m.startswith("tonnetz")} == {"tonnetz"}
+
+
+# the package's re-exports at the time the package stopped importing its
+# submodules eagerly, by the submodule that defines each
+PACKAGE_EXPORTS = {
+    "core": """AffinePermutation ElementType IDENTITY TriangleCoords ball
+        format_window format_word from_word generator identity length_layers
+        parse_window parse_word triangle_to_perm""",
+    "lattice": """BASE_TRIANGLE Edge Isometry Triangle Vertex flip format_triangle
+        gallery_distance_bfs geometric_coords neighbors parse_triangle perm_of
+        perm_to_iso triangle_ball triangle_from_coords triangle_from_vertices
+        triangle_of vertex_class wall_flip""",
+    "pitch": """ChordName ChordParseError NoteName chord_tones chord_triangle
+        format_chord format_note name_triangle parse_chord pitch_class
+        spell_vertex vertex_of""",
+    "progressions": """HexagonCycle ProgressionReport ProgressionStep StripeKind
+        analyze apply_plr hexagon_cycle plr_path rotation_cycle stripe
+        translation_cycle triangle_distance vertex_cycle""",
+    "render": "LabelMode RenderSpec render_svg",
+    "riemann": """D12Coset PElement RElement in_comma_subgroup p_compose p_to_r
+        project_d12 r_compose""",
+    "subgroups": """FiniteS3Element HexagonId NotATranslationError
+        TranslationVector decompose hexagon_of is_translation translation_coords
+        translation_generator translation_perm""",
+}
+EXPORT_HOME = {n: m for m, names in PACKAGE_EXPORTS.items() for n in names.split()}
+
+
+def test_lazy_package_surface(monkeypatch):
+    assert len(EXPORT_HOME) == 79
+    # forget every cached export, so each lookup below goes through __getattr__
+    for name in EXPORT_HOME:
+        monkeypatch.delitem(vars(tonnetz), name, raising=False)
+    assert set(dir(tonnetz)) >= set(EXPORT_HOME) | set(PACKAGE_EXPORTS) | {"__version__"}
+    modules = {m.name for m in pkgutil.iter_modules(tonnetz.__path__)}
+    for name in tonnetz.__all__:
+        value = getattr(tonnetz, name)
+        if name in modules:
+            assert value is importlib.import_module(f"tonnetz.{name}")
+        else:
+            assert value is getattr(importlib.import_module(f"tonnetz.{EXPORT_HOME[name]}"), name)
+    assert set(tonnetz.__all__) == set(EXPORT_HOME) | modules
+    assert set(EXPORT_HOME) <= set(vars(tonnetz))  # each lookup is cached
+    assert getattr(tonnetz, "verify") is importlib.import_module("tonnetz.verify")
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        tonnetz.no_such_name
+    namespace = {}
+    exec("from tonnetz import *", namespace)
+    assert all(namespace[name] is getattr(tonnetz, name) for name in EXPORT_HOME)
 
 
 def test_wall_flip_is_right_multiplication():
