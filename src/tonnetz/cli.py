@@ -432,19 +432,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     riemann_p = sub.add_parser("riemann", help="Schritt-Wechsel and point-reflection groups")
     riemann_sub = riemann_p.add_subparsers(dest="riemann_cmd", required=True)
-    p = riemann_sub.add_parser("mult", help="product of two Schritt-Wechsel elements")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_riemann)
-    p = riemann_sub.add_parser("quotient", help="image in the 24-element quotient")
-    p.add_argument("element")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_riemann)
-    p = riemann_sub.add_parser("comma", help="membership in the comma subgroup")
-    p.add_argument("element")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_riemann)
+    for name, help_text, operands in (
+        ("mult", "product of two Schritt-Wechsel elements", ("left", "right")),
+        ("quotient", "image in the 24-element quotient", ("element",)),
+        ("comma", "membership in the comma subgroup", ("element",)),
+    ):
+        p = riemann_sub.add_parser(name, help=help_text)
+        for operand in operands:
+            p.add_argument(operand)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_riemann)
 
     p = add("verify", cmd_verify, "run invariant suites")
     p.add_argument("--suite", default="all", choices=("all", *SUITE_NAMES))

@@ -380,15 +380,14 @@ def ball(radius: int) -> list[AffinePermutation]:
 
 
 def length_layers(radius: int) -> list[int]:
-    """Number of elements of each length 0..radius.
+    """Number of elements of each length 0..radius: 1, then 3k at length k.
 
     >>> length_layers(3)
     [1, 3, 6, 9]
     """
-    counts = [0] * (radius + 1)
-    for f in ball(radius):
-        counts[f.length()] += 1
-    return counts
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    return [1] + [3 * k for k in range(1, radius + 1)]
 
 
 # --- text formats ---------------------------------------------------------

@@ -301,11 +301,14 @@ def vertex_class(v: Vertex) -> int:
 
 
 def class_vertex(t: Triangle, cls: int) -> Vertex:
-    """The unique vertex of t in the given class."""
-    for v in t.vertices():
-        if vertex_class(v) == cls:
-            return v
-    raise ValueError(f"triangle {t} has no class-{cls} vertex")
+    """The unique vertex of t in the given class.
+
+    vertices() lists the root's class first, then the next two classes.
+    """
+    if cls not in (0, 1, 2):
+        raise ValueError(f"triangle {t} has no class-{cls} vertex")
+    (p, q), _ = t
+    return t.vertices()[(cls - p + q) % 3]
 
 
 # --- BFS over the flip graph -------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .lattice import Triangle, Vertex
+from .lattice import T1_VECTOR, T2_VECTOR, Triangle, Vertex
 
 LETTERS = "FCGDAEB"
 
@@ -163,6 +163,7 @@ def hexagon_common_tone(e1: int, e2: int) -> NoteName:
     """The note shared by all six chords of the coset hexagon t1^e1 t2^e2.
 
     The base hexagon's common tone is the major third above the origin;
-    translating by (e1, e2) moves it by e1*(-1, 2) + e2*(2, -1).
+    translating by (e1, e2) moves it by e1 * T1_VECTOR + e2 * T2_VECTOR.
     """
-    return spell_vertex((-e1 + 2 * e2, 1 + 2 * e1 - e2))
+    (a1, b1), (a2, b2) = T1_VECTOR, T2_VECTOR
+    return spell_vertex((e1 * a1 + e2 * a2, 1 + e1 * b1 + e2 * b2))

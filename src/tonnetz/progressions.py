@@ -195,37 +195,21 @@ class StripeKind(Enum):
     OCTATONIC = "octatonic"
 
 
-def _stripe_member(seed: Triangle, kind: StripeKind, k: int) -> Triangle:
-    p, q = seed.root
-    if kind is StripeKind.FIFTHS:
-        if seed.up:
-            if k % 2 == 0:
-                return Triangle((p + k // 2, q), up=True)
-            return Triangle((p + (k - 1) // 2, q + 1), up=False)
-        if k % 2 == 0:
-            return Triangle((p + k // 2, q), up=False)
-        return Triangle((p + (k + 1) // 2, q - 1), up=True)
-    if kind is StripeKind.HEXATONIC:
-        if seed.up:
-            if k % 2 == 0:
-                return Triangle((p, q + k // 2), up=True)
-            return Triangle((p, q + (k + 1) // 2), up=False)
-        if k % 2 == 0:
-            return Triangle((p, q + k // 2), up=False)
-        return Triangle((p, q + (k - 1) // 2), up=True)
-    if seed.up:
-        if k % 2 == 0:
-            return Triangle((p + k // 2, q - k // 2), up=True)
-        return Triangle((p + (k - 1) // 2, q - (k - 1) // 2), up=False)
-    if k % 2 == 0:
-        return Triangle((p + k // 2, q - k // 2), up=False)
-    return Triangle((p + (k + 1) // 2, q - (k + 1) // 2), up=True)
+# kind -> (root shift over two steps, root offset of the odd members from a
+# down seed and from an up seed); odd members have the other orientation
+_STRIPES = {
+    StripeKind.FIFTHS: ((1, 0), ((1, -1), (0, 1))),
+    StripeKind.HEXATONIC: ((0, 1), ((0, 0), (0, 1))),
+    StripeKind.OCTATONIC: ((1, -1), ((1, -1), (0, 0))),
+}
 
 
-def stripe(seed: Triangle, kind: StripeKind, count: int = 3) -> list[Triangle]:
+def stripe(seed: Triangle, kind: StripeKind | str, count: int = 3) -> list[Triangle]:
     """2*count + 1 consecutive triangles of the stripe through seed.
 
     Positions run from -count to count with the seed in the middle.
+    The kind is a StripeKind or its value, such as "fifths"; anything
+    else raises ValueError.
     Consecutive stripe members are flip neighbors: fifths stripes
     alternate R and L moves, hexatonic ones P and L, octatonic ones P
     and R.
@@ -237,7 +221,14 @@ def stripe(seed: Triangle, kind: StripeKind, count: int = 3) -> list[Triangle]:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    return [_stripe_member(seed, kind, k) for k in range(-count, count + 1)]
+    (dp, dq), offsets = _STRIPES[StripeKind(kind)]
+    (p, q), up = seed
+    op, oq = offsets[up]
+    chain = []
+    for k in range(-count, count + 1):
+        h, odd = divmod(k, 2)
+        chain.append(Triangle((p + h * dp + odd * op, q + h * dq + odd * oq), up != odd))
+    return chain
 
 
 # --- progression analysis ------------------------------------------------------

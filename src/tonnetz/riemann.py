@@ -17,6 +17,7 @@ has 24 elements and is dihedral of order 24.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .lattice import Isometry
@@ -134,23 +135,23 @@ def project_d12(x: PElement) -> D12Coset:
 
 
 def d12_compose(x: D12Coset, y: D12Coset) -> D12Coset:
-    sign = -1 if x.flip else 1
-    return D12Coset((x.a + sign * y.a) % 3, (x.b + sign * y.b) % 4, x.flip ^ y.flip)
+    """Product of cosets: P's product of their representatives, projected."""
+    return project_d12(p_compose(x, y))
 
 
 def d12_inverse(x: D12Coset) -> D12Coset:
-    if x.flip:
-        return x
-    return D12Coset(-x.a % 3, -x.b % 4, False)
+    return project_d12(p_inverse(x))
 
 
 def d12_order(x: D12Coset) -> int:
-    g = x
-    for k in range(1, 25):
-        if g == D12Coset(0, 0, False):
-            return k
-        g = d12_compose(g, x)
-    raise RuntimeError("quotient has 24 elements; unreachable")
+    """2 for a flip; otherwise the lcm of the orders of a mod 3 and b mod 4.
+
+    >>> d12_order(D12Coset(1, 2, False)), d12_order(D12Coset(2, 0, True))
+    (6, 2)
+    """
+    if x.flip:
+        return 2
+    return lcm(3 // gcd(x.a, 3), 4 // gcd(x.b, 4))
 
 
 # the rotation of order 12 and the reflection generating the dihedral quotient

@@ -55,23 +55,12 @@ class FiniteS3Element(Enum):
         return _S3_BY_PERM[self.perm.inverse()]
 
     def __mul__(self, other: "FiniteS3Element") -> "FiniteS3Element":
-        return _S3_TABLE[self, other]
+        return _S3_BY_PERM[self.perm * other.perm]
 
 
 _S3_PERMS = {el: from_word(el.value) for el in FiniteS3Element}
 
 _S3_BY_PERM = {perm: el for el, perm in _S3_PERMS.items()}
-
-
-def _build_s3_table() -> dict[tuple[FiniteS3Element, FiniteS3Element], FiniteS3Element]:
-    table = {}
-    for x, px in _S3_PERMS.items():
-        for y, py in _S3_PERMS.items():
-            table[x, y] = _S3_BY_PERM[px * py]
-    return table
-
-
-_S3_TABLE = _build_s3_table()
 
 S3_ELEMENTS = tuple(FiniteS3Element)
 

@@ -185,6 +185,20 @@ def test_verify_json(capsys):
     assert all(c["ok"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_suites_reject_negative_radius(suite):
+    with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        verify.run_suite(suite, -1)
+
+
+@pytest.mark.parametrize("suite", ["all", "pitch", "relations", "riemann-r", "riemann-p"])
+def test_verify_cli_rejects_negative_radius(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--radius", "-2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: radius must be non-negative\n"
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2

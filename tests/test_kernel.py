@@ -11,6 +11,11 @@ by them are compared with right multiplication of windows, and the
 progression analyzer's ranking with the loop over nine chord names.
 Order, parity and type, read off the finite factor sigma, are compared
 with multiplying up to six times and counting residue inversions.
+Stripes from their three-row table are compared with the branch ladder
+they replaced; the D12 quotient's product and inverse, taken through
+P's law, with their own mod arithmetic, and its closed-form order with
+multiplying up; length_layers with counting the ball by length; and
+class_vertex with scanning the triangle's vertices.
 Whole balls are checked exhaustively; hypothesis covers long random
 words, distant triangle pairs and chord progressions.
 """
@@ -45,6 +50,7 @@ from tonnetz.lattice import (
     IDENTITY_ISOMETRY,
     Isometry,
     Triangle,
+    class_vertex,
     gallery_distance_bfs,
     generator_isometry,
     neighbors,
@@ -66,15 +72,17 @@ from tonnetz.pitch import (
 )
 from tonnetz.progressions import (
     PAIR_OF_CLASS,
+    StripeKind,
     analyze,
     apply_move,
     apply_plr,
     plr_path,
+    stripe,
     triangle_distance,
     vertex_cycle,
 )
 from tonnetz.render import RenderSpec
-from tonnetz.riemann import D12Coset
+from tonnetz.riemann import D12Coset, d12_compose, d12_inverse, d12_order
 from tonnetz.subgroups import (
     FiniteS3Element,
     coset_mod_T,
@@ -276,6 +284,72 @@ def ref_distance(t1, t2):
     return len((perm_of(t1).inverse() * perm_of(t2)).reduced_word())
 
 
+def ref_stripe_member(seed, kind, k):
+    """Member k of the stripe through seed, one branch per kind and orientation."""
+    p, q = seed.root
+    if kind is StripeKind.FIFTHS:
+        if seed.up:
+            if k % 2 == 0:
+                return Triangle((p + k // 2, q), up=True)
+            return Triangle((p + (k - 1) // 2, q + 1), up=False)
+        if k % 2 == 0:
+            return Triangle((p + k // 2, q), up=False)
+        return Triangle((p + (k + 1) // 2, q - 1), up=True)
+    if kind is StripeKind.HEXATONIC:
+        if seed.up:
+            if k % 2 == 0:
+                return Triangle((p, q + k // 2), up=True)
+            return Triangle((p, q + (k + 1) // 2), up=False)
+        if k % 2 == 0:
+            return Triangle((p, q + k // 2), up=False)
+        return Triangle((p, q + (k - 1) // 2), up=True)
+    if seed.up:
+        if k % 2 == 0:
+            return Triangle((p + k // 2, q - k // 2), up=True)
+        return Triangle((p + (k - 1) // 2, q - (k - 1) // 2), up=False)
+    if k % 2 == 0:
+        return Triangle((p + k // 2, q - k // 2), up=False)
+    return Triangle((p + (k + 1) // 2, q - (k + 1) // 2), up=True)
+
+
+def ref_d12_compose(x, y):
+    """The coset product with its own sign rule, reduced mod 3 and mod 4."""
+    sign = -1 if x.flip else 1
+    return D12Coset((x.a + sign * y.a) % 3, (x.b + sign * y.b) % 4, x.flip ^ y.flip)
+
+
+def ref_d12_inverse(x):
+    if x.flip:
+        return x
+    return D12Coset(-x.a % 3, -x.b % 4, False)
+
+
+def ref_d12_order(x):
+    """The least k <= 24 with x^k = e, multiplying up."""
+    g = x
+    for k in range(1, 25):
+        if g == D12Coset(0, 0, False):
+            return k
+        g = ref_d12_compose(g, x)
+    raise AssertionError("the quotient has 24 elements")
+
+
+def ref_length_layers(radius):
+    """Elements of ball(radius) counted by length."""
+    counts = [0] * (radius + 1)
+    for f in ball(radius):
+        counts[f.length()] += 1
+    return counts
+
+
+def ref_class_vertex(t, cls):
+    """The vertex of t whose class is cls, by testing each vertex."""
+    for v in t.vertices():
+        if vertex_class(v) == cls:
+            return v
+    raise ValueError(f"triangle {t} has no class-{cls} vertex")
+
+
 def check_sigma_reads(f):
     assert f.order() == ref_order(f)
     assert f.is_even() == ref_is_even(f)
@@ -344,6 +418,43 @@ def test_translation_factor_recombines():
 def test_length_layers_count_the_triangle_ball():
     dist = triangle_ball(BASE_TRIANGLE, 8)
     assert length_layers(8) == [sum(1 for d in dist.values() if d == k) for k in range(9)]
+
+
+def test_length_layers_is_the_ball_count():
+    for r in range(31):
+        assert length_layers(r) == ref_length_layers(r)
+    with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        length_layers(-1)
+
+
+def test_stripe_is_the_branch_ladder():
+    seeds = sorted(triangle_ball(BASE_TRIANGLE, 8)) + [Triangle((1000, -999), up=False)]
+    for kind in StripeKind:
+        for seed in seeds:
+            for count in range(10):
+                expected = [ref_stripe_member(seed, kind, k) for k in range(-count, count + 1)]
+                members = stripe(seed, kind, count)
+                assert members == expected
+                assert [type(t.up) for t in members] == [bool] * len(members)
+
+
+def test_d12_is_the_mod_arithmetic():
+    cosets = [D12Coset(a, b, fl) for a in range(3) for b in range(4) for fl in (False, True)]
+    assert len(cosets) == 24
+    for x in cosets:
+        assert d12_inverse(x) == ref_d12_inverse(x)
+        assert d12_order(x) == ref_d12_order(x)
+        for y in cosets:
+            assert d12_compose(x, y) == ref_d12_compose(x, y)
+
+
+def test_class_vertex_is_the_vertex_scan():
+    for t in triangle_ball(BASE_TRIANGLE, 8):
+        for cls in (0, 1, 2):
+            assert class_vertex(t, cls) == ref_class_vertex(t, cls)
+    for cls in (3, -1):
+        with pytest.raises(ValueError, match=f"no class-{cls} vertex"):
+            class_vertex(BASE_TRIANGLE, cls)
 
 
 def test_ball_is_the_layer_loop():

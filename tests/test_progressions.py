@@ -196,6 +196,18 @@ def test_stripe_midpoint_and_length():
         stripe(BASE_TRIANGLE, StripeKind.FIFTHS, -1)
 
 
+def test_stripe_kind_by_member_or_value():
+    for kind in StripeKind:
+        assert stripe(BASE_TRIANGLE, kind.value, 3) == stripe(BASE_TRIANGLE, kind, 3)
+    assert chords(stripe(BASE_TRIANGLE, "fifths", 1)) == ["Am", "C", "Em"]
+
+
+@pytest.mark.parametrize("kind", ["chromatic", "FIFTHS", "", None, 0])
+def test_stripe_rejects_unknown_kind(kind):
+    with pytest.raises(ValueError):
+        stripe(BASE_TRIANGLE, kind, 1)
+
+
 def test_analyze_moonlight_opening():
     report = analyze(["C#m", "A", "D"])
     triangles = [s.triangle for s in report.steps]
