@@ -162,7 +162,7 @@ def cmd_chord(args: argparse.Namespace) -> int:
     _emit(
         args,
         payload,
-        lambda: [f"chord: {format_chord(chord)}", f"triangle: {format_triangle(t)}"],
+        lambda: [f"chord: {payload['chord']}", f"triangle: {payload['triangle']}"],
     )
     return 0
 
@@ -178,7 +178,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
     _emit(
         args,
         payload,
-        lambda: [f"window: {format_window(f)}", f"triangle: {format_triangle(t)}"],
+        lambda: [f"window: {format_window(f)}", f"triangle: {payload['triangle']}"],
     )
     return 0
 
@@ -225,9 +225,9 @@ def cmd_hexagon(args: argparse.Namespace) -> int:
         args,
         payload,
         lambda: [
-            f"tone: {format_note(cyc.common_tone)}",
+            f"tone: {payload['tone']}",
             f"cycle: {' '.join(chords)}",
-            f"coset: {format_translation_vector(coset.base)}",
+            f"coset: {payload['coset']}",
         ],
     )
     return 0
@@ -277,7 +277,7 @@ def cmd_riemann(args: argparse.Namespace) -> int:
             args,
             payload,
             lambda: [
-                f"element: {format_r(x)}",
+                f"element: {payload['element']}",
                 f"order: {order if order is not None else 'infinite'}",
             ],
         )
@@ -292,7 +292,7 @@ def cmd_riemann(args: argparse.Namespace) -> int:
         _emit(
             args,
             payload,
-            lambda: [f"coset: {format_p(coset)}", f"order: {d12_order(coset)}"],
+            lambda: [f"coset: {payload['coset']}", f"order: {payload['order']}"],
         )
         return 0
     x = parse_p(args.element)
@@ -309,24 +309,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rows = run_all(args.radius)
     else:
         rows = [(args.suite, r) for r in run_suite(args.suite, args.radius)]
-    failed = sum(1 for _, r in rows if not r.ok)
-    if args.json:
-        payload = {
-            "radius": args.radius,
-            "checks": [
-                {"suite": name, "check": r.name, "ok": r.ok, "detail": r.detail}
-                for name, r in rows
-            ],
-            "failed": failed,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        width = max(len(name) for name, _ in rows)
-        for name, r in rows:
-            mark = "ok " if r.ok else "FAIL"
-            detail = f"  ({r.detail})" if r.detail else ""
-            print(f"{mark} {name:<{width}}  {r.name}{detail}")
-        print(f"{len(rows) - failed}/{len(rows)} checks passed")
+    checks = [
+        {"suite": name, "check": r.name, "ok": r.ok, "detail": r.detail} for name, r in rows
+    ]
+    failed = sum(1 for c in checks if not c["ok"])
+    payload = {"radius": args.radius, "checks": checks, "failed": failed}
+
+    def human() -> list[str]:
+        width = max(len(c["suite"]) for c in checks)
+        lines = []
+        for c in checks:
+            mark = "ok " if c["ok"] else "FAIL"
+            detail = f"  ({c['detail']})" if c["detail"] else ""
+            lines.append(f"{mark} {c['suite']:<{width}}  {c['check']}{detail}")
+        return lines + [f"{len(checks) - failed}/{len(checks)} checks passed"]
+
+    _emit(args, payload, human)
     return 1 if failed else 0
 
 
@@ -355,34 +353,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .progressions import analyze
 
     report = analyze(args.chords, _default_comma())
-    if args.json:
-        payload = {
-            "total_distance": report.total_distance,
-            "steps": [
-                {
-                    "symbol": s.symbol,
-                    "chord": format_chord(s.chord, with_comma=True),
-                    "triangle": format_triangle(s.triangle),
-                    "distance": s.distance,
-                    "common_tones": [format_note(n) for n in s.common_tones],
-                    "shares_hexagon": s.shares_hexagon,
-                }
-                for s in report.steps
-            ],
+    steps = [
+        {
+            "symbol": s.symbol,
+            "chord": format_chord(s.chord, with_comma=True),
+            "triangle": format_triangle(s.triangle),
+            "distance": s.distance,
+            "common_tones": [format_note(n) for n in s.common_tones],
+            "shares_hexagon": s.shares_hexagon,
         }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for k, s in enumerate(report.steps):
-            line = (
-                f"{format_chord(s.chord, with_comma=True):<12} "
-                f"{format_triangle(s.triangle):<9}"
-            )
+        for s in report.steps
+    ]
+    payload = {"total_distance": report.total_distance, "steps": steps}
+
+    def human() -> list[str]:
+        lines = []
+        for k, s in enumerate(steps):
+            line = f"{s['chord']:<12} {s['triangle']:<9}"
             if k > 0:
-                tones = ",".join(format_note(n) for n in s.common_tones) or "-"
-                hexagon = " hexagon" if s.shares_hexagon else ""
-                line += f" distance={s.distance} common={tones}{hexagon}"
-            print(line)
-        print(f"total distance: {report.total_distance}")
+                tones = ",".join(s["common_tones"]) or "-"
+                hexagon = " hexagon" if s["shares_hexagon"] else ""
+                line += f" distance={s['distance']} common={tones}{hexagon}"
+            lines.append(line)
+        return lines + [f"total distance: {payload['total_distance']}"]
+
+    _emit(args, payload, human)
     return 0
 
 

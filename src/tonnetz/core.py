@@ -105,11 +105,11 @@ class AffinePermutation(_Window):
         >>> AffinePermutation(-3, 1, 2).inverse().window
         (-2, 2, 0)
         """
+        # f(p) = v gives f^-1(n) = p + n - v at the window position n = slot - 1
         out = [0, 0, 0]
         for p, v in zip(WINDOW_POSITIONS, self):
-            r = v % 3
-            target = r if r != 2 else -1
-            out[target + 1] = p + (target - v)
+            slot = (v + 1) % 3
+            out[slot] = p + slot - 1 - v
         return _make_element(AffinePermutation, out)
 
     def reduced_word(self) -> tuple[int, ...]:
@@ -206,15 +206,9 @@ class AffinePermutation(_Window):
         >>> AffinePermutation(-3, 2, 1).center_coords()
         TriangleCoords(c1=0, c2=2, c3=-2)
         """
-        out = []
-        for i in GENERATOR_INDICES:
-            r = i % 3
-            if self.a % 3 == r:
-                out.append(self.a + 1)
-            elif self.b % 3 == r:
-                out.append(self.b)
-            else:
-                out.append(self.c - 1)
+        out = [0, 0, 0]
+        for s, e in enumerate(self):
+            out[(e - 1) % 3] = e + 1 - s
         return TriangleCoords(*out)
 
     def center_distance(self) -> int:
@@ -317,24 +311,21 @@ def translation_factor(f: AffinePermutation) -> tuple[int, int, tuple[int, ...]]
 def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePermutation:
     """Invert center_coords: recover the window from axis coordinates.
 
-    Each coordinate c_i is adjusted by an offset in {-1, 0, +1} to hit the
-    residue class i mod 3; the offsets must form a permutation of
-    {-1, 0, +1}, which fixes the slot of each entry.
+    Coordinate c_i is its entry plus d = (c_i - i + 1) % 3 - 1, the offset
+    in {-1, 0, +1} that puts the entry c_i - d in the residue class i mod 3;
+    d is +1, 0, -1 in the first, middle, last slot, so the three must differ.
 
     >>> triangle_to_perm((0, -1, 1)).window
     (0, -1, 1)
     """
     c1, c2, c3 = coords
-    slots: dict[int, int] = {}
-    for i, ci in zip(GENERATOR_INDICES, (c1, c2, c3)):
-        for entry in (ci - 1, ci, ci + 1):
-            if entry % 3 == i % 3:
-                offset = entry - ci
-                if offset in slots:
-                    raise ValueError(f"{(c1, c2, c3)} is not a triangle center")
-                slots[offset] = entry
-                break
-    return AffinePermutation(slots[-1], slots[0], slots[1])
+    out: list[int | None] = [None, None, None]
+    for i, c in zip(GENERATOR_INDICES, (c1, c2, c3)):
+        d = (c - i + 1) % 3 - 1
+        if out[1 - d] is not None:
+            raise ValueError(f"{(c1, c2, c3)} is not a triangle center")
+        out[1 - d] = c - d
+    return AffinePermutation(*out)
 
 
 Node = TypeVar("Node", bound=Hashable)

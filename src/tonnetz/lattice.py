@@ -239,8 +239,9 @@ def perm_to_iso(f: AffinePermutation) -> Isometry:
     Isometry(m=(1, 0, 0, 1), v=(-1, 2))
     """
     e1, e2, word = translation_factor(f)
-    shift = (e1 * T1_VECTOR[0] + e2 * T2_VECTOR[0], e1 * T1_VECTOR[1] + e2 * T2_VECTOR[1])
-    return Isometry(IDENTITY_ISOMETRY.m, shift) * _FINITE_ISOMETRIES[word]
+    m, (x, y) = _FINITE_ISOMETRIES[word]
+    (a1, b1), (a2, b2) = T1_VECTOR, T2_VECTOR
+    return Isometry(m, (x + e1 * a1 + e2 * a2, y + e1 * b1 + e2 * b2))
 
 
 def triangle_of(f: AffinePermutation) -> Triangle:
@@ -255,34 +256,26 @@ def triangle_of(f: AffinePermutation) -> Triangle:
 # --- the coordinate route between triangles and windows --------------------
 
 
-def _centroid3(t: Triangle) -> tuple[int, int]:
-    # three times the centroid, in lattice coordinates: always integral
-    p, q = t.root
-    if t.up:
-        return (3 * p + 1, 3 * q + 1)
-    return (3 * p + 2, 3 * q - 1)
-
-
 def geometric_coords(t: Triangle) -> TriangleCoords:
     """Axis coordinates of the triangle center, computed from the lattice.
 
     Independent of the window arithmetic in core; the two routes agreeing
     on every element is one of the verification suites.
     """
-    cp, cq = _centroid3(t)
-    dp, dq = cp - 1, cq - 1
-    return TriangleCoords(-(2 * dp + dq) // 3, (dp + 2 * dq) // 3, (dp - dq) // 3)
+    (p, q), up = t
+    d = not up
+    return TriangleCoords(-(2 * p + q), p + 2 * q - d, p - q + d)
 
 
 def triangle_from_coords(coords: TriangleCoords | tuple[int, int, int]) -> Triangle:
-    """Inverse of geometric_coords."""
+    """Inverse of geometric_coords.
+
+    c2 + 2 * c3 is 3p and c2 - c3 is 3q for an up triangle; a down
+    triangle adds 1 to the first and -2 to the second.
+    """
     _, c2, c3 = coords
-    dq = c2 - c3
     dp = c2 + 2 * c3
-    cp, cq = dp + 1, dq + 1
-    if cp % 3 == 1:
-        return Triangle(((cp - 1) // 3, (cq - 1) // 3), up=True)
-    return Triangle(((cp - 2) // 3, (cq + 1) // 3), up=False)
+    return Triangle((dp // 3, (c2 - c3 + 2) // 3), up=dp % 3 == 0)
 
 
 def perm_of(t: Triangle) -> AffinePermutation:
@@ -317,7 +310,8 @@ def class_vertex(t: Triangle, cls: int) -> Vertex:
 def _check_lattice_triangle(t: Triangle) -> None:
     # the flip graph is infinite: a search from or toward a triangle off the
     # lattice never ends, and a non-bool orientation has no flip table
-    if not all(isinstance(x, int) for x in t.root) or not isinstance(t.up, bool):
+    (p, q), up = t
+    if not (isinstance(p, int) and isinstance(q, int) and isinstance(up, bool)):
         raise ValueError(
             f"{t} is not a lattice triangle: its root must be integers and up a bool"
         )

@@ -83,7 +83,7 @@ def format_note(note: NoteName, with_comma: bool = False) -> str:
 
 
 def format_chord(chord: ChordName, with_comma: bool = False) -> str:
-    s = chord.root.letter + accidental_string(chord.root.accidentals)
+    s = format_note(chord.root)
     if chord.minor:
         s += "m"
     if with_comma:
@@ -121,7 +121,7 @@ def default_comma_level(fifth_index: int) -> int:
 _CHORD_RE = re.compile(
     r"""
     (?P<letter>[A-G])
-    (?P<accidentals>[#bx]*)
+    (?P<accidentals>b+|[#x]*)
     (?P<mode>min|m)?
     (?:\[q=(?P<comma>-?\d+)\])?
     """,

@@ -24,6 +24,7 @@ from .lattice import (
     Edge,
     Triangle,
     Vertex,
+    _check_lattice_triangle,
     class_vertex,
     flip,
     perm_to_iso,
@@ -72,6 +73,9 @@ def plr_path(start: Triangle, goal: Triangle) -> str:
     >>> plr_path(BASE_TRIANGLE, Triangle((1, 0), up=True))
     'RL'
     """
+    # off the lattice no flip brings the walk closer, so it would never end
+    _check_lattice_triangle(start)
+    _check_lattice_triangle(goal)
     letters = []
     t, d = start, triangle_distance(start, goal)
     while d:

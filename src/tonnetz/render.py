@@ -89,10 +89,8 @@ def _fmt(c: int) -> str:
     return f"{sign}{a // 100}.{a % 100:02d}"
 
 
-def _points(t: Triangle) -> str:
-    return " ".join(
-        f"{_fmt(x)},{_fmt(y)}" for x, y in (_vertex_centi(v) for v in t.vertices())
-    )
+def _points(t: Triangle, centi: dict[Vertex, tuple[int, int]]) -> str:
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (centi[v] for v in t.vertices()))
 
 
 def _escape(s: str) -> str:
@@ -116,11 +114,11 @@ def _triangle_label(t: Triangle, mode: LabelMode) -> str:
 def render_svg(spec: RenderSpec) -> str:
     """Render the spec to a complete SVG 1.1 document."""
     triangles = sorted(triangle_ball(spec.center, spec.radius))
-    vertices = sorted({v for t in triangles for v in t.vertices()})
+    centi = {v: _vertex_centi(v) for v in sorted({v for t in triangles for v in t.vertices()})}
     styles = dict(spec.highlights)
 
-    xs = [x for v in vertices for x in (_vertex_centi(v)[0],)]
-    ys = [y for v in vertices for y in (_vertex_centi(v)[1],)]
+    xs = [x for x, _ in centi.values()]
+    ys = [y for _, y in centi.values()]
     margin = 3000
     min_x, max_x = min(xs) - margin, max(xs) + margin
     min_y, max_y = min(ys) - margin, max(ys) + margin
@@ -139,13 +137,13 @@ def render_svg(spec: RenderSpec) -> str:
     for t in triangles:
         fill = _UP_FILL if t.up else _DOWN_FILL
         parts.append(
-            f'<polygon points="{_points(t)}" fill="{fill}" '
+            f'<polygon points="{_points(t, centi)}" fill="{fill}" '
             f'stroke="{_EDGE_COLOR}" stroke-width="1.00"/>'
         )
     for t in triangles:
         if t in styles:
             parts.append(
-                f'<polygon points="{_points(t)}" fill="{PALETTE[styles[t]]}" '
+                f'<polygon points="{_points(t, centi)}" fill="{PALETTE[styles[t]]}" '
                 f'fill-opacity="0.85" stroke="{_EDGE_COLOR}" stroke-width="1.00"/>'
             )
 
@@ -163,8 +161,7 @@ def render_svg(spec: RenderSpec) -> str:
             )
 
     if spec.label_mode is LabelMode.NOTES:
-        for v in vertices:
-            x, y = _vertex_centi(v)
+        for v, (x, y) in centi.items():
             parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4.00" fill="{_LABEL_COLOR}"/>')
             parts.append(_text(x, y - 1000, format_note(spell_vertex(v)), 22))
     else:

@@ -84,15 +84,19 @@ def r_order(x: RElement) -> int | None:
     return None
 
 
+_P_GENERATORS = {
+    1: PElement(0, 0, True),
+    2: PElement(0, -1, True),
+    3: PElement(1, 0, True),
+}
+
+
 def p_generator(i: int) -> PElement:
     """The half-turn about the midpoint of edge i of the base triangle."""
-    if i == 1:
-        return PElement(0, 0, True)
-    if i == 2:
-        return PElement(0, -1, True)
-    if i == 3:
-        return PElement(1, 0, True)
-    raise ValueError(f"point reflection index must be 1, 2 or 3, got {i!r}")
+    try:
+        return _P_GENERATORS[i]
+    except KeyError:
+        raise ValueError(f"point reflection index must be 1, 2 or 3, got {i!r}") from None
 
 
 def p_compose(x: PElement, y: PElement) -> PElement:

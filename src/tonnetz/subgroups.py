@@ -52,15 +52,13 @@ class FiniteS3Element(Enum):
         return _S3_PERMS[self]
 
     def inverse(self) -> "FiniteS3Element":
-        return _S3_BY_PERM[self.perm.inverse()]
+        return coset_mod_T(self.perm.inverse())
 
     def __mul__(self, other: "FiniteS3Element") -> "FiniteS3Element":
-        return _S3_BY_PERM[self.perm * other.perm]
+        return coset_mod_T(self.perm * other.perm)
 
 
 _S3_PERMS = {el: from_word(el.value) for el in FiniteS3Element}
-
-_S3_BY_PERM = {perm: el for el, perm in _S3_PERMS.items()}
 
 S3_ELEMENTS = tuple(FiniteS3Element)
 

@@ -124,16 +124,16 @@ def suite_bijection(radius: int) -> list[CheckResult]:
         (lattice.perm_of(triangle_of(f)) == f, f"triangle {f.window}") for f in elems
     ]
     results.append(_check("perm_of inverts triangle_of", *_count_failures(cases)))
+    bfs = triangle_ball(BASE_TRIANGLE, radius)
     cases = [
         (
             lattice.triangle_from_coords(lattice.geometric_coords(t)) == t,
             f"coords {lattice.format_triangle(t)}",
         )
-        for t in triangle_ball(BASE_TRIANGLE, radius)
+        for t in bfs
     ]
     results.append(_check("triangle_from_coords inverts geometric_coords", *_count_failures(cases)))
     layer_counts = core.length_layers(radius)
-    bfs = triangle_ball(BASE_TRIANGLE, radius)
     bfs_counts = [sum(1 for d in bfs.values() if d == k) for k in range(radius + 1)]
     results.append(
         _check(
@@ -178,6 +178,13 @@ def suite_center_distance(radius: int) -> list[CheckResult]:
     return results
 
 
+def _lattice_shift(vec: tuple[int, int]) -> tuple[int, int]:
+    """e1 * T1_VECTOR + e2 * T2_VECTOR, the lattice shift of t1^e1 * t2^e2."""
+    (a1, b1), (a2, b2) = lattice.T1_VECTOR, lattice.T2_VECTOR
+    e1, e2 = vec
+    return (e1 * a1 + e2 * a2, e1 * b1 + e2 * b2)
+
+
 def suite_translations(radius: int) -> list[CheckResult]:
     """The translation subgroup: abelian, normal, index six."""
     rng = range(-min(radius, 3), min(radius, 3) + 1)
@@ -204,11 +211,13 @@ def suite_translations(radius: int) -> list[CheckResult]:
     cases = []
     for i in (1, 2, 3):
         s = generator(i)
+        # s_i moves a lattice shift u to m u, m being its isometry's linear part
+        linear = lattice.Isometry(lattice.generator_isometry(i).m, (0, 0))
         for v in vecs:
-            g = s * translation_perm(v) * s
-            ok = subgroups.is_translation(g)
+            ok = subgroups.is_translation(s * translation_perm(v) * s)
             if ok:
-                ok = subgroups.translation_coords(g) == subgroups.conjugate_translation(i, v)
+                image = linear.apply(_lattice_shift(v))
+                ok = _lattice_shift(subgroups.conjugate_translation(i, v)) == image
             cases.append((ok, f"conjugate s{i} {v}"))
     results.append(_check("conjugation stays in the lattice", *_count_failures(cases)))
     elems = ball(radius)
@@ -233,7 +242,7 @@ def suite_translations(radius: int) -> list[CheckResult]:
             cases.append(
                 (
                     subgroups.coset_mod_T((x * y).perm) == x * y
-                    and subgroups.coset_mod_T(x.perm * y.perm) == x * y,
+                    and (x * y).perm == from_word(x.word + y.word),
                     f"table {x.name} {y.name}",
                 )
             )
@@ -365,13 +374,20 @@ def suite_riemann_r(radius: int) -> list[CheckResult]:
                     ok = product == RElement(False, u2 - u, v2 - v)
                     cases.append((ok, f"wechsel law {u} {v} {u2} {v2}"))
     results.append(_check("product of two Wechsel is a Schritt difference", *_count_failures(cases)))
-    cases = [(riemann.r_order(RElement(True, u, v)) == 2, f"involution {u} {v}") for u in rng for v in rng]
+    cases = []
+    for u in rng:
+        for v in rng:
+            w = RElement(True, u, v)
+            ok = riemann.r_order(w) == 2 and riemann.r_compose(w, w) == riemann.R_IDENTITY
+            cases.append((ok, f"involution {u} {v}"))
     results.append(_check("every Wechsel is an involution", *_count_failures(cases)))
     orders = {riemann.r_order(x) for x in box}
+    e = riemann.R_IDENTITY
+    cube_roots = [x for x in box if riemann.r_compose(riemann.r_compose(x, x), x) == e]
     results.append(
         _check(
             "no order 3 in R, unlike the triangle group",
-            3 not in orders and from_word((2, 3)).order() == 3,
+            3 not in orders and cube_roots == [e] and from_word((2, 3)).order() == 3,
             f"orders seen: {sorted(o for o in orders if o is not None)} and None",
         )
     )

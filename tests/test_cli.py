@@ -199,6 +199,46 @@ def test_verify_cli_rejects_negative_radius(capsys, suite):
     assert err == "error: radius must be non-negative\n"
 
 
+def test_verify_checks_do_not_only_reread_their_subject(monkeypatch):
+    # each fault below leaves the value a check used to compare with
+    # unchanged, so only an independent oracle in the check can see it
+    from tonnetz import riemann, subgroups
+
+    def failed(suite):
+        return {r.name for r in verify.run_suite(suite, 3) if not r.ok}
+
+    def reversed_product(x, y):
+        return subgroups.coset_mod_T(y.perm * x.perm)
+
+    def unsigned_compose(x, y):
+        return riemann.RElement(x.wechsel ^ y.wechsel, x.quint + y.quint, x.terz + y.terz)
+
+    def compose_mod_3(x, y):
+        sign = -1 if x.wechsel else 1
+        quint, terz = (x.quint + sign * y.quint) % 3, (x.terz + sign * y.terz) % 3
+        return riemann.RElement(x.wechsel ^ y.wechsel, quint, terz)
+
+    coords = subgroups.translation_coords
+
+    def swapped_coords(f):
+        e1, e2 = coords(f)
+        return subgroups.TranslationVector(e2, e1)
+
+    assert failed("translations") == failed("riemann-r") == set()
+    with monkeypatch.context() as m:
+        m.setattr(subgroups.FiniteS3Element, "__mul__", reversed_product)
+        assert failed("translations") == {"quotient table is the finite table"}
+    with monkeypatch.context() as m:
+        m.setattr(subgroups, "translation_coords", swapped_coords)
+        assert "conjugation stays in the lattice" in failed("translations")
+    with monkeypatch.context() as m:
+        m.setattr(riemann, "r_compose", unsigned_compose)
+        assert "every Wechsel is an involution" in failed("riemann-r")
+    with monkeypatch.context() as m:
+        m.setattr(riemann, "r_compose", compose_mod_3)
+        assert "no order 3 in R, unlike the triangle group" in failed("riemann-r")
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2

@@ -15,7 +15,11 @@ Stripes from their three-row table are compared with the branch ladder
 they replaced; the D12 quotient's product and inverse, taken through
 P's law, with their own mod arithmetic, and its closed-form order with
 multiplying up; length_layers with counting the ball by length; and
-class_vertex with scanning the triangle's vertices.
+class_vertex with scanning the triangle's vertices.  The one-pass
+coordinate maps are compared with the scans and searches they replaced:
+inverse and center_coords with placing window entries by residue,
+triangle_to_perm with trying three entries per axis, and the lattice
+route with three times the centroid.
 Whole balls are checked exhaustively; hypothesis covers long random
 words, distant triangle pairs and chord progressions.
 """
@@ -39,11 +43,13 @@ from tonnetz.core import (
     IDENTITY,
     AffinePermutation,
     ElementType,
+    TriangleCoords,
     ball,
     from_word,
     length_layers,
     right_mult_generator,
     translation_factor,
+    triangle_to_perm,
 )
 from tonnetz.lattice import (
     BASE_TRIANGLE,
@@ -53,10 +59,12 @@ from tonnetz.lattice import (
     class_vertex,
     gallery_distance_bfs,
     generator_isometry,
+    geometric_coords,
     neighbors,
     perm_of,
     perm_to_iso,
     triangle_ball,
+    triangle_from_coords,
     triangle_from_vertices,
     triangle_of,
     vertex_class,
@@ -350,6 +358,80 @@ def ref_class_vertex(t, cls):
     raise ValueError(f"triangle {t} has no class-{cls} vertex")
 
 
+def ref_inverse(f):
+    """f(p) = v puts p + (n - v) at the position n in {-1, 0, 1} congruent to v."""
+    out = [0, 0, 0]
+    for p, v in zip((-1, 0, 1), f.window):
+        r = v % 3
+        target = r if r != 2 else -1
+        out[target + 1] = p + (target - v)
+    return AffinePermutation(*out)
+
+
+def ref_center_coords(f):
+    """Find the window entry of each residue class, adjusted by its slot."""
+    a, b, c = f.window
+    out = []
+    for i in GENERATOR_INDICES:
+        r = i % 3
+        if a % 3 == r:
+            out.append(a + 1)
+        elif b % 3 == r:
+            out.append(b)
+        else:
+            out.append(c - 1)
+    return TriangleCoords(*out)
+
+
+def ref_triangle_to_perm(coords):
+    """Try entries c - 1, c, c + 1 on each axis; the offsets pick the slots."""
+    c1, c2, c3 = coords
+    slots = {}
+    for i, ci in zip(GENERATOR_INDICES, (c1, c2, c3)):
+        for entry in (ci - 1, ci, ci + 1):
+            if entry % 3 == i % 3:
+                offset = entry - ci
+                if offset in slots:
+                    raise ValueError(f"{(c1, c2, c3)} is not a triangle center")
+                slots[offset] = entry
+                break
+    return AffinePermutation(slots[-1], slots[0], slots[1])
+
+
+def ref_centroid3(t):
+    """Three times the centroid, in lattice coordinates."""
+    p, q = t.root
+    if t.up:
+        return (3 * p + 1, 3 * q + 1)
+    return (3 * p + 2, 3 * q - 1)
+
+
+def ref_geometric_coords(t):
+    """Axis coordinates of the centroid, shifted so the base triangle is 0."""
+    cp, cq = ref_centroid3(t)
+    dp, dq = cp - 1, cq - 1
+    return TriangleCoords(-(2 * dp + dq) // 3, (dp + 2 * dq) // 3, (dp - dq) // 3)
+
+
+def ref_triangle_from_coords(coords):
+    """Back to three times the centroid; its residue tells the orientation."""
+    _, c2, c3 = coords
+    dq = c2 - c3
+    dp = c2 + 2 * c3
+    cp, cq = dp + 1, dq + 1
+    if cp % 3 == 1:
+        return Triangle(((cp - 1) // 3, (cq - 1) // 3), up=True)
+    return Triangle(((cp - 2) // 3, (cq + 1) // 3), up=False)
+
+
+def outcome(fn, *args):
+    """The repr of fn(*args), or the ValueError it raises."""
+    try:
+        return repr(fn(*args))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
 def check_sigma_reads(f):
     assert f.order() == ref_order(f)
     assert f.is_even() == ref_is_even(f)
@@ -455,6 +537,32 @@ def test_class_vertex_is_the_vertex_scan():
     for cls in (3, -1):
         with pytest.raises(ValueError, match=f"no class-{cls} vertex"):
             class_vertex(BASE_TRIANGLE, cls)
+
+
+def test_window_maps_are_the_residue_scans():
+    for f in ball(12):
+        assert outcome(f.inverse) == outcome(ref_inverse, f)
+        assert outcome(f.center_coords) == outcome(ref_center_coords, f)
+        assert perm_to_iso(f) == ref_iso(f)
+
+
+def test_lattice_coords_are_the_centroid_route():
+    for t in triangle_ball(BASE_TRIANGLE, 12):
+        assert outcome(geometric_coords, t) == outcome(ref_geometric_coords, t)
+
+
+def test_coordinate_inverses_are_the_searches():
+    box = range(-9, 10)
+    seen = []
+    for coords in ((c1, c2, c3) for c1 in box for c2 in box for c3 in box):
+        expected = outcome(ref_triangle_to_perm, coords)
+        assert outcome(triangle_to_perm, coords) == expected
+        assert outcome(triangle_from_coords, coords) == outcome(ref_triangle_from_coords, coords)
+        seen.append(expected)
+    # the box holds centers, repeated slots and sums other than zero
+    assert any(s.startswith("AffinePermutation(") for s in seen)
+    assert any(s.endswith("is not a triangle center") for s in seen)
+    assert any(s.endswith("does not sum to zero") for s in seen)
 
 
 def test_ball_is_the_layer_loop():

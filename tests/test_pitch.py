@@ -148,6 +148,9 @@ def test_parse_chord_spellings():
     assert parse_chord("Ebm[q=-1]")[0] == ChordName(NoteName(-3, -1), minor=True)
     assert parse_chord("Cx")[0] == ChordName(NoteName(14, 3), minor=False)
     assert parse_chord("Bb")[0] == ChordName(NoteName(-2, -1), minor=False)
+    # one kind of sign per symbol, repeated or, for sharps, mixed with x
+    for symbol, fifth_index in (("C#", 7), ("Cb", -7), ("Cbb", -14), ("Cx#", 21), ("C##", 14)):
+        assert parse_chord(symbol)[0].root.fifth_index == fifth_index
 
 
 def test_parse_chord_explicit_default_comma():
@@ -168,6 +171,11 @@ def test_parse_chord_errors():
     assert exc.value.position == 1
     with pytest.raises(ChordParseError):
         parse_chord("C[q=two]")
+    # sharps and flats do not mix: C#b used to parse as C
+    for symbol in ("C#b", "Cb#", "Cxb", "Cbx", "C#bm"):
+        with pytest.raises(ChordParseError) as exc:
+            parse_chord(symbol)
+        assert exc.value.position == 2
 
 
 def test_chord_symbol_round_trip():

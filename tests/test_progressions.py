@@ -1,7 +1,13 @@
 """Parsimonious moves, hexagon and rotation cycles, stripes, analysis."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tonnetz
 from tonnetz.lattice import BASE_TRIANGLE, Triangle, gallery_distance_bfs
 from tonnetz.pitch import format_chord, format_note, name_triangle, parse_chord
 from tonnetz.progressions import (
@@ -259,3 +265,34 @@ def test_analyze_empty_rejected():
 def test_analyze_first_chord_honors_default_comma():
     report = analyze(["E"], default_comma=0)
     assert report.steps[0].triangle == Triangle((4, 0), up=True)
+
+
+def test_plr_path_rejects_off_lattice_triangles():
+    # off the lattice no flip brings the walk closer to the goal, so it
+    # never ended; the child process is killed if it hangs
+    code = (
+        "from tonnetz.lattice import BASE_TRIANGLE, Triangle\n"
+        "from tonnetz.progressions import plr_path\n"
+        "off = Triangle((0.5, 0), True)\n"
+        "for pair in ((BASE_TRIANGLE, off), (off, BASE_TRIANGLE)):\n"
+        "    try:\n"
+        "        plr_path(*pair)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+    )
+    src = str(Path(tonnetz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all("not a lattice triangle" in line for line in lines)
+
+
+def test_plr_path_rejects_non_bool_orientation():
+    # up=2 used to walk as an up triangle and return the wrong word RLRLRL
+    odd = Triangle((3, 0), 2)
+    for pair in ((BASE_TRIANGLE, odd), (odd, BASE_TRIANGLE)):
+        with pytest.raises(ValueError, match="not a lattice triangle"):
+            plr_path(*pair)
