@@ -3,12 +3,12 @@
 Every subcommand accepts --json for a single machine-readable object on
 stdout; human output is stable "key: value" lines.  Exit codes: 0 on
 success, 1 on a domain error (bad element, unknown chord, failed
-verification), 2 on a usage error.
+verification, or a negative --radius or --count, which argparse accepts
+as an integer and the library refuses), 2 on a usage error.
 
 Element arguments are disambiguated by their first character: '[' opens
 a window, 's' or 'e' starts a generator word, anything else parses as a
-chord symbol.  The TONNETZ_DEFAULT_COMMA environment variable, when
-set, overrides the default comma band of unannotated chord symbols.
+chord symbol; TONNETZ_DEFAULT_COMMA sets the comma band of unannotated ones.
 """
 
 from __future__ import annotations

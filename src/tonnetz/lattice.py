@@ -271,10 +271,13 @@ def triangle_from_coords(coords: TriangleCoords | tuple[int, int, int]) -> Trian
     """Inverse of geometric_coords.
 
     c2 + 2 * c3 is 3p and c2 - c3 is 3q for an up triangle; a down
-    triangle adds 1 to the first and -2 to the second.
+    triangle adds 1 to the first and -2 to the second.  Any other triple,
+    including one that does not sum to zero, is not a center.
     """
-    _, c2, c3 = coords
+    c1, c2, c3 = coords
     dp = c2 + 2 * c3
+    if c1 + c2 + c3 or dp % 3 == 2:
+        raise ValueError(f"{coords} is not a triangle center")
     return Triangle((dp // 3, (c2 - c3 + 2) // 3), up=dp % 3 == 0)
 
 

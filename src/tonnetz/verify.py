@@ -2,13 +2,13 @@
 
 Each suite re-verifies one cluster of algebraic facts by brute force:
 relations by window identities, lengths against breadth-first search on
-the flip graph, subgroup laws on exponent boxes, and so on.  The suites
-are enumerable through SUITES so coverage is auditable, and they back
-the `verify` subcommand of the CLI.
+the flip graph, subgroup laws on exponent boxes, and so on.  SUITES is
+the one home of ball and box sweeps and backs the `verify` subcommand;
+the tests run each suite at radius 6 with its check and case counts
+pinned, so a new sweep invariant goes into a suite, not a test.
 
-The radius argument bounds the search: the ball of reduced words of
-that length, exponents in [-radius, radius], or both, depending on the
-suite.
+The radius bounds the search: the ball of reduced words of that length,
+exponents in [-radius, radius], or both, depending on the suite.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: runs main() in process and reads stdout."""
 
 import json
+import re
 import time
 
 import pytest
@@ -185,6 +186,36 @@ def test_verify_json(capsys):
     assert all(c["ok"] for c in payload["checks"])
 
 
+# (checks, cases) of each suite at radius 6, the radius of CI's verify
+# step: a check whose detail is exactly "N cases" counts N, any other one
+SUITE_SIZES = {
+    "bijection": (6, 258),
+    "center-distance": (3, 66),
+    "hexagons": (2, 433),
+    "isometries": (3, 1344),
+    "length-oracle": (1, 64),
+    "pitch": (3, 676),
+    "progressions": (5, 265),
+    "reduce": (2, 128),
+    "relations": (9, 9),
+    "render": (3, 3),
+    "riemann-p": (10, 2672),
+    "riemann-r": (5, 7861),
+    "translations": (6, 2698),
+    "vertex-classes": (2, 219),
+    "windows": (4, 1408),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_suite(suite):
+    # the suites are the one home of ball and box sweeps; this runs each once
+    results = verify.run_suite(suite, 6)
+    assert [r for r in results if not r.ok] == []
+    cases = sum(int(m[1]) if (m := re.fullmatch(r"(\d+) cases", r.detail)) else 1 for r in results)
+    assert (len(results), cases) == SUITE_SIZES[suite]
+
+
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
 def test_verify_suites_reject_negative_radius(suite):
     with pytest.raises(ValueError, match="^radius must be non-negative$"):
@@ -197,6 +228,19 @@ def test_verify_cli_rejects_negative_radius(capsys, suite):
     assert code == 1
     assert out == ""
     assert err == "error: radius must be non-negative\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_negative_count_and_radius_exit_1(tmp_path, capsys, json_flag):
+    # argparse takes any integer; the library refuses a negative one
+    code, out, err = run(capsys, "stripe", "C", "--count", "-1", *json_flag)
+    assert (code, out, err) == (1, "", "error: count must be non-negative\n")
+    svg = tmp_path / "out.svg"
+    code, out, err = run(
+        capsys, "render", "--center", "C", "--radius", "-1", "--out", str(svg), *json_flag
+    )
+    assert (code, out, err) == (1, "", "error: radius must be non-negative\n")
+    assert not svg.exists()
 
 
 def test_verify_checks_do_not_only_reread_their_subject(monkeypatch):
@@ -383,4 +427,4 @@ def test_parser_choices_are_the_enums():
     # the parser reads literal tuples so that building it imports nothing
     assert cli.STRIPE_KINDS == tuple(k.value for k in StripeKind)
     assert cli.LABEL_MODES == tuple(m.value for m in LabelMode)
-    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES)) == tuple(SUITE_SIZES)

@@ -211,11 +211,6 @@ def test_center_distance_fixtures():
     assert t1.length() == 4
 
 
-def test_center_distance_bounded_by_length():
-    for f in ball(6):
-        assert f.center_distance() <= f.length()
-
-
 def test_ball_layer_counts():
     assert length_layers(5) == [1, 3, 6, 9, 12, 15]
     assert len(ball(6)) == 64

@@ -112,14 +112,6 @@ def test_pitch_classes():
     assert pitch_class(NoteName(3, 5)) == pitch_class(NoteName(3, 0))
 
 
-def test_axis_steps_change_pitch_class_by_fifth_and_third():
-    for v in VERTEX_LABELS:
-        p, q = v
-        here = pitch_class(spell_vertex(v))
-        assert pitch_class(spell_vertex((p + 1, q))) == (here + 7) % 12
-        assert pitch_class(spell_vertex((p, q + 1))) == (here + 4) % 12
-
-
 def test_default_comma_levels():
     home = {"C": 0, "G": 0, "D": 0, "A": 1, "E": 1, "B": 1}
     for k in range(-1, 6):

@@ -9,7 +9,7 @@ import pytest
 
 import tonnetz
 from tonnetz.lattice import BASE_TRIANGLE, Triangle, gallery_distance_bfs
-from tonnetz.pitch import format_chord, format_note, name_triangle, parse_chord
+from tonnetz.pitch import format_chord, format_note, name_triangle
 from tonnetz.progressions import (
     StripeKind,
     analyze,
