@@ -170,11 +170,10 @@ def cmd_chord(args: argparse.Namespace) -> int:
 def cmd_locate(args: argparse.Namespace) -> int:
     _, t = parse_chord(args.chord, _default_comma())
     f = perm_of(t)
-    payload = {
-        "window": list(f.window),
-        "word": list(f.reduced_word()),
-        "triangle": format_triangle(t),
-    }
+    payload = {"window": list(f.window), "triangle": format_triangle(t)}
+    if args.json:
+        # only the JSON carries the reduced word, which a far comma makes huge
+        payload["word"] = list(f.reduced_word())
     _emit(
         args,
         payload,

@@ -1,7 +1,7 @@
 """End-to-end CLI checks: runs main() in process and reads stdout."""
 
+import hashlib
 import json
-import re
 import time
 
 import pytest
@@ -186,8 +186,8 @@ def test_verify_json(capsys):
     assert all(c["ok"] for c in payload["checks"])
 
 
-# (checks, cases) of each suite at radius 6, the radius of CI's verify
-# step: a check whose detail is exactly "N cases" counts N, any other one
+# (checks, cases) of each suite at radius 6: a sweep counts the cases it
+# evaluated, a single assertion counts one
 SUITE_SIZES = {
     "bijection": (6, 258),
     "center-distance": (3, 66),
@@ -212,8 +212,17 @@ def test_verify_suite(suite):
     # the suites are the one home of ball and box sweeps; this runs each once
     results = verify.run_suite(suite, 6)
     assert [r for r in results if not r.ok] == []
-    cases = sum(int(m[1]) if (m := re.fullmatch(r"(\d+) cases", r.detail)) else 1 for r in results)
-    assert (len(results), cases) == SUITE_SIZES[suite]
+    assert (len(results), sum(r.cases for r in results)) == SUITE_SIZES[suite]
+
+
+def test_verify_all_output_is_pinned(capsys):
+    # every line of the report, not only the verdict, at the radius of the suite tests
+    _, human, _ = run(capsys, "verify", "--suite", "all", "--radius", "6")
+    _, as_json, _ = run(capsys, "verify", "--suite", "all", "--radius", "6", "--json")
+    assert [hashlib.sha256(out.encode()).hexdigest() for out in (human, as_json)] == [
+        "ebebaee0a8e883bad6b30c1ddfff8528980b341407063a075312d9d3b151ca44",
+        "09597ec6c26bb3208630a5dc8c2be9c35d5f0438dd3432caea09026a772ffee8",
+    ]
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
@@ -274,7 +283,18 @@ def test_verify_checks_do_not_only_reread_their_subject(monkeypatch):
         assert failed("translations") == {"quotient table is the finite table"}
     with monkeypatch.context() as m:
         m.setattr(subgroups, "translation_coords", swapped_coords)
-        assert "conjugation stays in the lattice" in failed("translations")
+        # a failing sweep counts every case it evaluated and names only the first failure
+        checks = {r.name: (r.ok, r.detail, r.cases) for r in verify.run_suite("translations", 3)}
+        assert checks["translation coords round trip"] == (
+            False,
+            "42 failures, first: coords (-3, -2)",
+            49,
+        )
+        assert checks["conjugation stays in the lattice"] == (
+            False,
+            "126 failures, first: conjugate s1 (-3, -3)",
+            147,
+        )
     with monkeypatch.context() as m:
         m.setattr(riemann, "r_compose", unsigned_compose)
         assert "every Wechsel is an involution" in failed("riemann-r")
@@ -400,6 +420,18 @@ def test_far_comma_hexagon(capsys):
     near = run_json(capsys, "hexagon", "C[q=1]")
     assert (far["tone"], far["chords"]) == (near["tone"], near["chords"])
     assert far["coset"] != near["coset"]
+
+
+def test_far_comma_locate(capsys):
+    # the human lines never show the reduced word, so they must not build it
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "locate", "C[q=1000000000]")
+    assert time.perf_counter() - start < BUDGET_S
+    assert code == 0
+    assert out == (
+        "window: [-5000000001,7000000000,-1999999999]\n"
+        "triangle: U(-4000000000,1000000000)\n"
+    )
 
 
 def test_far_comma_path(capsys):
