@@ -331,43 +331,51 @@ def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePer
 Node = TypeVar("Node", bound=Hashable)
 
 
-def bfs_layers(start: Node, step: Callable[[Node], Iterable[Node]]) -> Iterator[list[Node]]:
-    """Breadth-first layers of the undirected graph whose edges out of n are step(n).
+def bfs_layers(
+    start: Node, expand: Callable[[dict[Node, None], int], dict[Node, None]]
+) -> Iterator[dict[Node, None]]:
+    """Breadth-first layers of a bipartite undirected graph, as ordered node sets.
 
-    Yields [start], then the nodes first reached from each layer, in the
-    order step lists them.  step must be symmetric (m in step(n) exactly
-    when n in step(m)): then every neighbour of layer k lies in layer
-    k - 1, k or k + 1, so only two layers are remembered, not the whole
-    ball.  On an infinite graph the caller decides where to stop; a
-    layer is computed only when it is asked for.
+    Yields {start: None}, then each next layer.  expand(layer, depth)
+    returns every neighbour of the layer at that depth as the keys of one
+    dict, in the order it finds them; the nodes of layer depth - 1 are
+    then dropped from it, and what is left is layer depth + 1.  The graph
+    must be symmetric (m is a neighbour of n exactly when n is one of m)
+    and bipartite (no odd cycle): then every neighbour of layer k lies in
+    layer k - 1 or k + 1, never in layer k itself, so only two layers are
+    remembered, not the whole ball.  On an infinite graph the caller
+    decides where to stop; a layer is computed only when it is asked for.
 
-    >>> list(bfs_layers(0, lambda n: [(n + 1) % 4, (n - 1) % 4]))
+    The 4-cycle is bipartite:
+
+    >>> step = lambda layer, depth: {m: None for n in layer for m in ((n + 1) % 4, (n - 1) % 4)}
+    >>> [list(layer) for layer in bfs_layers(0, step)]
     [[0], [1, 3], [2]]
     """
-    near = {start}  # the last two layers, plus the next one as it is found
-    back: list[Node] = []
-    layer = [start]
+    back: dict[Node, None] = {}
+    layer = {start: None}
+    depth = 0
     while layer:
         yield layer
-        nxt = []
-        for node in layer:
-            for nb in step(node):
-                if nb not in near:
-                    near.add(nb)
-                    nxt.append(nb)
-        near.difference_update(back)
-        back, layer = layer, nxt
+        nxt = expand(layer, depth)
+        for node in back:
+            nxt.pop(node, None)
+        back, layer, depth = layer, nxt, depth + 1
 
 
 def ball(radius: int) -> list[AffinePermutation]:
-    """All elements of length <= radius, in breadth-first order."""
+    """All elements of length <= radius, in breadth-first order.
+
+    Each generator changes the length by one, so the Cayley graph is
+    bipartite, as bfs_layers requires.
+    """
     if radius < 0:
         raise ValueError("radius must be non-negative")
 
-    def step(f: AffinePermutation) -> list[AffinePermutation]:
-        return [right_mult_generator(f, i) for i in GENERATOR_INDICES]
+    def expand(layer: dict[AffinePermutation, None], depth: int) -> dict[AffinePermutation, None]:
+        return {right_mult_generator(f, i): None for f in layer for i in GENERATOR_INDICES}
 
-    return [f for layer in islice(bfs_layers(IDENTITY, step), radius + 1) for f in layer]
+    return [f for layer in islice(bfs_layers(IDENTITY, expand), radius + 1) for f in layer]
 
 
 def length_layers(radius: int) -> list[int]:

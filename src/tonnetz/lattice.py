@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import reduce
 from itertools import islice
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     FINITE_WORDS,
@@ -109,7 +109,8 @@ _FLIP_OFFSETS = {
 
 
 # builds a Triangle from (root, up) without the named tuple's Python-level
-# __new__, a call that takes about a fifth of the time of a flip-graph BFS
+# __new__, which flip, neighbors and triangle_ball would otherwise call for
+# every triangle they build
 _make_triangle = tuple.__new__
 
 
@@ -320,6 +321,26 @@ def _check_lattice_triangle(t: Triangle) -> None:
         )
 
 
+def _root_layers(t: Triangle) -> Iterator[dict[Vertex, None]]:
+    """Flip-graph layers around t, each keyed by its triangles' roots alone.
+
+    Every flip turns a triangle over, so the flip graph is bipartite and
+    all triangles of layer k point the same way: up exactly when t.up
+    differs from k being odd.  A root then names its triangle within a
+    layer, and the layers bfs_layers compares, k - 1 and k + 1, point the
+    same way too.
+    """
+    root, up = t
+    # the flip offsets out of even layers, then out of odd ones
+    offsets = (tuple(_FLIP_OFFSETS[up].values()), tuple(_FLIP_OFFSETS[not up].values()))
+
+    def expand(layer: dict[Vertex, None], depth: int) -> dict[Vertex, None]:
+        out = offsets[depth % 2]
+        return {(p + dp, q + dq): None for p, q in layer for dp, dq in out}
+
+    return bfs_layers(root, expand)
+
+
 def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     """Minimal number of edge flips from t1 to t2, by breadth-first search.
 
@@ -327,7 +348,9 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     gallery_distance_bfs(base, triangle_of(f)) == f.length().  Two searches
     meet in the middle: each round the side with the smaller frontier
     takes one more layer, and the first new layer that shares a triangle
-    with the other side's frontier gives the distance.
+    with the other side's frontier gives the distance.  Layers hold roots
+    (see _root_layers), so two frontiers are compared only when their
+    triangles point the same way.
 
     >>> gallery_distance_bfs(BASE_TRIANGLE, Triangle((2, -1), up=False))
     5
@@ -336,15 +359,19 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     _check_lattice_triangle(t2)
     if t1 == t2:
         return 0
-    sides = [bfs_layers(t1, neighbors), bfs_layers(t2, neighbors)]
+    sides = [_root_layers(t1), _root_layers(t2)]
     frontiers = [next(sides[0]), next(sides[1])]
     depths = [0, 0]
+    # each layer turns its triangles over, so the two frontiers point the
+    # same way exactly when their depths sum to the parity of t1.up != t2.up
+    parity = int(t1.up != t2.up)
     while True:
         i = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         frontiers[i] = next(sides[i])
         depths[i] += 1
-        if not set(frontiers[1 - i]).isdisjoint(frontiers[i]):
-            return depths[0] + depths[1]
+        d = depths[0] + depths[1]
+        if d % 2 == parity and not frontiers[i].keys().isdisjoint(frontiers[1 - i].keys()):
+            return d
 
 
 def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:
@@ -352,8 +379,13 @@ def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:
     if radius < 0:
         raise ValueError("radius must be non-negative")
     _check_lattice_triangle(center)
-    layers = islice(bfs_layers(center, neighbors), radius + 1)
-    return {t: d for d, layer in enumerate(layers) for t in layer}
+    layers = islice(_root_layers(center), radius + 1)
+    up = center.up
+    return {
+        _make_triangle(Triangle, (root, up != (d % 2 == 1))): d
+        for d, layer in enumerate(layers)
+        for root in layer
+    }
 
 
 # --- triangle text format ---------------------------------------------------

@@ -592,14 +592,24 @@ SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
 
 
 def run_suite(name: str, radius: int) -> list[CheckResult]:
-    """Run one suite; a negative radius is refused before any suite runs."""
+    """Run one suite; a negative radius is refused before any suite runs.
+
+    A ValueError from inside the suite, such as a library function
+    refusing what a broken invariant handed it, becomes one failed check
+    that names the exception, so a report over many suites still shows
+    the others.  Running out of memory or stack is not a check failing,
+    and still raises.
+    """
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    return fn(radius)
+    try:
+        return fn(radius)
+    except ValueError as exc:
+        return [CheckResult("suite runs to the end", False, f"{type(exc).__name__}: {exc}")]
 
 
 def run_all(radius: int) -> list[tuple[str, CheckResult]]:

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import signal
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from tonnetz import cli, verify
 from tonnetz.cli import main
-from tonnetz.core import parse_window
+from tonnetz.core import generator, parse_window
 from tonnetz.lattice import BASE_TRIANGLE, parse_triangle, perm_of
 from tonnetz.pitch import parse_chord
 from tonnetz.progressions import StripeKind, apply_plr, triangle_distance
@@ -303,6 +305,37 @@ def test_verify_checks_do_not_only_reread_their_subject(monkeypatch):
         assert "no order 3 in R, unlike the triangle group" in failed("riemann-r")
 
 
+def test_verify_reports_a_suite_that_raises(monkeypatch, capsys):
+    # s1 handed over as the translation by (1, 0) makes translation_coords
+    # raise inside the translations suite; the other suites still report
+    translation_perm = verify.translation_perm
+
+    def s1_for_e1(v):
+        return generator(1) if tuple(v) == (1, 0) else translation_perm(v)
+
+    monkeypatch.setattr(verify, "translation_perm", s1_for_e1)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--radius", "3")
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert lines[-1] == "57/59 checks passed"
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL hexagons         hexagon shares exactly its center tone"
+        "  (1 failures, first: hexagon (1,0))",
+        "FAIL translations     suite runs to the end"
+        "  (NotATranslationError: (0, -1, 1) is not a translation)",
+    ]
+    assert {line.split()[1] for line in lines[:-1]} == set(verify.SUITES)
+
+
+def test_verify_does_not_report_running_out_of_memory(monkeypatch):
+    def out_of_memory(radius):
+        raise MemoryError
+
+    monkeypatch.setitem(verify.SUITES, "relations", out_of_memory)
+    with pytest.raises(MemoryError):
+        verify.run_suite("relations", 3)
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
@@ -387,11 +420,32 @@ BUDGET_S = 2.0
 HUGE_WINDOWS = ["[-3000001,3000000,1]", "[2999999,-999999,-2000000]"]
 
 
-def timed_json(capsys, *argv):
+@contextmanager
+def within_budget():
+    """Fail a block that runs BUDGET_S or longer, from inside it if need be.
+
+    The alarm raises in the running call, so unbounded work fails the test
+    at the budget instead of hanging the whole run; pytest.fail's exception
+    is not one that cli.main catches.
+    """
+
+    def overdue(signum, frame):
+        pytest.fail(f"still running after {BUDGET_S} s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     start = time.perf_counter()
-    payload = run_json(capsys, *argv)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < BUDGET_S
-    return payload
+
+
+def timed_json(capsys, *argv):
+    with within_budget():
+        return run_json(capsys, *argv)
 
 
 @pytest.mark.parametrize("window", HUGE_WINDOWS)
@@ -424,9 +478,8 @@ def test_far_comma_hexagon(capsys):
 
 def test_far_comma_locate(capsys):
     # the human lines never show the reduced word, so they must not build it
-    start = time.perf_counter()
-    code, out, _ = run(capsys, "locate", "C[q=1000000000]")
-    assert time.perf_counter() - start < BUDGET_S
+    with within_budget():
+        code, out, _ = run(capsys, "locate", "C[q=1000000000]")
     assert code == 0
     assert out == (
         "window: [-5000000001,7000000000,-1999999999]\n"

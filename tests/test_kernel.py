@@ -34,7 +34,7 @@ from collections import deque
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tonnetz
 from tonnetz.core import (
@@ -821,6 +821,11 @@ near_triangles = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(near_triangles, near_triangles)
+# an up and a down triangle can share a root, which is all a BFS layer keys
+# on: U(0,1) is two flips from U(0,0), but D(0,1), one flip away, has its root
+@example(Triangle((0, 0), up=True), Triangle((0, 1), up=True))
+@example(Triangle((0, 0), up=True), Triangle((0, 0), up=False))
+@example(Triangle((3, -2), up=False), Triangle((3, -2), up=True))
 def test_gallery_distance_bfs_meets_in_the_middle(a, b):
     d = gallery_distance_bfs(a, b)
     assert d == gallery_distance_bfs(b, a) == ref_gallery_distance(a, b) == triangle_distance(a, b)
@@ -831,6 +836,8 @@ def test_far_triangles():
     word = plr_path(a, b)
     assert len(word) == triangle_distance(a, b) == ref_distance(a, b)
     assert apply_plr(a, word) == b
+    # the BFS oracle at long range: 279 flips
+    assert gallery_distance_bfs(a, b) == gallery_distance_bfs(b, a) == triangle_distance(a, b)
 
 
 def _symbol(letter, accidentals, mode, comma):
