@@ -3,8 +3,9 @@
 Every subcommand accepts --json for a single machine-readable object on
 stdout; human output is stable "key: value" lines.  Exit codes: 0 on
 success, 1 on a domain error (bad element, unknown chord, failed
-verification, or a negative --radius or --count, which argparse accepts
-as an integer and the library refuses), 2 on a usage error.
+verification, a negative --radius or --count, which argparse accepts as
+an integer and the library refuses, or a chord whose name would carry
+more than pitch.MAX_ACCIDENTALS sharps or flats), 2 on a usage error.
 
 Element arguments are disambiguated by their first character: '[' opens
 a window, 's' or 'e' starts a generator word, anything else parses as a
@@ -28,7 +29,7 @@ from .core import (
     parse_word,
 )
 from .lattice import format_triangle, perm_of, triangle_of
-from .pitch import format_chord, format_note, name_triangle, parse_chord
+from .pitch import MAX_ACCIDENTALS, format_chord, format_note, name_triangle, parse_chord
 
 # Each cmd_* imports the modules beyond these three that it runs, so a
 # command loads only what it needs.  The parser takes its choices from
@@ -384,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tonnetz",
         description="Exact arithmetic on the infinite triadic Tonnetz.",
+        epilog=f"Spelled note and chord names carry at most {MAX_ACCIDENTALS} sharps "
+        "or flats; naming a chord beyond that is a domain error (exit 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

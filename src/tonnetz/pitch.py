@@ -17,6 +17,11 @@ LETTERS = "FCGDAEB"
 
 _ACCIDENTAL_VALUE = {"#": 1, "x": 2, "b": -1}
 
+# The most sharps or flats a spelled name may carry.  A name grows with the
+# distance of its vertex from the origin, so without a cap a far element
+# spells a string of gigabytes; a name at the cap is at most 1 MB.
+MAX_ACCIDENTALS = 1_000_000
+
 
 class NoteName(NamedTuple):
     """A spelled pitch: position on the line of fifths plus comma level.
@@ -76,7 +81,19 @@ def accidental_string(count: int) -> str:
 
 
 def format_note(note: NoteName, with_comma: bool = False) -> str:
-    s = note.letter + accidental_string(note.accidentals)
+    """The spelled name, such as "F#" or "Ebb[q=-1]"; every name is built here.
+
+    Raises ValueError for a note with more than MAX_ACCIDENTALS sharps or
+    flats, before building any string.
+    """
+    count = note.accidentals
+    if abs(count) > MAX_ACCIDENTALS:
+        kind = "sharps" if count > 0 else "flats"
+        raise ValueError(
+            f"note at fifth index {note.fifth_index} needs {abs(count)} {kind}; "
+            f"spelled names carry at most {MAX_ACCIDENTALS}"
+        )
+    s = note.letter + accidental_string(count)
     if with_comma:
         s += f"[q={note.comma}]"
     return s

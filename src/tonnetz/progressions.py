@@ -29,9 +29,8 @@ from .lattice import (
     flip,
     perm_to_iso,
     vertex_class,
-    wall_flip,
 )
-from .pitch import ChordName, NoteName, chord_triangle, name_triangle, parse_chord, spell_vertex
+from .pitch import ChordName, NoteName, chord_triangle, parse_chord, spell_vertex
 
 PLR_EDGES = {
     "P": Edge.FIFTH,
@@ -76,16 +75,25 @@ def plr_path(start: Triangle, goal: Triangle) -> str:
     # off the lattice no flip brings the walk closer, so it would never end
     _check_lattice_triangle(start)
     _check_lattice_triangle(goal)
+    # the walk tracks how far the triangle's strips lie past goal's (see
+    # triangle_distance).  A move crosses one line, so it steps one offset
+    # by one: from an up triangle P lowers q', L raises p + q and R lowers p,
+    # and from a down triangle each letter moves its strip the other way.
+    # Short of goal some move lowers the distance, so R needs no test.
+    dp, dq, ds = _strip_offsets(start, goal)
+    sign = 1 if start.up else -1
     letters = []
-    t, d = start, triangle_distance(start, goal)
-    while d:
-        for letter in "PLR":
-            nb = apply_move(t, letter)
-            nd = triangle_distance(nb, goal)
-            if nd < d:
-                break
-        letters.append(letter)
-        t, d = nb, nd
+    while dp or dq or ds:
+        if dq * sign > 0:
+            letters.append("P")
+            dq -= sign
+        elif ds * sign < 0:
+            letters.append("L")
+            ds += sign
+        else:
+            letters.append("R")
+            dp -= sign
+        sign = -sign
     return "".join(reversed(letters))
 
 
@@ -99,20 +107,33 @@ def triangle_distance(t1: Triangle, t2: Triangle) -> int:
     >>> triangle_distance(Triangle((0, 0), up=True), Triangle((1, 0), up=True))
     2
     """
-    (p1, q1), (p2, q2) = t1.root, t2.root
-    dq = (q1 - (not t1.up)) - (q2 - (not t2.up))
-    return abs(p1 - p2) + abs(dq) + abs(p1 + q1 - p2 - q2)
+    dp, dq, ds = _strip_offsets(t1, t2)
+    return abs(dp) + abs(dq) + abs(ds)
+
+
+def _strip_offsets(t1: Triangle, t2: Triangle) -> tuple[int, int, int]:
+    """t1's strips p, q' and p + q minus t2's, as triangle_distance defines them."""
+    (p1, q1), up1 = t1
+    (p2, q2), up2 = t2
+    return p1 - p2, (q1 - (not up1)) - (q2 - (not up2)), p1 + q1 - p2 - q2
 
 
 # --- hexagon cycles ----------------------------------------------------------
 
-# Walking a triangle's coset of the parabolic subgroup fixing its class-c
-# vertex circles that vertex; the pair gives the alternating generators.
-PAIR_OF_CLASS = {
-    0: (2, 1),
-    1: (1, 3),
-    2: (3, 2),
-}
+# the six triangles around a vertex v, as root offsets from v and
+# orientations, in ring order: consecutive ones share an edge through v
+_RING = (
+    ((0, 0), True),
+    ((0, 0), False),
+    ((0, -1), True),
+    ((-1, 0), False),
+    ((-1, 0), True),
+    ((-1, 1), False),
+)
+
+# builds named tuples without their Python-level __new__, as core's
+# _make_element and lattice's _make_triangle do
+_make = tuple.__new__
 
 
 class HexagonCycle(NamedTuple):
@@ -127,9 +148,10 @@ class HexagonCycle(NamedTuple):
 def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
     """The six triangles around a vertex of t, starting at t.
 
-    Each step flips across a wall through v, alternating the generator
-    pair of v's class; the triangles are those of f, f*s_i, f*s_i*s_j, ...
-    for the element f of t.
+    These are the triangles of f, f*s_i, f*s_i*s_j, ... for the element f
+    of t, where s_i and s_j are the two reflections in walls through v.
+    The walk runs backwards through the ring from an up triangle and
+    forwards from a down one.
 
     >>> from .lattice import BASE_TRIANGLE
     >>> from .pitch import format_chord
@@ -137,17 +159,22 @@ def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
     >>> [format_chord(c) for c in cyc.chords]
     ['C', 'Em', 'E', 'C#m', 'A', 'Am']
     """
-    if v not in t.vertices():
-        raise ValueError(f"{v} is not a vertex of {t}")
-    pair = PAIR_OF_CLASS[vertex_class(v)]
-    triangles = [t]
-    for k in range(5):
-        triangles.append(wall_flip(triangles[-1], pair[k % 2]))
+    x, y = v
+    ring = [((x + dx, y + dy), up) for (dx, dy), up in _RING]
+    try:
+        i = ring.index(t)
+    except ValueError:
+        raise ValueError(f"{v} is not a vertex of {t}") from None
+    # up triangles sit at even places in the ring, down ones at odd places
+    walk = ring[i:] + ring[:i] if i % 2 else ring[i::-1] + ring[:i:-1]
     return HexagonCycle(
         center=v,
         common_tone=spell_vertex(v),
-        triangles=tuple(triangles),
-        chords=tuple(name_triangle(u) for u in triangles),
+        triangles=tuple([_make(Triangle, u) for u in walk]),
+        # each chord is name_triangle's: the root spelled, minor when down
+        chords=tuple(
+            [_make(ChordName, (_make(NoteName, (p + 4 * q, q)), not up)) for (p, q), up in walk]
+        ),
     )
 
 
@@ -264,16 +291,18 @@ def _resolve(symbol: str, prev: Triangle, default_comma: int | None) -> tuple[Ch
     chord, t = parse_chord(symbol, default_comma)
     if "[q=" in symbol:
         return chord, t
-    # the instance at comma level c is rooted at (fifth - 4c, c), and the
-    # previous root's comma level is its q coordinate; only the winner is named
-    fifth, up = chord.root.fifth_index, t.up
+    # one comma level up moves the chord's root by (-4, 1) and so its strips
+    # p, q', p + q by (-4, 1, -3); the instance k levels above t lies
+    # |dp + 4k| + |dq - k| + |ds + 3k| flips from prev.  Only the winner is named.
+    dp, dq, ds = _strip_offsets(prev, t)
+    comma = chord.root.comma
     prev_comma = prev.root[1]
-    _, _, comma = min(
-        (triangle_distance(prev, Triangle((fifth - 4 * c, c), up)), abs(c), c)
-        for c in range(prev_comma - 4, prev_comma + 5)
+    _, _, best = min(
+        (abs(dp + 4 * k) + abs(dq - k) + abs(ds + 3 * k), abs(comma + k), comma + k)
+        for k in range(prev_comma - comma - 4, prev_comma - comma + 5)
     )
-    best = ChordName(NoteName(fifth, comma), chord.minor)
-    return best, chord_triangle(best)
+    winner = ChordName(NoteName(chord.root.fifth_index, best), chord.minor)
+    return winner, chord_triangle(winner)
 
 
 def analyze(symbols: list[str], default_comma: int | None = None) -> ProgressionReport:

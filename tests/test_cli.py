@@ -4,15 +4,16 @@ import hashlib
 import json
 import signal
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
 
 from tonnetz import cli, verify
 from tonnetz.cli import main
-from tonnetz.core import generator, parse_window
-from tonnetz.lattice import BASE_TRIANGLE, parse_triangle, perm_of
-from tonnetz.pitch import parse_chord
+from tonnetz.core import format_window, generator, parse_window
+from tonnetz.lattice import BASE_TRIANGLE, Triangle, parse_triangle, perm_of
+from tonnetz.pitch import MAX_ACCIDENTALS, parse_chord
 from tonnetz.progressions import StripeKind, apply_plr, triangle_distance
 from tonnetz.render import LabelMode
 
@@ -493,6 +494,35 @@ def test_far_comma_path(capsys):
     _, start = parse_chord("C")
     _, goal = parse_chord("C[q=2000]")
     assert apply_plr(start, payload["plr"]) == goal
+
+
+@pytest.mark.parametrize(
+    "at_cap, name, past_cap",
+    [
+        (7 * MAX_ACCIDENTALS + 5, "B" + "x" * (MAX_ACCIDENTALS // 2), 7 * MAX_ACCIDENTALS + 6),
+        (-7 * MAX_ACCIDENTALS - 1, "F" + "b" * MAX_ACCIDENTALS, -7 * MAX_ACCIDENTALS - 2),
+    ],
+    ids=["sharps", "flats"],
+)
+def test_chord_names_stop_at_the_accidental_cap(capsys, at_cap, name, past_cap):
+    # the element of the major chord rooted at each fifth index, comma level 0
+    def element(fifth_index):
+        return format_window(perm_of(Triangle((fifth_index, 0), up=True)))
+
+    with within_budget():
+        code, out, _ = run(capsys, "chord", element(at_cap))
+    assert (code, out.splitlines()[0]) == (0, f"chord: {name}")
+    tracemalloc.start()
+    try:
+        with within_budget():
+            code, out, err = run(capsys, "chord", element(past_cap), "--json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: note at fifth index {past_cap} needs {MAX_ACCIDENTALS + 1} ")
+    # the refused name alone would take over 500 kB
+    assert peak < 200_000
 
 
 def test_json_builds_no_human_lines(capsys, monkeypatch):

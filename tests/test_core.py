@@ -186,11 +186,6 @@ def test_center_coords_sum_zero():
         assert c.c1 + c.c2 + c.c3 == 0
 
 
-def test_triangle_to_perm_inverts_center_coords():
-    for f in ball(5):
-        assert triangle_to_perm(f.center_coords()) == f
-
-
 def test_triangle_to_perm_rejects_non_centers():
     with pytest.raises(ValueError):
         triangle_to_perm((1, -1, 0))  # offsets collide at 0
@@ -214,11 +209,6 @@ def test_center_distance_fixtures():
 def test_ball_layer_counts():
     assert length_layers(5) == [1, 3, 6, 9, 12, 15]
     assert len(ball(6)) == 64
-
-
-def test_ball_is_distinct():
-    elems = ball(6)
-    assert len(set(elems)) == len(elems)
 
 
 def test_window_parse_format():

@@ -6,9 +6,12 @@ translation built by repeated multiplication, and the shortest PLR word
 found by breadth-first search.  The layered BFS behind ball,
 triangle_ball and gallery_distance_bfs is compared with the hand-written
 loops it replaced, and the integer descent loop of reduced_word with the
-walk over validated elements.  Wall flips and the hexagon cycles walked
-by them are compared with right multiplication of windows, and the
-progression analyzer's ranking with the loop over nine chord names.
+walk over validated elements.  Wall flips and the hexagon cycles read
+off the six-triangle ring are compared with right multiplication of
+windows, the strip-offset walk of plr_path with the BFS word and with
+the greedy rule over apply_move, and the progression analyzer's ranking
+with the loop over nine chord names, near the origin and at roots up
+to 10^12 or comma levels up to 10^6.
 Order, parity and type, read off the finite factor sigma, are compared
 with multiplying up to six times and counting residue inversions.
 Stripes from their three-row table are compared with the branch ladder
@@ -79,7 +82,6 @@ from tonnetz.pitch import (
     spell_vertex,
 )
 from tonnetz.progressions import (
-    PAIR_OF_CLASS,
     StripeKind,
     analyze,
     apply_move,
@@ -226,8 +228,12 @@ def ref_reduced_word(f):
 
 
 def ref_vertex_cycle(t, v):
-    """Right-multiply t's element by the pair of v's class; map each back."""
-    i, j = PAIR_OF_CLASS[vertex_class(v)]
+    """Right-multiply t's element by the pair of v's class; map each back.
+
+    Walking a triangle's coset of the parabolic subgroup fixing its class-c
+    vertex circles that vertex; the pair gives the alternating generators.
+    """
+    i, j = {0: (2, 1), 1: (1, 3), 2: (3, 2)}[vertex_class(v)]
     elems = [perm_of(t)]
     for k in range(5):
         elems.append(right_mult_generator(elems[-1], i if k % 2 == 0 else j))
@@ -840,6 +846,37 @@ def test_far_triangles():
     assert gallery_distance_bfs(a, b) == gallery_distance_bfs(b, a) == triangle_distance(a, b)
 
 
+# the closed forms at roots no ball reaches
+far_triangles = st.builds(
+    Triangle,
+    st.tuples(st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(far_triangles, st.integers(0, 2))
+def test_far_vertex_cycle_is_the_window_walk(t, k):
+    v = t.vertices()[k]
+    assert vertex_cycle(t, v).triangles == ref_vertex_cycle(t, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(far_triangles, st.integers(-15, 15), st.integers(-15, 15), st.booleans())
+def test_far_plr_path_takes_the_first_closer_move(a, dp, dq, up):
+    (p, q), _ = a
+    b = Triangle((p + dp, q + dq), up)
+    word = plr_path(a, b)
+    assert len(word) == triangle_distance(a, b)
+    assert apply_plr(a, word) == b
+    t = a
+    for letter in reversed(word):
+        d = triangle_distance(t, b)
+        closer = [x for x in "PLR" if triangle_distance(apply_move(t, x), b) < d]
+        assert letter == closer[0]
+        t = apply_move(t, letter)
+
+
 def _symbol(letter, accidentals, mode, comma):
     return letter + accidentals + mode + ("" if comma is None else f"[q={comma}]")
 
@@ -856,6 +893,23 @@ chord_symbols = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(chord_symbols, min_size=1, max_size=12), st.one_of(st.none(), st.integers(-3, 3)))
 def test_analyze_is_the_nine_candidate_loop(symbols, default_comma):
+    report = analyze(symbols, default_comma)
+    placed = [(s.chord, s.triangle) for s in report.steps]
+    assert placed == ref_placements(symbols, default_comma)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chord_symbols,
+    st.integers(-(10**6), 10**6),
+    st.lists(chord_symbols, max_size=8),
+    st.one_of(st.none(), st.integers(-3, 3)),
+)
+@example("C", 10**6, ["G", "Am"], None)
+@example("Ebm", -(10**6), ["Cb", "Gb", "Db"], 2)
+def test_analyze_far_comma_is_the_nine_candidate_loop(first, comma, rest, default_comma):
+    # later chords follow the first one's comma band wherever it lies
+    symbols = [first.split("[")[0] + f"[q={comma}]", *rest]
     report = analyze(symbols, default_comma)
     placed = [(s.chord, s.triangle) for s in report.steps]
     assert placed == ref_placements(symbols, default_comma)

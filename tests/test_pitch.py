@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tonnetz.lattice import Triangle
 from tonnetz.pitch import (
+    MAX_ACCIDENTALS,
     ChordName,
     ChordParseError,
     NoteName,
@@ -77,6 +78,16 @@ def test_accidental_string():
     assert accidental_string(3) == "x#"
     assert accidental_string(-1) == "b"
     assert accidental_string(-2) == "bb"
+
+
+def test_names_stop_at_the_accidental_cap():
+    # the last fifth index within the cap and the first past it, each way
+    sharp, flat = 7 * MAX_ACCIDENTALS + 5, -7 * MAX_ACCIDENTALS - 1
+    assert format_note(NoteName(sharp, 0)) == "B" + "x" * (MAX_ACCIDENTALS // 2)
+    assert format_chord(ChordName(NoteName(flat, 0), True)) == "F" + "b" * MAX_ACCIDENTALS + "m"
+    for past in (sharp + 1, flat - 1):
+        with pytest.raises(ValueError, match=f"needs {MAX_ACCIDENTALS + 1} .* at most"):
+            format_chord(ChordName(NoteName(past, 0), False), with_comma=True)
 
 
 def test_format_note():

@@ -1,6 +1,8 @@
 """Parsimonious moves, hexagon and rotation cycles, stripes, analysis."""
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tonnetz
-from tonnetz.lattice import BASE_TRIANGLE, Triangle, gallery_distance_bfs
+from tonnetz.lattice import BASE_TRIANGLE, Triangle, gallery_distance_bfs, triangle_ball
 from tonnetz.pitch import format_chord, format_note, name_triangle
 from tonnetz.progressions import (
     StripeKind,
@@ -296,3 +298,36 @@ def test_plr_path_rejects_non_bool_orientation():
     for pair in ((BASE_TRIANGLE, odd), (odd, BASE_TRIANGLE)):
         with pytest.raises(ValueError, match="not a lattice triangle"):
             plr_path(*pair)
+
+
+def test_progression_output_is_pinned():
+    # every field the layer returns, over seeded inputs: PLR words between
+    # random pairs, the cycle around every vertex of the radius-8 ball, and
+    # progressions mixing accidentals, modes, [q=n] and a default comma
+    rng = random.Random(2019)
+
+    def triangle():
+        return Triangle((rng.randint(-40, 40), rng.randint(-40, 40)), rng.random() < 0.5)
+
+    def symbol():
+        comma = f"[q={rng.randint(-6, 6)}]" if rng.random() < 0.15 else ""
+        return (
+            rng.choice("ABCDEFG")
+            + rng.choice(["", "", "#", "b", "x", "bb", "x#"])
+            + rng.choice(["", "m", "min"])
+            + comma
+        )
+
+    paths = [plr_path(triangle(), triangle()) for _ in range(300)]
+    cycles = [
+        vertex_cycle(t, v) for t in sorted(triangle_ball(BASE_TRIANGLE, 8)) for v in t.vertices()
+    ]
+    reports = [
+        analyze(
+            [symbol() for _ in range(rng.randint(1, 12))],
+            rng.choice([None, None, rng.randint(-3, 3)]),
+        )
+        for _ in range(150)
+    ]
+    digest = hashlib.sha256(repr((paths, cycles, reports)).encode()).hexdigest()
+    assert digest == "b2dba9d4294135789804b1d88e3241870f57f239c0a204b9b711cd04e4cfb294"
