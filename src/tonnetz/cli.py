@@ -4,8 +4,9 @@ Every subcommand accepts --json for a single machine-readable object on
 stdout; human output is stable "key: value" lines.  Exit codes: 0 on
 success, 1 on a domain error (bad element, unknown chord, failed
 verification, a negative --radius or --count, which argparse accepts as
-an integer and the library refuses, or a chord whose name would carry
-more than pitch.MAX_ACCIDENTALS sharps or flats), 2 on a usage error.
+an integer and the library refuses, a chord whose name would carry more
+than pitch.MAX_ACCIDENTALS sharps or flats, or a path longer than
+MAX_PATH_FLIPS flips), 2 on a usage error.
 
 Element arguments are disambiguated by their first character: '[' opens
 a window, 's' or 'e' starts a generator word, anything else parses as a
@@ -30,6 +31,10 @@ from .core import (
 )
 from .lattice import format_triangle, perm_of, triangle_of
 from .pitch import MAX_ACCIDENTALS, format_chord, format_note, name_triangle, parse_chord
+
+# the longest path `path` prints: its two words grow linearly with the
+# distance, which is checked from the closed form before either is built
+MAX_PATH_FLIPS = 100_000
 
 # Each cmd_* imports the modules beyond these three that it runs, so a
 # command loads only what it needs.  The parser takes its choices from
@@ -184,11 +189,17 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    from .progressions import plr_path
+    from .progressions import plr_path, triangle_distance
 
     comma = _default_comma()
     _, start = parse_chord(args.start, comma)
     _, goal = parse_chord(args.goal, comma)
+    distance = triangle_distance(start, goal)
+    if distance > MAX_PATH_FLIPS:
+        raise ValueError(
+            f"{args.start} and {args.goal} are {distance} flips apart; "
+            f"path prints at most {MAX_PATH_FLIPS}"
+        )
     word = plr_path(start, goal)
     g = perm_of(start).inverse() * perm_of(goal)
     payload = {
@@ -386,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tonnetz",
         description="Exact arithmetic on the infinite triadic Tonnetz.",
         epilog=f"Spelled note and chord names carry at most {MAX_ACCIDENTALS} sharps "
-        "or flats; naming a chord beyond that is a domain error (exit 1).",
+        f"or flats, and path prints paths of at most {MAX_PATH_FLIPS} flips; a chord "
+        "or path beyond that is a domain error (exit 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

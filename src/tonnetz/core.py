@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import islice
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 WINDOW_POSITIONS = (-1, 0, 1)
 
@@ -328,39 +328,37 @@ def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePer
     return AffinePermutation(*out)
 
 
-Node = TypeVar("Node", bound=Hashable)
+# a set of nodes: an ordered dict keyed by the nodes, or a bitmask over them
+Layer = TypeVar("Layer", dict, int)
 
 
-def bfs_layers(
-    start: Node, expand: Callable[[dict[Node, None], int], dict[Node, None]]
-) -> Iterator[dict[Node, None]]:
-    """Breadth-first layers of a bipartite undirected graph, as ordered node sets.
+def bfs_layers(start: Layer, expand: Callable[[Layer, Layer, int], Layer]) -> Iterator[Layer]:
+    """Breadth-first layers of a bipartite undirected graph.
 
-    Yields {start: None}, then each next layer.  expand(layer, depth)
-    returns every neighbour of the layer at that depth as the keys of one
-    dict, in the order it finds them; the nodes of layer depth - 1 are
-    then dropped from it, and what is left is layer depth + 1.  The graph
-    must be symmetric (m is a neighbour of n exactly when n is one of m)
-    and bipartite (no odd cycle): then every neighbour of layer k lies in
-    layer k - 1 or k + 1, never in layer k itself, so only two layers are
-    remembered, not the whole ball.  On an infinite graph the caller
+    Yields start, the layer at depth 0, then each next layer, until one is
+    empty.  expand(layer, back, depth) returns layer depth + 1: every
+    neighbour of layer (at depth) that is not in back (layer depth - 1,
+    empty at depth 0).  A layer is an ordered dict keyed by its nodes, or
+    one int whose set bits are its nodes; back is of the same kind.  The
+    graph must be symmetric (m is a neighbour of n exactly when n is one of
+    m) and bipartite (no odd cycle): then every neighbour of layer k lies
+    in layer k - 1 or k + 1, never in layer k itself, so only two layers
+    are remembered, not the whole ball.  On an infinite graph the caller
     decides where to stop; a layer is computed only when it is asked for.
 
     The 4-cycle is bipartite:
 
-    >>> step = lambda layer, depth: {m: None for n in layer for m in ((n + 1) % 4, (n - 1) % 4)}
-    >>> [list(layer) for layer in bfs_layers(0, step)]
+    >>> step = lambda layer, back, depth: {
+    ...     m: None for n in layer for m in ((n + 1) % 4, (n - 1) % 4) if m not in back
+    ... }
+    >>> [list(layer) for layer in islice(bfs_layers({0: None}, step), 5)]
     [[0], [1, 3], [2]]
     """
-    back: dict[Node, None] = {}
-    layer = {start: None}
-    depth = 0
+    # the empty layer of start's kind: {} or 0
+    back, layer, depth = type(start)(), start, 0
     while layer:
         yield layer
-        nxt = expand(layer, depth)
-        for node in back:
-            nxt.pop(node, None)
-        back, layer, depth = layer, nxt, depth + 1
+        back, layer, depth = layer, expand(layer, back, depth), depth + 1
 
 
 def ball(radius: int) -> list[AffinePermutation]:
@@ -372,10 +370,17 @@ def ball(radius: int) -> list[AffinePermutation]:
     if radius < 0:
         raise ValueError("radius must be non-negative")
 
-    def expand(layer: dict[AffinePermutation, None], depth: int) -> dict[AffinePermutation, None]:
-        return {right_mult_generator(f, i): None for f in layer for i in GENERATOR_INDICES}
+    def expand(
+        layer: dict[AffinePermutation, None], back: dict[AffinePermutation, None], depth: int
+    ) -> dict[AffinePermutation, None]:
+        return {
+            g: None
+            for f in layer
+            for i in GENERATOR_INDICES
+            if (g := right_mult_generator(f, i)) not in back
+        }
 
-    return [f for layer in islice(bfs_layers(IDENTITY, expand), radius + 1) for f in layer]
+    return [f for layer in islice(bfs_layers({IDENTITY: None}, expand), radius + 1) for f in layer]
 
 
 def length_layers(radius: int) -> list[int]:

@@ -312,33 +312,13 @@ def class_vertex(t: Triangle, cls: int) -> Vertex:
 
 
 def _check_lattice_triangle(t: Triangle) -> None:
-    # the flip graph is infinite: a search from or toward a triangle off the
-    # lattice never ends, and a non-bool orientation has no flip table
+    # no flip reaches a triangle off the lattice, a non-integer root has no
+    # bit in a search's frame, and a non-bool orientation has no flip table
     (p, q), up = t
     if not (isinstance(p, int) and isinstance(q, int) and isinstance(up, bool)):
         raise ValueError(
             f"{t} is not a lattice triangle: its root must be integers and up a bool"
         )
-
-
-def _root_layers(t: Triangle) -> Iterator[dict[Vertex, None]]:
-    """Flip-graph layers around t, each keyed by its triangles' roots alone.
-
-    Every flip turns a triangle over, so the flip graph is bipartite and
-    all triangles of layer k point the same way: up exactly when t.up
-    differs from k being odd.  A root then names its triangle within a
-    layer, and the layers bfs_layers compares, k - 1 and k + 1, point the
-    same way too.
-    """
-    root, up = t
-    # the flip offsets out of even layers, then out of odd ones
-    offsets = (tuple(_FLIP_OFFSETS[up].values()), tuple(_FLIP_OFFSETS[not up].values()))
-
-    def expand(layer: dict[Vertex, None], depth: int) -> dict[Vertex, None]:
-        out = offsets[depth % 2]
-        return {(p + dp, q + dq): None for p, q in layer for dp, dq in out}
-
-    return bfs_layers(root, expand)
 
 
 def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
@@ -348,9 +328,32 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     gallery_distance_bfs(base, triangle_of(f)) == f.length().  Two searches
     meet in the middle: each round the side with the smaller frontier
     takes one more layer, and the first new layer that shares a triangle
-    with the other side's frontier gives the distance.  Layers hold roots
-    (see _root_layers), so two frontiers are compared only when their
-    triangles point the same way.
+    with the other side's frontier gives the distance.
+
+    Every flip turns a triangle over, so the flip graph is bipartite and
+    all triangles of layer k point the same way: up exactly when the start
+    points up and k is even, or it points down and k is odd.  A root then
+    names its triangle within a layer, and a layer is one int, a bitmask
+    with bit (p - pmin) * width + (q - qmin) set for each root (p, q) in a
+    frame around both roots.  A flip moves the root by one of three fixed
+    offsets, so the next layer is the OR of three shifts of this one, less
+    the previous layer, and two frontiers that point the same way meet
+    where their bitmasks share a bit.
+
+    The frame has margin m = |dp| + |dq| + 1 around the two roots, where
+    (dp, dq) is the root of t2 less that of t1.  Two flips move a root one
+    step along either axis, and one more turns the triangle over, so the
+    distance is at most 2(|dp| + |dq|) + 1 = 2m - 1.  Layer k of every
+    start holds 3k triangles (length_layers), so the smaller frontier is
+    the shallower one, the two depths differ by at most one, and each
+    side stops by depth m.  A flip moves a root at most one step along
+    each axis, so no root within depth m of its start leaves the frame,
+    and no shift carries a bit across a row.  A side that would pass
+    depth m raises instead: a wrong bound is an error, never a wrong
+    distance.  Each layer takes time linear in the frame's area, so a
+    search at distance D takes time about D^3, where one over sets of
+    roots takes about D^2; the bitmask is much the faster at the
+    distances the tests and the benchmark ask for, up to a few hundred.
 
     >>> gallery_distance_bfs(BASE_TRIANGLE, Triangle((2, -1), up=False))
     5
@@ -359,32 +362,73 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     _check_lattice_triangle(t2)
     if t1 == t2:
         return 0
-    sides = [_root_layers(t1), _root_layers(t2)]
+    (p1, q1), (p2, q2) = t1.root, t2.root
+    margin = abs(p2 - p1) + abs(q2 - q1) + 1
+    pmin, qmin = min(p1, p2) - margin, min(q1, q2) - margin
+    width = abs(q2 - q1) + 2 * margin + 1
+
+    def side(t: Triangle) -> Iterator[int]:
+        (p, q), up = t
+        # the bit shifts of the flips out of even layers, then out of odd ones
+        shifts = tuple(
+            tuple(dp * width + dq for dp, dq in _FLIP_OFFSETS[o].values()) for o in (up, not up)
+        )
+
+        def expand(layer: int, back: int, depth: int) -> int:
+            if depth == margin:
+                raise RuntimeError(f"flip search from {t} passed its depth bound {margin}")
+            nxt = 0
+            for s in shifts[depth % 2]:
+                # the fifth flip keeps the root, and a zero shift would copy
+                nxt |= layer << s if s > 0 else layer >> -s if s else layer
+            # nxt & ~back, without building the negative int ~back
+            return (nxt | back) ^ back
+
+        return bfs_layers(1 << ((p - pmin) * width + q - qmin), expand)
+
+    sides = [side(t1), side(t2)]
     frontiers = [next(sides[0]), next(sides[1])]
     depths = [0, 0]
-    # each layer turns its triangles over, so the two frontiers point the
-    # same way exactly when their depths sum to the parity of t1.up != t2.up
+    # the two frontiers point the same way exactly when their depths sum
+    # to the parity of t1.up != t2.up
     parity = int(t1.up != t2.up)
     while True:
-        i = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        i = 0 if depths[0] <= depths[1] else 1
         frontiers[i] = next(sides[i])
         depths[i] += 1
         d = depths[0] + depths[1]
-        if d % 2 == parity and not frontiers[i].keys().isdisjoint(frontiers[1 - i].keys()):
+        if d % 2 == parity and frontiers[i] & frontiers[1 - i]:
             return d
 
 
 def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:
-    """All triangles within the given flip distance, with their distances."""
+    """All triangles within the given flip distance, with their distances.
+
+    Layers hold roots, as in gallery_distance_bfs: the triangles of layer
+    d point up exactly when center.up differs from d being odd.
+    """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     _check_lattice_triangle(center)
-    layers = islice(_root_layers(center), radius + 1)
-    up = center.up
+    root, up = center
+    # the flip offsets out of even layers, then out of odd ones
+    offsets = (tuple(_FLIP_OFFSETS[up].values()), tuple(_FLIP_OFFSETS[not up].values()))
+
+    def expand(
+        layer: dict[Vertex, None], back: dict[Vertex, None], depth: int
+    ) -> dict[Vertex, None]:
+        return {
+            r: None
+            for p, q in layer
+            for dp, dq in offsets[depth % 2]
+            if (r := (p + dp, q + dq)) not in back
+        }
+
+    layers = islice(bfs_layers({root: None}, expand), radius + 1)
     return {
-        _make_triangle(Triangle, (root, up != (d % 2 == 1))): d
+        _make_triangle(Triangle, (r, up != (d % 2 == 1))): d
         for d, layer in enumerate(layers)
-        for root in layer
+        for r in layer
     }
 
 

@@ -496,6 +496,24 @@ def test_far_comma_path(capsys):
     assert apply_plr(start, payload["plr"]) == goal
 
 
+def test_path_stops_at_the_flip_cap(capsys):
+    # C[q=n] lies 8n flips from C, and Cm[q=-n] 8n + 1
+    assert cli.MAX_PATH_FLIPS == 100_000
+    payload = timed_json(capsys, "path", "C", "C[q=12500]")
+    assert payload["length"] == len(payload["plr"]) == len(payload["word"]) == cli.MAX_PATH_FLIPS
+    tracemalloc.start()
+    try:
+        with within_budget():
+            code, out, err = run(capsys, "path", "C", "Cm[q=-12500]")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: C and Cm[q=-12500] are 100001 flips apart; path prints at most 100000\n"
+    # building the refused path would take about 8 MB
+    assert peak < 200_000
+
+
 @pytest.mark.parametrize(
     "at_cap, name, past_cap",
     [

@@ -832,6 +832,14 @@ near_triangles = st.builds(
 @example(Triangle((0, 0), up=True), Triangle((0, 1), up=True))
 @example(Triangle((0, 0), up=True), Triangle((0, 0), up=False))
 @example(Triangle((3, -2), up=False), Triangle((3, -2), up=True))
+# 4k + 1 = 2(|dp| + |dq|) + 1 flips, the most the search's frame allows:
+# one side ends exactly at the frame's margin
+@example(Triangle((0, 0), up=False), Triangle((1, 1), up=True))
+@example(Triangle((0, 0), up=False), Triangle((40, 40), up=True))
+# along the diagonal the bound is loose: 2k flips
+@example(Triangle((0, 0), up=True), Triangle((9, -9), up=True))
+# the frame is relative to the roots, so far roots cost nothing extra
+@example(Triangle((10**12, -(10**12)), up=True), Triangle((10**12 + 1, 2 - 10**12), up=False))
 def test_gallery_distance_bfs_meets_in_the_middle(a, b):
     d = gallery_distance_bfs(a, b)
     assert d == gallery_distance_bfs(b, a) == ref_gallery_distance(a, b) == triangle_distance(a, b)
