@@ -5,8 +5,9 @@ stdout; human output is stable "key: value" lines.  Exit codes: 0 on
 success, 1 on a domain error (bad element, unknown chord, failed
 verification, a negative --radius or --count, which argparse accepts as
 an integer and the library refuses, a chord whose name would carry more
-than pitch.MAX_ACCIDENTALS sharps or flats, or a path longer than
-MAX_PATH_FLIPS flips), 2 on a usage error.
+than pitch.MAX_ACCIDENTALS sharps or flats, a path longer than
+MAX_PATH_FLIPS flips, a reduced word longer than MAX_WORD_LETTERS letters
+or a stripe --count above MAX_STRIPE_COUNT), 2 on a usage error.
 
 Element arguments are disambiguated by their first character: '[' opens
 a window, 's' or 'e' starts a generator word, anything else parses as a
@@ -35,6 +36,15 @@ from .pitch import MAX_ACCIDENTALS, format_chord, format_note, name_triangle, pa
 # the longest path `path` prints: its two words grow linearly with the
 # distance, which is checked from the closed form before either is built
 MAX_PATH_FLIPS = 100_000
+
+# the longest reduced word reduce, mult and locate --json print, about 6 MB
+# of output; the length is read off Shi's closed form before the word is built
+MAX_WORD_LETTERS = 2_000_000
+
+# the largest stripe --count: each of the 2 * count + 1 names is longer the
+# farther it lies from the seed, so the output grows as count squared, to
+# 5.6 MB for a hexatonic stripe through C at this cap (86 MB at 20000)
+MAX_STRIPE_COUNT = 5_000
 
 # Each cmd_* imports the modules beyond these three that it runs, so a
 # command loads only what it needs.  The parser takes its choices from
@@ -96,10 +106,20 @@ def _emit(args: argparse.Namespace, payload: dict, human: Callable[[], list[str]
             print(line)
 
 
+def _reduced_word(f: AffinePermutation) -> list[int]:
+    length = f.length()
+    if length > MAX_WORD_LETTERS:
+        raise ValueError(
+            f"the reduced word has {length} letters; "
+            f"reduce, mult and locate --json print at most {MAX_WORD_LETTERS}"
+        )
+    return list(f.reduced_word())
+
+
 def _window_payload(f: AffinePermutation) -> dict:
     return {
         "window": list(f.window),
-        "word": list(f.reduced_word()),
+        "word": _reduced_word(f),
         "length": f.length(),
     }
 
@@ -179,7 +199,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
     payload = {"window": list(f.window), "triangle": format_triangle(t)}
     if args.json:
         # only the JSON carries the reduced word, which a far comma makes huge
-        payload["word"] = list(f.reduced_word())
+        payload["word"] = _reduced_word(f)
     _emit(
         args,
         payload,
@@ -247,6 +267,11 @@ def cmd_hexagon(args: argparse.Namespace) -> int:
 def cmd_stripe(args: argparse.Namespace) -> int:
     from .progressions import StripeKind, stripe
 
+    if args.count > MAX_STRIPE_COUNT:
+        raise ValueError(
+            f"--count {args.count} is too large; stripe prints at most "
+            f"{MAX_STRIPE_COUNT} chords on each side of the seed"
+        )
     _, t = parse_chord(args.chord, _default_comma())
     kind = StripeKind(args.kind)
     chain = stripe(t, kind, args.count)
@@ -397,8 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tonnetz",
         description="Exact arithmetic on the infinite triadic Tonnetz.",
         epilog=f"Spelled note and chord names carry at most {MAX_ACCIDENTALS} sharps "
-        f"or flats, and path prints paths of at most {MAX_PATH_FLIPS} flips; a chord "
-        "or path beyond that is a domain error (exit 1).",
+        f"or flats, path prints paths of at most {MAX_PATH_FLIPS} flips, reduce, mult "
+        f"and locate --json print reduced words of at most {MAX_WORD_LETTERS} letters, "
+        f"and stripe takes --count up to {MAX_STRIPE_COUNT}; a chord, path, word or "
+        "stripe beyond that is a domain error (exit 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

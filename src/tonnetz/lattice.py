@@ -340,19 +340,25 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     the previous layer, and two frontiers that point the same way meet
     where their bitmasks share a bit.
 
-    The frame has margin m = |dp| + |dq| + 1 around the two roots, where
-    (dp, dq) is the root of t2 less that of t1.  Two flips move a root one
-    step along either axis, and one more turns the triangle over, so the
-    distance is at most 2(|dp| + |dq|) + 1 = 2m - 1.  Layer k of every
-    start holds 3k triangles (length_layers), so the smaller frontier is
-    the shallower one, the two depths differ by at most one, and each
-    side stops by depth m.  A flip moves a root at most one step along
-    each axis, so no root within depth m of its start leaves the frame,
-    and no shift carries a bit across a row.  A side that would pass
-    depth m raises instead: a wrong bound is an error, never a wrong
-    distance.  Each layer takes time linear in the frame's area, so a
-    search at distance D takes time about D^3, where one over sets of
-    roots takes about D^2; the bitmask is much the faster at the
+    The frame is sized by the lattice's hexagonal metric.  Let (dp, dq) be
+    the root of t2 less that of t1, and h = max(|dp|, |dq|, |dp + dq|).
+    Two flips move a root one step along (1, 0), (0, 1) or (1, -1), or
+    back, so 2h flips reach t2's root with t1's orientation, and the fifth
+    flip, which keeps the root, turns the triangle over: the distance is
+    at most 2h + 1.  Layer k of every start holds 3k triangles
+    (length_layers), so the smaller frontier is the shallower one, the
+    two depths differ by at most one, and each side stops by depth
+    K = h + 1.  A side that would pass depth K raises instead: a wrong
+    bound is an error, never a wrong distance.  k flips move a root at
+    most ceil(k / 2) of those steps, so at most that far along each axis,
+    and the frame is the box around both roots with margin r = ceil(K / 2):
+    no root within depth K of its start leaves it, and no shift carries a
+    bit across a row.  Of a layer's three flips the fifth keeps the root
+    and the other two are one left and one right shift, so a step is two
+    shifts and two ORs.  Each layer takes time linear in the frame's
+    area, about (|dp| + h + 2) (|dq| + h + 2) bits, so a search at
+    distance D takes time about D^3 in every direction, where one over
+    sets of roots takes about D^2; the bitmask is much the faster at the
     distances the tests and the benchmark ask for, up to a few hundred.
 
     >>> gallery_distance_bfs(BASE_TRIANGLE, Triangle((2, -1), up=False))
@@ -363,24 +369,27 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     if t1 == t2:
         return 0
     (p1, q1), (p2, q2) = t1.root, t2.root
-    margin = abs(p2 - p1) + abs(q2 - q1) + 1
-    pmin, qmin = min(p1, p2) - margin, min(q1, q2) - margin
-    width = abs(q2 - q1) + 2 * margin + 1
+    bound = max(abs(p2 - p1), abs(q2 - q1), abs(p2 - p1 + q2 - q1)) + 1
+    reach = (bound + 1) // 2
+    pmin, qmin = min(p1, p2) - reach, min(q1, q2) - reach
+    width = abs(q2 - q1) + 2 * reach + 1
+    # the left and right shifts of the two flips that move the root, by
+    # orientation; sorted, the fifth flip's zero shift falls between them
+    shifts = {}
+    for o, offsets in _FLIP_OFFSETS.items():
+        right, _, left = sorted(dp * width + dq for dp, dq in offsets.values())
+        shifts[o] = left, -right
 
     def side(t: Triangle) -> Iterator[int]:
         (p, q), up = t
-        # the bit shifts of the flips out of even layers, then out of odd ones
-        shifts = tuple(
-            tuple(dp * width + dq for dp, dq in _FLIP_OFFSETS[o].values()) for o in (up, not up)
-        )
+        # out of even layers, then out of odd ones
+        steps = shifts[up], shifts[not up]
 
         def expand(layer: int, back: int, depth: int) -> int:
-            if depth == margin:
-                raise RuntimeError(f"flip search from {t} passed its depth bound {margin}")
-            nxt = 0
-            for s in shifts[depth % 2]:
-                # the fifth flip keeps the root, and a zero shift would copy
-                nxt |= layer << s if s > 0 else layer >> -s if s else layer
+            if depth == bound:
+                raise RuntimeError(f"flip search from {t} passed its depth bound {bound}")
+            left, right = steps[depth % 2]
+            nxt = layer | layer << left | layer >> right
             # nxt & ~back, without building the negative int ~back
             return (nxt | back) ^ back
 

@@ -496,21 +496,75 @@ def test_far_comma_path(capsys):
     assert apply_plr(start, payload["plr"]) == goal
 
 
+def run_refused(capsys, *argv):
+    """Run a command that must exit 1 within budget, printing nothing on
+    stdout; return its stderr and the peak memory it traced."""
+    tracemalloc.start()
+    try:
+        with within_budget():
+            code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    return err, peak
+
+
 def test_path_stops_at_the_flip_cap(capsys):
     # C[q=n] lies 8n flips from C, and Cm[q=-n] 8n + 1
     assert cli.MAX_PATH_FLIPS == 100_000
     payload = timed_json(capsys, "path", "C", "C[q=12500]")
     assert payload["length"] == len(payload["plr"]) == len(payload["word"]) == cli.MAX_PATH_FLIPS
-    tracemalloc.start()
-    try:
-        with within_budget():
-            code, out, err = run(capsys, "path", "C", "Cm[q=-12500]")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (code, out) == (1, "")
+    err, peak = run_refused(capsys, "path", "C", "Cm[q=-12500]")
     assert err == "error: C and Cm[q=-12500] are 100001 flips apart; path prints at most 100000\n"
     # building the refused path would take about 8 MB
+    assert peak < 200_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("reduce", "[1499999,-1500000,1]"), ("locate", "C[q=250000]")],
+    ids=["reduce", "locate"],
+)
+def test_words_up_to_the_letter_cap(capsys, argv):
+    # both elements have length 2000000; C[q=n] lies 8n flips from C
+    assert cli.MAX_WORD_LETTERS == 2_000_000
+    payload = timed_json(capsys, *argv)
+    assert len(payload["word"]) == cli.MAX_WORD_LETTERS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "[1500000,-1500001,1]"),
+        ("mult", "[1500000,-1500001,1]", "e", "--json"),
+        ("locate", "Cm[q=-250000]", "--json"),
+    ],
+    ids=["reduce", "mult", "locate"],
+)
+def test_words_stop_at_the_letter_cap(capsys, argv):
+    # each element has length 2000001
+    err, peak = run_refused(capsys, *argv)
+    assert err == (
+        "error: the reduced word has 2000001 letters; "
+        "reduce, mult and locate --json print at most 2000000\n"
+    )
+    # the refused word alone would take about 16 MB as a list
+    assert peak < 200_000
+
+
+def test_stripe_stops_at_the_count_cap(capsys):
+    assert cli.MAX_STRIPE_COUNT == 5_000
+    # hexatonic names grow fastest along the stripe
+    argv = ("stripe", "C", "--kind", "hexatonic", "--count")
+    payload = timed_json(capsys, *argv, "5000")
+    assert len(payload["chords"]) == len(payload["triangles"]) == 10001
+    err, peak = run_refused(capsys, *argv, "5001")
+    assert err == (
+        "error: --count 5001 is too large; "
+        "stripe prints at most 5000 chords on each side of the seed\n"
+    )
+    # the refused stripe would print about 5.6 MB
     assert peak < 200_000
 
 
@@ -530,14 +584,7 @@ def test_chord_names_stop_at_the_accidental_cap(capsys, at_cap, name, past_cap):
     with within_budget():
         code, out, _ = run(capsys, "chord", element(at_cap))
     assert (code, out.splitlines()[0]) == (0, f"chord: {name}")
-    tracemalloc.start()
-    try:
-        with within_budget():
-            code, out, err = run(capsys, "chord", element(past_cap), "--json")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (code, out) == (1, "")
+    err, peak = run_refused(capsys, "chord", element(past_cap), "--json")
     assert err.startswith(f"error: note at fifth index {past_cap} needs {MAX_ACCIDENTALS + 1} ")
     # the refused name alone would take over 500 kB
     assert peak < 200_000

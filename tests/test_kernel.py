@@ -832,17 +832,35 @@ near_triangles = st.builds(
 @example(Triangle((0, 0), up=True), Triangle((0, 1), up=True))
 @example(Triangle((0, 0), up=True), Triangle((0, 0), up=False))
 @example(Triangle((3, -2), up=False), Triangle((3, -2), up=True))
-# 4k + 1 = 2(|dp| + |dq|) + 1 flips, the most the search's frame allows:
-# one side ends exactly at the frame's margin
+# 2h + 1 flips, where h = max(|dp|, |dq|, |dp + dq|), the most the search's
+# depth bound allows, so one side ends exactly at depth h + 1: on the
+# diagonal p = -q, where h = |dp| = |dq|, then where |dp + dq|, |dp| or |dq|
+# alone is h
+@example(Triangle((0, 0), up=True), Triangle((5, -5), up=False))
+@example(Triangle((0, 0), up=False), Triangle((-5, 5), up=True))
+@example(Triangle((0, 0), up=True), Triangle((80, -80), up=False))
 @example(Triangle((0, 0), up=False), Triangle((1, 1), up=True))
+@example(Triangle((0, 0), up=False), Triangle((3, 2), up=True))
 @example(Triangle((0, 0), up=False), Triangle((40, 40), up=True))
-# along the diagonal the bound is loose: 2k flips
+@example(Triangle((0, 0), up=True), Triangle((5, -2), up=False))
+@example(Triangle((0, 0), up=False), Triangle((-2, 5), up=True))
+# the same orientation on the diagonal: 2h flips
 @example(Triangle((0, 0), up=True), Triangle((9, -9), up=True))
 # the frame is relative to the roots, so far roots cost nothing extra
 @example(Triangle((10**12, -(10**12)), up=True), Triangle((10**12 + 1, 2 - 10**12), up=False))
 def test_gallery_distance_bfs_meets_in_the_middle(a, b):
     d = gallery_distance_bfs(a, b)
     assert d == gallery_distance_bfs(b, a) == ref_gallery_distance(a, b) == triangle_distance(a, b)
+
+
+def test_gallery_distance_bfs_on_a_box():
+    # every root offset within 10 of both orientations, from both sides
+    span = range(-10, 11)
+    box = [Triangle((p, q), up) for p in span for q in span for up in (True, False)]
+    for a in (Triangle((0, 0), up=True), Triangle((0, 0), up=False)):
+        for b in box:
+            d = triangle_distance(a, b)
+            assert gallery_distance_bfs(a, b) == gallery_distance_bfs(b, a) == d
 
 
 def test_far_triangles():
