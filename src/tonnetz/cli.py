@@ -6,8 +6,10 @@ success, 1 on a domain error (bad element, unknown chord, failed
 verification, a negative --radius or --count, which argparse accepts as
 an integer and the library refuses, a chord whose name would carry more
 than pitch.MAX_ACCIDENTALS sharps or flats, a path longer than
-MAX_PATH_FLIPS flips, a reduced word longer than MAX_WORD_LETTERS letters
-or a stripe --count above MAX_STRIPE_COUNT), 2 on a usage error.
+MAX_PATH_FLIPS flips, a reduced word longer than MAX_WORD_LETTERS letters,
+a stripe --count above MAX_STRIPE_COUNT, a stripe whose names would carry
+more than MAX_STRIPE_ACCIDENTALS accidentals in all, or a verify --radius
+above MAX_VERIFY_RADIUS), 2 on a usage error.
 
 Element arguments are disambiguated by their first character: '[' opens
 a window, 's' or 'e' starts a generator word, anything else parses as a
@@ -45,6 +47,16 @@ MAX_WORD_LETTERS = 2_000_000
 # farther it lies from the seed, so the output grows as count squared, to
 # 5.6 MB for a hexatonic stripe through C at this cap (86 MB at 20000)
 MAX_STRIPE_COUNT = 5_000
+
+# the most accidentals a stripe's names carry in all, counted as the seed's
+# sharps or flats times the 2 * count + 1 names, each of which repeats about
+# as many: without it a seed with 200000 sharps prints about 1 GB at the count
+# cap; at this cap the seed's accidentals add at most about 5 MB
+MAX_STRIPE_ACCIDENTALS = 5_000_000
+
+# the largest verify --radius: the suites' cost grows as the radius squared,
+# and the checks at radius 40 (325,719 cases) finish within a few seconds
+MAX_VERIFY_RADIUS = 40
 
 # Each cmd_* imports the modules beyond these three that it runs, so a
 # command loads only what it needs.  The parser takes its choices from
@@ -272,7 +284,15 @@ def cmd_stripe(args: argparse.Namespace) -> int:
             f"--count {args.count} is too large; stripe prints at most "
             f"{MAX_STRIPE_COUNT} chords on each side of the seed"
         )
-    _, t = parse_chord(args.chord, _default_comma())
+    seed, t = parse_chord(args.chord, _default_comma())
+    names = 2 * args.count + 1
+    seed_accidentals = abs(seed.root.accidentals)
+    if seed_accidentals * names > MAX_STRIPE_ACCIDENTALS:
+        raise ValueError(
+            f"the stripe's {names} chords would carry {seed_accidentals * names} "
+            f"accidentals ({seed_accidentals} on the seed); "
+            f"stripe prints at most {MAX_STRIPE_ACCIDENTALS}"
+        )
     kind = StripeKind(args.kind)
     chain = stripe(t, kind, args.count)
     chords = [format_chord(name_triangle(u)) for u in chain]
@@ -339,6 +359,11 @@ def cmd_riemann(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.radius > MAX_VERIFY_RADIUS:
+        raise ValueError(
+            f"--radius {args.radius} is too large; verify checks balls of radius "
+            f"at most {MAX_VERIFY_RADIUS}"
+        )
     from .verify import run_all, run_suite
 
     if args.suite == "all":
@@ -424,8 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"Spelled note and chord names carry at most {MAX_ACCIDENTALS} sharps "
         f"or flats, path prints paths of at most {MAX_PATH_FLIPS} flips, reduce, mult "
         f"and locate --json print reduced words of at most {MAX_WORD_LETTERS} letters, "
-        f"and stripe takes --count up to {MAX_STRIPE_COUNT}; a chord, path, word or "
-        "stripe beyond that is a domain error (exit 1).",
+        f"stripe takes --count up to {MAX_STRIPE_COUNT} and spells at most "
+        f"{MAX_STRIPE_ACCIDENTALS} accidentals (the seed's times the 2 * count + 1 chords), "
+        f"and verify takes --radius up to {MAX_VERIFY_RADIUS}; a chord, path, word, "
+        "stripe or radius beyond that is a domain error (exit 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

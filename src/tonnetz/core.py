@@ -115,15 +115,36 @@ class AffinePermutation(_Window):
     def reduced_word(self) -> tuple[int, ...]:
         """The canonical reduced word, stripping the smallest descent first.
 
+        The walk applies the window rewriting rules of right_mult_generator to
+        bare integers; only the identity [-1, 0, 1] has no right descent.  Its
+        letters fall into blocks: letters 1 and 2 that sort the window by one of
+        the words 1, 2, 12, 21 or 121, or by none, then a letter 3.  A long word
+        runs straight and repeats one block B.  Once two successive blocks are
+        equal, B B is a reduced factor, so B is neither a rotation nor a
+        reflection (their squares are shorter): an even B is a translation, and
+        an odd B a glide reflection whose square is one.  A round, B or B B, is
+        then a translation, which shifts the window at each of its steps by a
+        fixed vector.  Which letters 1 and 2 fire depends only on the window's
+        order, so the walk repeats the round while, at each of its letters 3,
+        the window [x, y, z] is still sorted and is not the identity, the one
+        sorted window with z <= x + 3.  The letters left bound the rounds before
+        the identity.  The gaps y - x and z - y were positive at round j = -1,
+        the round just stripped, and are linear in j, so the rounds j >= 0 that
+        keep them all positive are an interval 0..k-1, and k is the least of a
+        few floor divisions.  The walk appends the k rounds at once and goes on:
+        each run costs one Python step plus an O(L) copy, and the word is the
+        letter-by-letter one.
+
         >>> AffinePermutation(-3, 2, 1).reduced_word()
         (2, 3, 2)
         >>> AffinePermutation(1, -1, 0).reduced_word()
         (2, 1)
         """
-        # the window rewriting rules of right_mult_generator, on bare
-        # integers; only the identity [-1, 0, 1] has no right descent
         letters = []
         a, b, c = self
+        # the last two blocks, letters[p:q] and letters[q:n], each begin at
+        # the start of the walk or after a letter 3, and end in a letter 3
+        p = q = 0
         while True:
             if a > b:
                 letters.append(1)
@@ -134,6 +155,41 @@ class AffinePermutation(_Window):
             elif c > a + 3:
                 letters.append(3)
                 a, c = c - 3, a + 3
+                n = len(letters)
+                # a block's length and first letter name its sorting word
+                if n - q == q - p and letters[p] == letters[q]:
+                    size = n - p if (n - q) % 2 else n - q
+                    # no more rounds than the letters left to strip
+                    k = (abs((b - a) // 3) + abs((c - a) // 3) + abs((c - b) // 3)) // size
+                    if k:
+                        round_ = letters[n - size :]
+                        # the translation: the round's rules on the zero window
+                        da = db = dc = 0
+                        for letter in round_:
+                            if letter == 1:
+                                da, db = db, da
+                            elif letter == 2:
+                                db, dc = dc, db
+                            else:
+                                da, dc = dc - 3, da + 3
+                        # the window and its change per round, along the round;
+                        # a gap t with change dt < 0 stays positive for -(t // dt)
+                        x, y, z, ea, eb, ec = a, b, c, da, db, dc
+                        for letter in round_:
+                            if letter == 1:
+                                x, y, ea, eb = y, x, eb, ea
+                            elif letter == 2:
+                                y, z, eb, ec = z, y, ec, eb
+                            else:
+                                if eb < ea:
+                                    k = min(k, -((y - x) // (eb - ea)))
+                                if ec < eb:
+                                    k = min(k, -((z - y) // (ec - eb)))
+                                x, z, ea, ec = z - 3, x + 3, ec, ea
+                        letters += round_ * k
+                        a, b, c = a + k * da, b + k * db, c + k * dc
+                    n = q = len(letters)
+                p, q = q, n
             else:
                 break
         letters.reverse()
@@ -227,6 +283,7 @@ class AffinePermutation(_Window):
 # builds an element from a window without the validating __new__, for the
 # group operations, whose results are windows of the group by construction
 _make_element = tuple.__new__
+
 
 IDENTITY = AffinePermutation(-1, 0, 1)
 

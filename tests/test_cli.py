@@ -568,6 +568,31 @@ def test_stripe_stops_at_the_count_cap(capsys):
     assert peak < 200_000
 
 
+def test_stripe_stops_at_the_accidental_cap(capsys):
+    assert cli.MAX_STRIPE_ACCIDENTALS == 5_000_000
+    # 1600 flats on the seed times 2 * 1562 + 1 = 3125 chords is the cap
+    count = ("--count", "1562")
+    payload = timed_json(capsys, "stripe", "C" + "b" * 1600, *count)
+    assert len(payload["chords"]) == 3125
+    assert payload["chords"][1562] == "C" + "b" * 1600
+    err, peak = run_refused(capsys, "stripe", "C" + "b" * 1601, *count)
+    assert err == (
+        "error: the stripe's 3125 chords would carry 5003125 accidentals "
+        "(1601 on the seed); stripe prints at most 5000000\n"
+    )
+    # the refused stripe would print about 5 MB
+    assert peak < 200_000
+
+
+@pytest.mark.parametrize("suite", ["all", "reduce"])
+def test_verify_stops_at_the_radius_cap(capsys, suite):
+    assert cli.MAX_VERIFY_RADIUS == 40
+    err, peak = run_refused(capsys, "verify", "--suite", suite, "--radius", "41")
+    assert err == "error: --radius 41 is too large; verify checks balls of radius at most 40\n"
+    # no suite runs, so not even the ball of radius 41 is built
+    assert peak < 200_000
+
+
 @pytest.mark.parametrize(
     "at_cap, name, past_cap",
     [

@@ -5,8 +5,10 @@ a reference: the isometry multiplied out along the reduced word, the
 translation built by repeated multiplication, and the shortest PLR word
 found by breadth-first search.  The layered BFS behind ball,
 triangle_ball and gallery_distance_bfs is compared with the hand-written
-loops it replaced, and the integer descent loop of reduced_word with the
-walk over validated elements.  Wall flips and the hexagon cycles read
+loops it replaced, and reduced_word, whose descent walk jumps over each
+periodic run by a few floor divisions, with stripping the smallest descent
+one letter at a time, on seeded elements of length up to 2561 and up to
+the 2,000,000-letter cap.  Wall flips and the hexagon cycles read
 off the six-triangle ring are compared with right multiplication of
 windows, the strip-offset walk of plr_path with the BFS word and with
 the greedy rule over apply_move, and the progression analyzer's ranking
@@ -30,6 +32,7 @@ words, distant triangle pairs and chord progressions.
 import importlib
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -110,6 +113,29 @@ PAIRS = [(a, b) for a in TRIANGLES for b in TRIANGLES]
 
 long_words = st.lists(st.sampled_from([1, 2, 3]), max_size=200)
 exponents = st.integers(min_value=-40, max_value=40)
+
+
+def seeded_element(length, sigma):
+    """An element of the given length whose finite factor has the word sigma.
+
+    A seeded ascent walk: each step right-multiplies by a generator that
+    lengthens the element; walks are redrawn until one ends in sigma's coset.
+    """
+    rng = random.Random(length)
+    while True:
+        f = IDENTITY
+        for _ in range(length):
+            steps = [right_mult_generator(f, i) for i in GENERATOR_INDICES]
+            f = rng.choice([g for g in steps if g.length() > f.length()])
+        if translation_factor(f)[2] == sigma:
+            return f
+
+
+# the benchmark's rungs L = 160 and 2560, one letter longer for the odd
+# cosets, since an element's length has the parity of its finite factor
+LONG_ELEMENTS = [
+    (length + len(sigma) % 2, sigma) for length in (160, 2560) for sigma in FINITE_WORDS
+]
 
 
 # --- reference routines -------------------------------------------------------
@@ -796,11 +822,37 @@ def test_plr_path_is_the_bfs_word():
 
 @settings(max_examples=150, deadline=None)
 @given(long_words)
+# reduced words whose walk finds a run: no round follows it, exactly one
+# round follows it, or it runs until the walk ends, with an even block
+# (3121) and an odd one (312, jumped as 312312)
+@example([1, 3, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1])
+@example([1, 3, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1])
+@example([3, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1])
+@example([3, 1, 2] * 6)
 def test_long_word_element(word):
     f = from_word(word)
     check_element(f)
     assert f.length() <= len(word)
     assert f.length() % 2 == len(word) % 2
+
+
+@pytest.mark.parametrize(
+    "length, sigma",
+    LONG_ELEMENTS,
+    ids=[f"L{length}-" + ("".join(map(str, sigma)) or "e") for length, sigma in LONG_ELEMENTS],
+)
+def test_long_reduced_word_is_the_descent_walk(length, sigma):
+    f = seeded_element(length, sigma)
+    assert f.length() == length and translation_factor(f)[2] == sigma
+    assert f.reduced_word() == ref_reduced_word(f)
+
+
+def test_reduced_word_at_the_letter_cap():
+    # the longest word the CLI prints, cli.MAX_WORD_LETTERS letters
+    f = AffinePermutation(1499999, -1500000, 1)
+    word = f.reduced_word()
+    assert len(word) == f.length() == 2_000_000
+    assert from_word(word) == f
 
 
 @settings(max_examples=150, deadline=None)
