@@ -4,12 +4,8 @@ Every subcommand accepts --json for a single machine-readable object on
 stdout; human output is stable "key: value" lines.  Exit codes: 0 on
 success, 1 on a domain error (bad element, unknown chord, failed
 verification, a negative --radius or --count, which argparse accepts as
-an integer and the library refuses, a chord whose name would carry more
-than pitch.MAX_ACCIDENTALS sharps or flats, a path longer than
-MAX_PATH_FLIPS flips, a reduced word longer than MAX_WORD_LETTERS letters,
-a stripe --count above MAX_STRIPE_COUNT, a stripe whose names would carry
-more than MAX_STRIPE_ACCIDENTALS accidentals in all, or a verify --radius
-above MAX_VERIFY_RADIUS), 2 on a usage error.
+an integer and the library refuses, or an input beyond a row of LIMITS),
+2 on a usage error.
 
 Element arguments are disambiguated by their first character: '[' opens
 a window, 's' or 'e' starts a generator word, anything else parses as a
@@ -33,30 +29,46 @@ from .core import (
     parse_word,
 )
 from .lattice import format_triangle, perm_of, triangle_of
-from .pitch import MAX_ACCIDENTALS, format_chord, format_note, name_triangle, parse_chord
+from .pitch import MAX_ACCIDENTALS, ChordName, format_chord, format_note, name_triangle, parse_chord
 
-# the longest path `path` prints: its two words grow linearly with the
-# distance, which is checked from the closed form before either is built
-MAX_PATH_FLIPS = 100_000
-
-# the longest reduced word reduce, mult and locate --json print, about 6 MB
-# of output; the length is read off Shi's closed form before the word is built
-MAX_WORD_LETTERS = 2_000_000
-
-# the largest stripe --count: each of the 2 * count + 1 names is longer the
-# farther it lies from the seed, so the output grows as count squared, to
-# 5.6 MB for a hexatonic stripe through C at this cap (86 MB at 20000)
-MAX_STRIPE_COUNT = 5_000
-
-# the most accidentals a stripe's names carry in all, counted as the seed's
-# sharps or flats times the 2 * count + 1 names, each of which repeats about
-# as many: without it a seed with 200000 sharps prints about 1 GB at the count
-# cap; at this cap the seed's accidentals add at most about 5 MB
-MAX_STRIPE_ACCIDENTALS = 5_000_000
-
-# the largest verify --radius: the suites' cost grows as the radius squared,
-# and the checks at radius 40 (325,719 cases) finish within a few seconds
-MAX_VERIFY_RADIUS = 40
+# The cap on every input whose output or work grows with its size, checked from an
+# O(1) quantity before any of the work.  A row holds the value, the refusal message
+# as a str.format template (n is the refused quantity, cap the value) and the
+# clause of the --help epilog that states it.
+LIMITS = {
+    # a name grows with its vertex's distance from the origin; pitch.format_note
+    # refuses a longer one itself, so this row only states pitch's cap
+    "name_accidentals": (MAX_ACCIDENTALS, None,
+        "spelled note and chord names carry at most {cap} sharps or flats"),
+    # path's two words grow linearly with the distance, read off the closed form
+    "path_flips": (100_000,
+        "{start} and {goal} are {n} flips apart; path prints at most {cap}",
+        "path prints paths of at most {cap} flips"),
+    # about 6 MB of output; the length is read off Shi's closed form
+    "word_letters": (2_000_000,
+        "the reduced word has {n} letters; reduce, mult and locate --json print at most {cap}",
+        "reduce, mult and locate --json print reduced words of at most {cap} letters"),
+    # each of the 2 * count + 1 names is longer the farther it lies from the seed, so the
+    # output grows as count squared: 5.6 MB for a hexatonic stripe through C at this cap
+    "stripe_count": (5_000,
+        "--count {n} is too large; stripe prints at most {cap} chords on each side of the seed",
+        "stripe takes --count up to {cap}"),
+    # every name repeats about as many accidentals as the seed or center: without this
+    # a seed with 200000 sharps prints about 1 GB at the count cap; at it about 5 MB
+    "spelled_accidentals": (5_000_000,
+        "the {command}'s {names} would carry {n} accidentals ({each} on the {origin}); "
+        "{command} prints at most {cap}",
+        "stripe and render spell at most {cap} accidentals in all (the seed's or center's "
+        "times the 2 * count + 1 chords or the 1 + 3r(r+1)/2 triangles)"),
+    # the suites' cost grows as the radius squared: 325,719 cases at 40 take a few seconds
+    "verify_radius": (40,
+        "--radius {n} is too large; verify checks balls of radius at most {cap}",
+        "verify takes --radius up to {cap}"),
+    # the SVG grows as the radius squared, to 5.4-6.2 MB at this cap, about a capped word
+    "render_radius": (128,
+        "--radius {n} is too large; render draws balls of radius at most {cap}",
+        "render takes --radius up to {cap}"),
+}
 
 # Each cmd_* imports the modules beyond these three that it runs, so a
 # command loads only what it needs.  The parser takes its choices from
@@ -118,13 +130,22 @@ def _emit(args: argparse.Namespace, payload: dict, human: Callable[[], list[str]
             print(line)
 
 
+def _within(name: str, n: int, **fields: object) -> None:
+    """Refuse n beyond the LIMITS row called name, with the row's message."""
+    cap, message, _ = LIMITS[name]
+    if n > cap:
+        raise ValueError(message.format(n=n, cap=cap, **fields))
+
+
+def _within_spelled(command: str, chord: ChordName, count: int, names: str, origin: str) -> None:
+    """Refuse count names that would each repeat about as many accidentals as chord."""
+    each = abs(chord.root.accidentals)
+    fields = dict(command=command, names=f"{count} {names}", each=each, origin=origin)
+    _within("spelled_accidentals", each * count, **fields)
+
+
 def _reduced_word(f: AffinePermutation) -> list[int]:
-    length = f.length()
-    if length > MAX_WORD_LETTERS:
-        raise ValueError(
-            f"the reduced word has {length} letters; "
-            f"reduce, mult and locate --json print at most {MAX_WORD_LETTERS}"
-        )
+    _within("word_letters", f.length())
     return list(f.reduced_word())
 
 
@@ -226,12 +247,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     comma = _default_comma()
     _, start = parse_chord(args.start, comma)
     _, goal = parse_chord(args.goal, comma)
-    distance = triangle_distance(start, goal)
-    if distance > MAX_PATH_FLIPS:
-        raise ValueError(
-            f"{args.start} and {args.goal} are {distance} flips apart; "
-            f"path prints at most {MAX_PATH_FLIPS}"
-        )
+    _within("path_flips", triangle_distance(start, goal), start=args.start, goal=args.goal)
     word = plr_path(start, goal)
     g = perm_of(start).inverse() * perm_of(goal)
     payload = {
@@ -279,20 +295,9 @@ def cmd_hexagon(args: argparse.Namespace) -> int:
 def cmd_stripe(args: argparse.Namespace) -> int:
     from .progressions import StripeKind, stripe
 
-    if args.count > MAX_STRIPE_COUNT:
-        raise ValueError(
-            f"--count {args.count} is too large; stripe prints at most "
-            f"{MAX_STRIPE_COUNT} chords on each side of the seed"
-        )
+    _within("stripe_count", args.count)
     seed, t = parse_chord(args.chord, _default_comma())
-    names = 2 * args.count + 1
-    seed_accidentals = abs(seed.root.accidentals)
-    if seed_accidentals * names > MAX_STRIPE_ACCIDENTALS:
-        raise ValueError(
-            f"the stripe's {names} chords would carry {seed_accidentals * names} "
-            f"accidentals ({seed_accidentals} on the seed); "
-            f"stripe prints at most {MAX_STRIPE_ACCIDENTALS}"
-        )
+    _within_spelled("stripe", seed, 2 * args.count + 1, "chords", "seed")
     kind = StripeKind(args.kind)
     chain = stripe(t, kind, args.count)
     chords = [format_chord(name_triangle(u)) for u in chain]
@@ -359,11 +364,7 @@ def cmd_riemann(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.radius > MAX_VERIFY_RADIUS:
-        raise ValueError(
-            f"--radius {args.radius} is too large; verify checks balls of radius "
-            f"at most {MAX_VERIFY_RADIUS}"
-        )
+    _within("verify_radius", args.radius)
     from .verify import run_all, run_suite
 
     if args.suite == "all":
@@ -392,13 +393,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     from .render import LabelMode, RenderSpec, render_svg
 
-    comma = _default_comma()
-    _, center = parse_chord(args.center, comma)
-    highlights = [(center, "center")]
+    _within("render_radius", args.radius)
+    chord, center = parse_chord(args.center, _default_comma())
+    triangles = 1 + 3 * args.radius * (args.radius + 1) // 2  # in the ball of that radius
+    _within_spelled("render", chord, triangles, "triangles", "center")
     spec = RenderSpec(
         center=center,
         radius=args.radius,
-        highlights=tuple(highlights),
+        highlights=((center, "center"),),
         path=args.path,
         label_mode=LabelMode(args.labels),
     )
@@ -446,13 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tonnetz",
         description="Exact arithmetic on the infinite triadic Tonnetz.",
-        epilog=f"Spelled note and chord names carry at most {MAX_ACCIDENTALS} sharps "
-        f"or flats, path prints paths of at most {MAX_PATH_FLIPS} flips, reduce, mult "
-        f"and locate --json print reduced words of at most {MAX_WORD_LETTERS} letters, "
-        f"stripe takes --count up to {MAX_STRIPE_COUNT} and spells at most "
-        f"{MAX_STRIPE_ACCIDENTALS} accidentals (the seed's times the 2 * count + 1 chords), "
-        f"and verify takes --radius up to {MAX_VERIFY_RADIUS}; a chord, path, word, "
-        "stripe or radius beyond that is a domain error (exit 1).",
+        epilog="Limits: "
+        + "; ".join(clause.format(cap=cap) for cap, _, clause in LIMITS.values())
+        + ". An input beyond a limit is a domain error (exit 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,6 +8,7 @@ import tracemalloc
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tonnetz import cli, verify
 from tonnetz.cli import main
@@ -510,15 +511,91 @@ def run_refused(capsys, *argv):
     return err, peak
 
 
-def test_path_stops_at_the_flip_cap(capsys):
-    # C[q=n] lies 8n flips from C, and Cm[q=-n] 8n + 1
-    assert cli.MAX_PATH_FLIPS == 100_000
-    payload = timed_json(capsys, "path", "C", "C[q=12500]")
-    assert payload["length"] == len(payload["plr"]) == len(payload["word"]) == cli.MAX_PATH_FLIPS
-    err, peak = run_refused(capsys, "path", "C", "Cm[q=-12500]")
-    assert err == "error: C and Cm[q=-12500] are 100001 flips apart; path prints at most 100000\n"
-    # building the refused path would take about 8 MB
+def _major(fifth_index):
+    """The element of the major chord rooted at a fifth index, comma level 0."""
+    return format_window(perm_of(Triangle((fifth_index, 0), up=True)))
+
+
+WORD_REFUSED = (
+    "error: the reduced word has 2000001 letters; "
+    "reduce, mult and locate --json print at most 2000000\n"
+)
+VERIFY_REFUSED = "error: --radius 41 is too large; verify checks balls of radius at most 40\n"
+
+# For each row of cli.LIMITS, a case per command or spelling it covers: the largest
+# input it accepts (None where another case of the row runs it), a piece of that
+# run's output, the smallest input it refuses and the refusal's stderr.  C[q=n] lies
+# 8n flips from C, and Cm[q=-n] 8n + 1; each window has length 2000000 or 2000001.
+LIMIT_CASES = {
+    "path": ("path_flips", ("path", "C", "C[q=12500]", "--json"), '"length": 100000',
+             ("path", "C", "Cm[q=-12500]"),
+             "error: C and Cm[q=-12500] are 100001 flips apart; path prints at most 100000\n"),
+    # reduce and locate run at and past this row in the word tests below
+    "word-mult": ("word_letters", None, None, ("mult", "[1500000,-1500001,1]", "e", "--json"),
+                  WORD_REFUSED),
+    # hexatonic names grow fastest along the stripe
+    "stripe-count": ("stripe_count",
+                     ("stripe", "C", "--kind", "hexatonic", "--count", "5000", "--json"),
+                     '"positions": [-5000, ',
+                     ("stripe", "C", "--kind", "hexatonic", "--count", "5001"),
+                     "error: --count 5001 is too large; "
+                     "stripe prints at most 5000 chords on each side of the seed\n"),
+    # 1600 flats on the seed times 2 * 1562 + 1 = 3125 chords is the cap
+    "stripe-accidentals": ("spelled_accidentals", ("stripe", "C" + "b" * 1600, "--count", "1562"),
+                           " C" + "b" * 1600 + " ", ("stripe", "C" + "b" * 1601, "--count", "1562"),
+                           "error: the stripe's 3125 chords would carry 5003125 accidentals "
+                           "(1601 on the seed); stripe prints at most 5000000\n"),
+    # 12224 flats on the center times the 409 triangles of radius 16 is just under the cap
+    "render-accidentals": ("spelled_accidentals",
+                           ("render", "--center", "C" + "b" * 12224, "--radius", "16",
+                            "--labels", "chords", "--out", "ok.svg"),
+                           "wrote ok.svg (5107930 bytes)",
+                           ("render", "--center", "C" + "b" * 12225, "--radius", "16",
+                            "--out", "out.svg"),
+                           "error: the render's 409 triangles would carry 5000025 accidentals "
+                           "(12225 on the center); render prints at most 5000000\n"),
+    # all suites at radius 40 take longer than BUDGET_S, one suite far less
+    "verify-all": ("verify_radius", ("verify", "--suite", "reduce", "--radius", "40"),
+                   "2/2 checks passed", ("verify", "--suite", "all", "--radius", "41"),
+                   VERIFY_REFUSED),
+    "verify-reduce": ("verify_radius", None, None,
+                      ("verify", "--suite", "reduce", "--radius", "41"), VERIFY_REFUSED),
+    "render-radius": ("render_radius", ("render", "--center", "C", "--radius", "128",
+                                        "--out", "ok.svg"),
+                      "wrote ok.svg (5384861 bytes)",
+                      ("render", "--center", "C", "--radius", "129", "--out", "out.svg"),
+                      "error: --radius 129 is too large; "
+                      "render draws balls of radius at most 128\n"),
+    "name-sharps": ("name_accidentals", ("chord", _major(7 * MAX_ACCIDENTALS + 5)),
+                    "chord: B" + "x" * (MAX_ACCIDENTALS // 2) + "\n",
+                    ("chord", _major(7 * MAX_ACCIDENTALS + 6), "--json"),
+                    "error: note at fifth index 7000006 needs 1000001 sharps; "
+                    "spelled names carry at most 1000000\n"),
+    "name-flats": ("name_accidentals", ("chord", _major(-7 * MAX_ACCIDENTALS - 1)),
+                   "chord: F" + "b" * MAX_ACCIDENTALS + "\n",
+                   ("chord", _major(-7 * MAX_ACCIDENTALS - 2), "--json"),
+                   "error: note at fifth index -7000002 needs 1000001 flats; "
+                   "spelled names carry at most 1000000\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "row, accepted, shows, refused, message", LIMIT_CASES.values(), ids=LIMIT_CASES
+)
+def test_limit_at_and_past_its_value(
+    tmp_path, monkeypatch, capsys, row, accepted, shows, refused, message
+):
+    monkeypatch.chdir(tmp_path)
+    if accepted:
+        with within_budget():
+            code, out, _ = run(capsys, *accepted)
+        assert code == 0 and shows in out
+    assert str(cli.LIMITS[row][0]) in message
+    err, peak = run_refused(capsys, *refused)
+    assert err == message
+    # the refused output would take megabytes, and none of it is built
     assert peak < 200_000
+    assert not (tmp_path / "out.svg").exists()
 
 
 @pytest.mark.parametrize(
@@ -527,92 +604,99 @@ def test_path_stops_at_the_flip_cap(capsys):
     ids=["reduce", "locate"],
 )
 def test_words_up_to_the_letter_cap(capsys, argv):
-    # both elements have length 2000000; C[q=n] lies 8n flips from C
-    assert cli.MAX_WORD_LETTERS == 2_000_000
+    # both elements have length 2000000
     payload = timed_json(capsys, *argv)
-    assert len(payload["word"]) == cli.MAX_WORD_LETTERS
+    assert len(payload["word"]) == cli.LIMITS["word_letters"][0]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("reduce", "[1500000,-1500001,1]"),
-        ("mult", "[1500000,-1500001,1]", "e", "--json"),
-        ("locate", "Cm[q=-250000]", "--json"),
-    ],
-    ids=["reduce", "mult", "locate"],
+    "argv", [("reduce", "[1500000,-1500001,1]"), ("locate", "Cm[q=-250000]", "--json")],
+    ids=["reduce", "locate"],
 )
 def test_words_stop_at_the_letter_cap(capsys, argv):
     # each element has length 2000001
     err, peak = run_refused(capsys, *argv)
-    assert err == (
-        "error: the reduced word has 2000001 letters; "
-        "reduce, mult and locate --json print at most 2000000\n"
-    )
+    assert err == WORD_REFUSED
     # the refused word alone would take about 16 MB as a list
     assert peak < 200_000
 
 
-def test_stripe_stops_at_the_count_cap(capsys):
-    assert cli.MAX_STRIPE_COUNT == 5_000
-    # hexatonic names grow fastest along the stripe
-    argv = ("stripe", "C", "--kind", "hexatonic", "--count")
-    payload = timed_json(capsys, *argv, "5000")
-    assert len(payload["chords"]) == len(payload["triangles"]) == 10001
-    err, peak = run_refused(capsys, *argv, "5001")
-    assert err == (
-        "error: --count 5001 is too large; "
-        "stripe prints at most 5000 chords on each side of the seed\n"
-    )
-    # the refused stripe would print about 5.6 MB
-    assert peak < 200_000
+def test_every_limit_has_cases_and_is_in_help(capsys):
+    assert {case[0] for case in LIMIT_CASES.values()} == set(cli.LIMITS)
+    _, out, _ = run(capsys, "--help")
+    # each clause states its row's value; argparse rewraps the epilog
+    help_text = " ".join(out.split())
+    assert all(clause.format(cap=cap) in help_text for cap, _, clause in cli.LIMITS.values())
 
 
-def test_stripe_stops_at_the_accidental_cap(capsys):
-    assert cli.MAX_STRIPE_ACCIDENTALS == 5_000_000
-    # 1600 flats on the seed times 2 * 1562 + 1 = 3125 chords is the cap
-    count = ("--count", "1562")
-    payload = timed_json(capsys, "stripe", "C" + "b" * 1600, *count)
-    assert len(payload["chords"]) == 3125
-    assert payload["chords"][1562] == "C" + "b" * 1600
-    err, peak = run_refused(capsys, "stripe", "C" + "b" * 1601, *count)
-    assert err == (
-        "error: the stripe's 3125 chords would carry 5003125 accidentals "
-        "(1601 on the seed); stripe prints at most 5000000\n"
-    )
-    # the refused stripe would print about 5 MB
-    assert peak < 200_000
+# --- generated hostile inputs ----------------------------------------------------
 
 
-@pytest.mark.parametrize("suite", ["all", "reduce"])
-def test_verify_stops_at_the_radius_cap(capsys, suite):
-    assert cli.MAX_VERIFY_RADIUS == 40
-    err, peak = run_refused(capsys, "verify", "--suite", suite, "--radius", "41")
-    assert err == "error: --radius 41 is too large; verify checks balls of radius at most 40\n"
-    # no suite runs, so not even the ball of radius 41 is built
-    assert peak < 200_000
+def _near(row):
+    """A row's value, one past it, or a small value, as an argument string."""
+    cap = cli.LIMITS[row][0]
+    return st.sampled_from([cap, cap + 1, -1, 0, 1, 2]).map(str)
 
 
-@pytest.mark.parametrize(
-    "at_cap, name, past_cap",
-    [
-        (7 * MAX_ACCIDENTALS + 5, "B" + "x" * (MAX_ACCIDENTALS // 2), 7 * MAX_ACCIDENTALS + 6),
-        (-7 * MAX_ACCIDENTALS - 1, "F" + "b" * MAX_ACCIDENTALS, -7 * MAX_ACCIDENTALS - 2),
-    ],
-    ids=["sharps", "flats"],
+def _valid_window(x, y, order):
+    """A window sums to zero and meets each residue class mod 3 once."""
+    entries = (3 * x, 3 * y + 1, -3 * x - 3 * y - 1)
+    return "[%d,%d,%d]" % tuple(entries[i] for i in order)
+
+
+_huge = st.integers(-(10**15), 10**15)
+_third = st.integers(-(10**15) // 3, 10**15 // 3)
+# few windows drawn at random are valid, so half of them are built to be
+_windows = st.builds(_valid_window, _third, _third, st.permutations(range(3))) | st.builds(
+    "[{},{},{}]".format, _huge, _huge, _huge
 )
-def test_chord_names_stop_at_the_accidental_cap(capsys, at_cap, name, past_cap):
-    # the element of the major chord rooted at each fifth index, comma level 0
-    def element(fifth_index):
-        return format_window(perm_of(Triangle((fifth_index, 0), up=True)))
+_words = st.lists(st.sampled_from(["s1", "s2", "s3"]), min_size=1, max_size=12).map(" ".join)
+# the comma levels at which path and locate --json reach their caps, and far ones
+_commas = st.sampled_from([12500, -12500, 250000, -250000]) | st.integers(-(10**12), 10**12)
+_chords = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from("ABCDEFG"),
+    st.builds(str.__mul__, st.sampled_from("#xb"), st.integers(0, 60)),
+    st.sampled_from(["", "m"]),
+    st.just("") | _commas.map("[q={}]".format),
+)
+_elements = _windows | _words | _chords
+HOSTILE_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["reduce", "classify", "chord"]), _elements),
+    st.tuples(st.just("mult"), _elements, _elements),
+    st.tuples(st.sampled_from(["locate", "hexagon"]), _chords),
+    st.tuples(st.just("path"), _chords, _chords),
+    st.tuples(st.just("stripe"), _chords, st.just("--kind"), st.sampled_from(cli.STRIPE_KINDS),
+              st.just("--count"), _near("stripe_count")),
+    st.lists(_chords, min_size=1, max_size=6).map(lambda chords: ("analyze", *chords)),
+    st.tuples(st.just("riemann"), st.just("mult"),
+              *[st.builds("Q^{} Z^{}{}".format, _huge, _huge, st.sampled_from(["", " W"]))] * 2),
+    st.tuples(st.just("riemann"), st.sampled_from(["quotient", "comma"]),
+              st.builds("({},{},{})".format, _huge, _huge, st.sampled_from([0, 1]))),
+    # every suite at once takes longer than BUDGET_S at the radius cap
+    st.tuples(st.just("verify"), st.just("--suite"), st.sampled_from(cli.SUITE_NAMES),
+              st.just("--radius"), _near("verify_radius")),
+    st.tuples(st.just("render"), st.just("--center"), _chords, st.just("--radius"),
+              _near("render_radius"), st.just("--labels"), st.sampled_from(cli.LABEL_MODES),
+              st.just("--path"), st.text("PLR", max_size=8), st.just("--out"), st.just("out.svg")),
+)
 
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=HOSTILE_ARGV, as_json=st.booleans())
+def test_generated_argv_exits_0_1_or_2_within_budget(tmp_path, monkeypatch, capsys, argv, as_json):
+    # every value drawn is refused before work or finishes well within BUDGET_S;
+    # an exception that main lets through, MemoryError included, fails the test
+    monkeypatch.chdir(tmp_path)
     with within_budget():
-        code, out, _ = run(capsys, "chord", element(at_cap))
-    assert (code, out.splitlines()[0]) == (0, f"chord: {name}")
-    err, peak = run_refused(capsys, "chord", element(past_cap), "--json")
-    assert err.startswith(f"error: note at fifth index {past_cap} needs {MAX_ACCIDENTALS + 1} ")
-    # the refused name alone would take over 500 kB
-    assert peak < 200_000
+        code = main([*argv, "--json"] if as_json else list(argv))
+    capsys.readouterr()
+    assert code in (0, 1, 2)
 
 
 def test_json_builds_no_human_lines(capsys, monkeypatch):

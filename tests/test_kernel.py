@@ -848,7 +848,7 @@ def test_long_reduced_word_is_the_descent_walk(length, sigma):
 
 
 def test_reduced_word_at_the_letter_cap():
-    # the longest word the CLI prints, cli.MAX_WORD_LETTERS letters
+    # the longest word the CLI prints, the value of cli.LIMITS["word_letters"]
     f = AffinePermutation(1499999, -1500000, 1)
     word = f.reduced_word()
     assert len(word) == f.length() == 2_000_000
