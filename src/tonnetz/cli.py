@@ -68,6 +68,16 @@ LIMITS = {
     "render_radius": (128,
         "--radius {n} is too large; render draws balls of radius at most {cap}",
         "render takes --radius up to {cap}"),
+    # each letter draws one <line> of about 135 bytes: up to 5.3 MB at this cap, about
+    # the radius cap's output
+    "render_path_letters": (40_000,
+        "--path has {n} letters; render draws paths of at most {cap}",
+        "render draws --path of at most {cap} letters"),
+    # each chord takes about 30 us and prints about 120 bytes of JSON; argparse itself
+    # holds about 80 bytes per argument, so a refused list stays under 200 kB
+    "analyze_chords": (1_000,
+        "{n} chords given; analyze places at most {cap}",
+        "analyze places at most {cap} chords"),
 }
 
 # Each cmd_* imports the modules beyond these three that it runs, so a
@@ -394,6 +404,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     from .render import LabelMode, RenderSpec, render_svg
 
     _within("render_radius", args.radius)
+    _within("render_path_letters", len(args.path))
     chord, center = parse_chord(args.center, _default_comma())
     triangles = 1 + 3 * args.radius * (args.radius + 1) // 2  # in the ball of that radius
     _within_spelled("render", chord, triangles, "triangles", "center")
@@ -413,6 +424,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _within("analyze_chords", len(args.chords))
     from .progressions import analyze
 
     report = analyze(args.chords, _default_comma())

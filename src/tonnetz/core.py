@@ -334,10 +334,18 @@ def from_word(word: Iterable[int]) -> AffinePermutation:
     >>> from_word([]) == identity()
     True
     """
-    g = IDENTITY
+    # right_mult_generator's rules, on the window's three entries
+    a, b, c = IDENTITY
     for i in word:
-        g = right_mult_generator(g, i)
-    return g
+        if i == 1:
+            a, b = b, a
+        elif i == 2:
+            b, c = c, b
+        elif i == 3:
+            a, c = c - 3, a + 3
+        else:
+            raise ValueError(f"generator index must be 1, 2 or 3, got {i!r}")
+    return _make_element(AffinePermutation, (a, b, c))
 
 
 # The six elements of the finite subgroup generated by s2 and s3.  A
@@ -385,8 +393,8 @@ def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePer
     return AffinePermutation(*out)
 
 
-# a set of nodes: an ordered dict keyed by the nodes, or a bitmask over them
-Layer = TypeVar("Layer", dict, int)
+# a set of nodes: an ordered dict keyed by the nodes
+Layer = TypeVar("Layer", bound=dict)
 
 
 def bfs_layers(start: Layer, expand: Callable[[Layer, Layer, int], Layer]) -> Iterator[Layer]:
@@ -395,8 +403,7 @@ def bfs_layers(start: Layer, expand: Callable[[Layer, Layer, int], Layer]) -> It
     Yields start, the layer at depth 0, then each next layer, until one is
     empty.  expand(layer, back, depth) returns layer depth + 1: every
     neighbour of layer (at depth) that is not in back (layer depth - 1,
-    empty at depth 0).  A layer is an ordered dict keyed by its nodes, or
-    one int whose set bits are its nodes; back is of the same kind.  The
+    empty at depth 0).  A layer is an ordered dict keyed by its nodes.  The
     graph must be symmetric (m is a neighbour of n exactly when n is one of
     m) and bipartite (no odd cycle): then every neighbour of layer k lies
     in layer k - 1 or k + 1, never in layer k itself, so only two layers
@@ -411,8 +418,7 @@ def bfs_layers(start: Layer, expand: Callable[[Layer, Layer, int], Layer]) -> It
     >>> [list(layer) for layer in islice(bfs_layers({0: None}, step), 5)]
     [[0], [1, 3], [2]]
     """
-    # the empty layer of start's kind: {} or 0
-    back, layer, depth = type(start)(), start, 0
+    back, layer, depth = {}, start, 0
     while layer:
         yield layer
         back, layer, depth = layer, expand(layer, back, depth), depth + 1

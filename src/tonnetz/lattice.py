@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import reduce
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .core import (
     FINITE_WORDS,
@@ -325,41 +325,56 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     """Minimal number of edge flips from t1 to t2, by breadth-first search.
 
     This is the independent oracle for Coxeter length: for any element f,
-    gallery_distance_bfs(base, triangle_of(f)) == f.length().  Two searches
-    meet in the middle: each round the side with the smaller frontier
-    takes one more layer, and the first new layer that shares a triangle
-    with the other side's frontier gives the distance.
+    gallery_distance_bfs(base, triangle_of(f)) == f.length().  Two searches,
+    one from each triangle, take turns and meet in the middle.
 
-    Every flip turns a triangle over, so the flip graph is bipartite and
-    all triangles of layer k point the same way: up exactly when the start
-    points up and k is even, or it points down and k is odd.  A root then
-    names its triangle within a layer, and a layer is one int, a bitmask
-    with bit (p - pmin) * width + (q - qmin) set for each root (p, q) in a
-    frame around both roots.  A flip moves the root by one of three fixed
-    offsets, so the next layer is the OR of three shifts of this one, less
-    the previous layer, and two frontiers that point the same way meet
-    where their bitmasks share a bit.
+    Each side holds a ball: every triangle that a walk of k flips from its
+    start reaches.  Every flip turns a triangle over, so the flip graph is
+    bipartite, and a walk of k flips ends on layer k, k - 2, ... and on
+    every triangle of those layers: a walk can always step out and back.
+    All of a ball's triangles then point the same way, up exactly when the
+    start points up and k is even, or it points down and k is odd, so a
+    root names its triangle, and a ball is one int, a bitmask with bit
+    (p - p0 + r) * w + (q - q0 + r) set for each root (p, q), on a frame of
+    w = 2r + 1 rows and columns centred on the side's own root (p0, q0).
+    A flip moves the root by one of three fixed offsets; the fifth keeps
+    it, and the other two are one left and one right shift of the bitmask,
+    so the next ball is b | b << left | b >> right, with nothing to subtract.
 
-    The frame is sized by the lattice's hexagonal metric.  Let (dp, dq) be
-    the root of t2 less that of t1, and h = max(|dp|, |dq|, |dp + dq|).
-    Two flips move a root one step along (1, 0), (0, 1) or (1, -1), or
-    back, so 2h flips reach t2's root with t1's orientation, and the fifth
-    flip, which keeps the root, turns the triangle over: the distance is
-    at most 2h + 1.  Layer k of every start holds 3k triangles
-    (length_layers), so the smaller frontier is the shallower one, the
-    two depths differ by at most one, and each side stops by depth
-    K = h + 1.  A side that would pass depth K raises instead: a wrong
-    bound is an error, never a wrong distance.  k flips move a root at
-    most ceil(k / 2) of those steps, so at most that far along each axis,
-    and the frame is the box around both roots with margin r = ceil(K / 2):
-    no root within depth K of its start leaves it, and no shift carries a
-    bit across a row.  Of a layer's three flips the fifth keeps the root
-    and the other two are one left and one right shift, so a step is two
-    shifts and two ORs.  Each layer takes time linear in the frame's
-    area, about (|dp| + h + 2) (|dq| + h + 2) bits, so a search at
-    distance D takes time about D^3 in every direction, where one over
-    sets of roots takes about D^2; the bitmask is much the faster at the
-    distances the tests and the benchmark ask for, up to a few hundred.
+    Two balls of depths k1 and k2 share a triangle exactly when some walk of
+    k1 + k2 flips joins t1 to t2.  All walks between two triangles have the
+    parity of their distance d, and a shortest one can be lengthened two
+    flips at a time, so that happens exactly when k1 + k2 >= d and
+    k1 + k2 has d's parity, which is the parity of t1.up != t2.up.  The
+    sides take turns, t1's first, and the balls are compared only after a
+    turn that brings the depths to that parity: once every two layers, and
+    the first meeting is at depth d.
+
+    The distance is symmetric, so the search names the triangle with the
+    smaller root t1.  Both frames have width w, so a root's bit in t1's
+    frame is its bit in t2's plus c = dp * w + dq, where (dp, dq) is t2's
+    root less t1's and c >= 0, as |dq| < w: the balls meet where b1 and
+    b2 << c share a bit.  A root of t2's frame whose column plus dq falls
+    outside 0 .. w - 1 lies outside t1's frame, but the shift carries it
+    into the next or the previous row, onto a root it is not; a column
+    mask, built once per call, drops those columns from the test.
+
+    The frame is sized by the lattice's hexagonal metric, with
+    h = max(|dp|, |dq|, |dp + dq|).  Two flips move a root one step along
+    (1, 0), (0, 1) or (1, -1), or back, so 2h flips reach t2's root with
+    t1's orientation, and the fifth flip, which keeps the root, turns the
+    triangle over: the distance is at most 2h + 1, and each side stops by
+    depth K = h + 1.  A side that would pass depth K raises instead: a
+    wrong bound is an error, never a wrong distance.  k flips move a root
+    at most ceil(k / 2) of those steps, so at most that far along each axis,
+    and the margin r = ceil(K / 2) keeps every root a side reaches inside
+    its frame, so no shift carries a bit across a row.
+
+    A layer costs 4 big-int operations on (2r + 1)^2 bits, about h^2, and
+    a meet test 3 more every two layers, so a search at distance D takes
+    time about D^3 in every direction, where one over sets of roots takes
+    about D^2; the bitmask is much the faster at the distances the tests
+    and the benchmark ask for, up to a few hundred.
 
     >>> gallery_distance_bfs(BASE_TRIANGLE, Triangle((2, -1), up=False))
     5
@@ -368,53 +383,45 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     _check_lattice_triangle(t2)
     if t1 == t2:
         return 0
-    (p1, q1), (p2, q2) = t1.root, t2.root
-    bound = max(abs(p2 - p1), abs(q2 - q1), abs(p2 - p1 + q2 - q1)) + 1
-    reach = (bound + 1) // 2
-    pmin, qmin = min(p1, p2) - reach, min(q1, q2) - reach
-    width = abs(q2 - q1) + 2 * reach + 1
+    t1, t2 = sorted((t1, t2))
+    ((p1, q1), up1), ((p2, q2), up2) = t1, t2
+    dp, dq = p2 - p1, q2 - q1
+    bound = max(abs(dp), abs(dq), abs(dp + dq)) + 1
+    r = (bound + 1) // 2
+    w = 2 * r + 1
     # the left and right shifts of the two flips that move the root, by
     # orientation; sorted, the fifth flip's zero shift falls between them
     shifts = {}
     for o, offsets in _FLIP_OFFSETS.items():
-        right, _, left = sorted(dp * width + dq for dp, dq in offsets.values())
+        right, _, left = sorted(a * w + b for a, b in offsets.values())
         shifts[o] = left, -right
-
-    def side(t: Triangle) -> Iterator[int]:
-        (p, q), up = t
-        # out of even layers, then out of odd ones
-        steps = shifts[up], shifts[not up]
-
-        def expand(layer: int, back: int, depth: int) -> int:
-            if depth == bound:
-                raise RuntimeError(f"flip search from {t} passed its depth bound {bound}")
-            left, right = steps[depth % 2]
-            nxt = layer | layer << left | layer >> right
-            # nxt & ~back, without building the negative int ~back
-            return (nxt | back) ^ back
-
-        return bfs_layers(1 << ((p - pmin) * width + q - qmin), expand)
-
-    sides = [side(t1), side(t2)]
-    frontiers = [next(sides[0]), next(sides[1])]
-    depths = [0, 0]
-    # the two frontiers point the same way exactly when their depths sum
-    # to the parity of t1.up != t2.up
-    parity = int(t1.up != t2.up)
-    while True:
-        i = 0 if depths[0] <= depths[1] else 1
-        frontiers[i] = next(sides[i])
-        depths[i] += 1
-        d = depths[0] + depths[1]
-        if d % 2 == parity and frontiers[i] & frontiers[1 - i]:
-            return d
+    # out of even depths, then out of odd ones
+    steps1 = shifts[up1], shifts[not up1]
+    steps2 = shifts[up2], shifts[not up2]
+    c = dp * w + dq
+    # t1's columns that are t2's columns too, in every row
+    rows = ((1 << w * w) - 1) // ((1 << w) - 1)
+    mask = ((1 << min(w, w + dq)) - (1 << max(0, dq))) * rows
+    odd = up1 != up2
+    b1 = b2 = 1 << r * w + r
+    for depth in range(bound):
+        left, right = steps1[depth % 2]
+        b1 |= b1 << left | b1 >> right
+        if odd and b1 & b2 << c & mask:
+            return 2 * depth + 1
+        left, right = steps2[depth % 2]
+        b2 |= b2 << left | b2 >> right
+        if not odd and b1 & b2 << c & mask:
+            return 2 * depth + 2
+    raise RuntimeError(f"flip search from {t1} to {t2} passed its depth bound {bound}")
 
 
 def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:
     """All triangles within the given flip distance, with their distances.
 
-    Layers hold roots, as in gallery_distance_bfs: the triangles of layer
-    d point up exactly when center.up differs from d being odd.
+    Every flip turns a triangle over, so all triangles of layer d point the
+    same way, up exactly when center.up differs from d being odd, and a
+    layer holds bare roots.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")

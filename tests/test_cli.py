@@ -566,6 +566,15 @@ LIMIT_CASES = {
                       ("render", "--center", "C", "--radius", "129", "--out", "out.svg"),
                       "error: --radius 129 is too large; "
                       "render draws balls of radius at most 128\n"),
+    # a path along a stripe of PL, which draws the longest <line> elements
+    "render-path": ("render_path_letters",
+                    ("render", "--center", "C", "--path", "PL" * 20000, "--out", "ok.svg"),
+                    "wrote ok.svg (5303477 bytes)",
+                    ("render", "--center", "C", "--path", "PL" * 20000 + "P", "--out", "out.svg"),
+                    "error: --path has 40001 letters; render draws paths of at most 40000\n"),
+    "analyze-chords": ("analyze_chords", ("analyze", *["C", "G"] * 500), "total distance: 1998\n",
+                       ("analyze", *["C", "G"] * 500, "C"),
+                       "error: 1001 chords given; analyze places at most 1000\n"),
     "name-sharps": ("name_accidentals", ("chord", _major(7 * MAX_ACCIDENTALS + 5)),
                     "chord: B" + "x" * (MAX_ACCIDENTALS // 2) + "\n",
                     ("chord", _major(7 * MAX_ACCIDENTALS + 6), "--json"),

@@ -82,6 +82,24 @@ def test_right_mult_matches_composition():
             assert right_mult_generator(f, i) == f * generator(i)
 
 
+@given(st.lists(st.sampled_from([1, 2, 3]), max_size=60))
+def test_from_word_is_the_product_of_generators(word):
+    f = IDENTITY
+    for i in word:
+        f = f * generator(i)
+    assert from_word(word) == f
+
+
+@pytest.mark.parametrize("bad", [0, 4, "1", None])
+def test_from_word_refuses_a_bad_letter_where_it_stands(bad):
+    letters = iter([2, 3, bad, 1])
+    with pytest.raises(ValueError) as exc:
+        from_word(letters)
+    assert str(exc.value) == f"generator index must be 1, 2 or 3, got {bad!r}"
+    # the letters after the bad one are never read
+    assert list(letters) == [1]
+
+
 def test_involutions():
     for i in (1, 2, 3):
         s = generator(i)

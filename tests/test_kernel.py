@@ -625,7 +625,8 @@ def test_gallery_distance_bfs_edge_cases():
             assert gallery_distance_bfs(t, nb) == gallery_distance_bfs(nb, t) == 1
 
 
-def test_gallery_distance_bfs_holds_two_layers():
+def test_gallery_distance_bfs_holds_two_balls():
+    # one bitmask ball per side, each on its own frame of about (h + 2)^2 bits
     far = triangle_of(translation_perm((40, 0)))
     tracemalloc.start()
     try:
@@ -900,6 +901,13 @@ near_triangles = st.builds(
 @example(Triangle((0, 0), up=True), Triangle((9, -9), up=True))
 # the frame is relative to the roots, so far roots cost nothing extra
 @example(Triangle((10**12, -(10**12)), up=True), Triangle((10**12 + 1, 2 - 10**12), up=False))
+# |dq| near h: shifted into the other side's frame, most of a ball's columns
+# would wrap into the next or the previous row, and only the column mask keeps
+# them from meeting early; b's root after a's (c >= 0), then before it (c < 0)
+@example(Triangle((-1, -5), up=True), Triangle((0, 0), up=False))
+@example(Triangle((0, 0), up=False), Triangle((1, -7), up=True))
+@example(Triangle((0, 0), up=True), Triangle((-1, 6), up=False))
+@example(Triangle((0, 0), up=True), Triangle((-1, 7), up=True))
 def test_gallery_distance_bfs_meets_in_the_middle(a, b):
     d = gallery_distance_bfs(a, b)
     assert d == gallery_distance_bfs(b, a) == ref_gallery_distance(a, b) == triangle_distance(a, b)
