@@ -419,9 +419,10 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
 def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:
     """All triangles within the given flip distance, with their distances.
 
-    Every flip turns a triangle over, so all triangles of layer d point the
-    same way, up exactly when center.up differs from d being odd, and a
-    layer holds bare roots.
+    The breadth-first oracle that render's closed-form ball, read off the
+    strip distance, is tested against.  Every flip turns a triangle over,
+    so all triangles of layer d point the same way, up exactly when
+    center.up differs from d being odd, and a layer holds bare roots.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")

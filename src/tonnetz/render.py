@@ -13,9 +13,9 @@ from enum import Enum
 from typing import NamedTuple
 
 from .core import format_window
-from .lattice import Triangle, Vertex, perm_of, triangle_ball
+from .lattice import Triangle, Vertex, perm_of
 from .pitch import format_chord, format_note, name_triangle, spell_vertex
-from .progressions import apply_move
+from .progressions import _triangles_within, apply_move
 
 EDGE_CENTI = 10000
 HALF_EDGE_CENTI = 5000
@@ -113,7 +113,7 @@ def _triangle_label(t: Triangle, mode: LabelMode) -> str:
 
 def render_svg(spec: RenderSpec) -> str:
     """Render the spec to a complete SVG 1.1 document."""
-    triangles = sorted(triangle_ball(spec.center, spec.radius))
+    triangles = sorted(_triangles_within(spec.center, spec.radius))
     centi = {v: _vertex_centi(v) for v in sorted({v for t in triangles for v in t.vertices()})}
     styles = dict(spec.highlights)
 

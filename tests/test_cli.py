@@ -1,16 +1,22 @@
 """End-to-end CLI checks: runs main() in process and reads stdout."""
 
+import argparse
 import hashlib
+import importlib
 import json
+import pkgutil
+import sys
 import signal
 import time
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tonnetz import cli, verify
+import tonnetz
+from tonnetz import cli, core, lattice, verify
 from tonnetz.cli import main
 from tonnetz.core import format_window, generator, parse_window
 from tonnetz.lattice import BASE_TRIANGLE, Triangle, parse_triangle, perm_of
@@ -726,3 +732,81 @@ def test_parser_choices_are_the_enums():
     assert cli.STRIPE_KINDS == tuple(k.value for k in StripeKind)
     assert cli.LABEL_MODES == tuple(m.value for m in LabelMode)
     assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES)) == tuple(SUITE_SIZES)
+
+
+# --- no request path runs a search ----------------------------------------------
+
+# the breadth-first searches, kept as the oracles that verify and the tests run
+SEARCHES = {
+    "bfs_layers": core.bfs_layers,
+    "ball": core.ball,
+    "triangle_ball": lattice.triangle_ball,
+    "gallery_distance_bfs": lattice.gallery_distance_bfs,
+}
+
+# one or more commands for every subcommand but verify, render in each label mode
+REQUEST_ARGV = [
+    ("reduce", "[-3,2,1]"),
+    ("mult", "s3", "s1"),
+    ("classify", "s2 s3 s2 s1"),
+    ("chord", "[2,-3,1]"),
+    ("locate", "C#m"),
+    ("path", "C", "F#m"),
+    ("hexagon", "C"),
+    ("stripe", "C", "--kind", "octatonic", "--count", "4"),
+    ("analyze", "C#m", "A", "D", "Ebm[q=-1]"),
+    ("riemann", "mult", "Q^1 Z^0", "Q^0 Z^1 W"),
+    ("riemann", "quotient", "(1,-1,0)"),
+    ("riemann", "comma", "(3,4,0)"),
+    *(
+        ("render", "--center", "F#m", "--radius", "5", "--labels", mode, "--out", f"{mode}.svg")
+        for mode in cli.LABEL_MODES
+    ),
+    ("render", "--center", "Bb", "--radius", "3", "--path", "PLRRL", "--out", "path.svg"),
+]
+
+
+def _subcommands(parser):
+    """Each subcommand as its tuple of names, such as ("riemann", "mult")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {()}
+    return {(name, *rest) for name, p in subs[0].choices.items() for rest in _subcommands(p)}
+
+
+def test_no_request_path_runs_a_search(tmp_path, monkeypatch, capsys):
+    names = _subcommands(cli.build_parser())
+    covered = {path for path in names for argv in REQUEST_ARGV if argv[: len(path)] == path}
+    assert covered == names - {("verify",)}
+    # a lazily loaded module binds the searches when it is first imported,
+    # so every module is loaded before any binding is replaced
+    for m in pkgutil.iter_modules(tonnetz.__path__):
+        if m.name != "verify":
+            importlib.import_module(f"tonnetz.{m.name}")
+    runs = [(*argv, *flag) for argv in REQUEST_ARGV for flag in ((), ("--json",))]
+
+    def outputs(folder):
+        # each pass writes its SVG files into a folder of its own
+        (tmp_path / folder).mkdir()
+        monkeypatch.chdir(tmp_path / folder)
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            files = {f.name: f.read_bytes() for f in Path.cwd().iterdir()}
+            yield argv, code, out, err, files
+
+    plain = list(outputs("plain"))
+    assert all(code == 0 for _, code, *_ in plain)
+
+    def search(*args, **kwargs):
+        raise AssertionError("a request path ran a breadth-first search")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "tonnetz" or name.startswith("tonnetz."):
+            for attr, fn in SEARCHES.items():
+                if getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, search)
+                    patched += 1
+    # core and lattice, which define them, hold five bindings between them
+    assert patched >= 5
+    assert list(outputs("stubbed")) == plain

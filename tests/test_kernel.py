@@ -3,12 +3,13 @@
 Each O(1) formula is compared with the routine it replaced, kept here as
 a reference: the isometry multiplied out along the reduced word, the
 translation built by repeated multiplication, and the shortest PLR word
-found by breadth-first search.  The layered BFS behind ball,
-triangle_ball and gallery_distance_bfs is compared with the hand-written
-loops it replaced, and reduced_word, whose descent walk jumps over each
-periodic run by a few floor divisions, with stripping the smallest descent
-one letter at a time, on seeded elements of length up to 2561 and up to
-the 2,000,000-letter cap.  Wall flips and the hexagon cycles read
+found by breadth-first search.  The layered BFS behind ball and
+triangle_ball is compared with the hand-written loops it replaced, the
+bitmask search of gallery_distance_bfs with a queue BFS, and
+reduced_word, whose descent walk jumps over each periodic run by a few
+floor divisions, with stripping the smallest descent one letter at a
+time, on seeded elements of length up to 2561 and up to the
+2,000,000-letter cap.  Wall flips and the hexagon cycles read
 off the six-triangle ring are compared with right multiplication of
 windows, the strip-offset walk of plr_path with the BFS word and with
 the greedy rule over apply_move, and the progression analyzer's ranking

@@ -17,12 +17,10 @@ from tonnetz.lattice import (
     format_triangle,
     gallery_distance_bfs,
     generator_isometry,
-    geometric_coords,
     neighbors,
     parse_triangle,
     perm_of,
     triangle_ball,
-    triangle_from_coords,
     triangle_from_vertices,
     triangle_of,
     vertex_class,
@@ -127,26 +125,6 @@ def test_triangle_of_fixtures():
         assert perm_of(parse_triangle(triangle)) == f
 
 
-def test_bijection_on_ball():
-    for f in ball(5):
-        assert perm_of(triangle_of(f)) == f
-
-
-def test_geometric_coords_round_trip():
-    for t in triangle_ball(BASE_TRIANGLE, 5):
-        assert triangle_from_coords(geometric_coords(t)) == t
-
-
-def test_two_coordinate_routes_agree():
-    for f in ball(5):
-        assert geometric_coords(triangle_of(f)) == f.center_coords()
-
-
-def test_length_equals_bfs_distance():
-    for f in ball(5):
-        assert gallery_distance_bfs(BASE_TRIANGLE, triangle_of(f)) == f.length()
-
-
 def test_gallery_distance_bfs_rejects_off_lattice_triangles():
     # no flip reaches a triangle whose root is not integral, so a search
     # for one would never end; the child process is killed if it hangs
@@ -194,12 +172,6 @@ def test_vertex_classes():
     assert vertex_class((0, 0)) == 0
     assert vertex_class((1, 0)) == 1
     assert vertex_class((0, 1)) == 2
-
-
-def test_triangle_ball_layer_sizes():
-    dist = triangle_ball(BASE_TRIANGLE, 5)
-    counts = [sum(1 for d in dist.values() if d == k) for k in range(6)]
-    assert counts == [1, 3, 6, 9, 12, 15]
 
 
 def test_translation_windows_move_the_base():
