@@ -1,5 +1,8 @@
 """Window arithmetic: composition, reduction, length, classification."""
 
+import itertools
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +21,13 @@ from tonnetz.core import (
     parse_word,
     right_mult_generator,
     triangle_to_perm,
+)
+from tonnetz.lattice import (
+    BASE_TRIANGLE,
+    geometric_coords,
+    triangle_ball,
+    triangle_from_coords,
+    triangle_of,
 )
 
 words = st.lists(st.sampled_from([1, 2, 3]), max_size=8)
@@ -204,11 +214,39 @@ def test_center_coords_sum_zero():
         assert c.c1 + c.c2 + c.c3 == 0
 
 
+def refusal(fn, arg):
+    """The text of the ValueError that fn(arg) raises."""
+    with pytest.raises(ValueError) as exc:
+        fn(arg)
+    return str(exc.value)
+
+
 def test_triangle_to_perm_rejects_non_centers():
     with pytest.raises(ValueError):
         triangle_to_perm((1, -1, 0))  # offsets collide at 0
     with pytest.raises(ValueError):
         triangle_to_perm((1, 0, 0))  # does not sum to zero
+    # the centers in the box are those of the triangles a flip search reaches
+    # (each within 2 * 9 + 1 flips); both inverses refuse every other triple
+    box = range(-9, 10)
+    centers = {
+        tuple(c): t
+        for t in triangle_ball(BASE_TRIANGLE, 19)
+        for c in [geometric_coords(t)]
+        if max(map(abs, c)) <= 9
+    }
+    assert len(centers) == 181
+    unsummed = r"window \(-?\d+, -?\d+, -?\d+\) does not sum to zero"
+    for coords in itertools.product(box, repeat=3):
+        if coords in centers:
+            assert triangle_from_coords(coords) == centers[coords]
+            assert triangle_of(triangle_to_perm(coords)) == centers[coords]
+            continue
+        message = f"{coords} is not a triangle center"
+        assert refusal(triangle_from_coords, coords) == message
+        refused = refusal(triangle_to_perm, coords)
+        # a triple summing to zero with one entry per slot would be a center
+        assert refused == message or (sum(coords) and re.fullmatch(unsummed, refused))
 
 
 def test_center_distance_fixtures():

@@ -1,31 +1,27 @@
 """Closed-form kernel against independent oracles.
 
-Each O(1) formula is compared with the routine it replaced, kept here as
-a reference: the isometry multiplied out along the reduced word, the
-translation built by repeated multiplication, and the shortest PLR word
-found by breadth-first search.  The layered BFS behind ball and
-triangle_ball is compared with the hand-written loops it replaced, the
-bitmask search of gallery_distance_bfs with a queue BFS, and
-reduced_word, whose descent walk jumps over each periodic run by a few
-floor divisions, with stripping the smallest descent one letter at a
-time, on seeded elements of length up to 2561 and up to the
-2,000,000-letter cap.  Wall flips and the hexagon cycles read
-off the six-triangle ring are compared with right multiplication of
-windows, the strip-offset walk of plr_path with the BFS word and with
-the greedy rule over apply_move, and the progression analyzer's ranking
-with the loop over nine chord names, near the origin and at roots up
-to 10^12 or comma levels up to 10^6.
-Order, parity and type, read off the finite factor sigma, are compared
-with multiplying up to six times and counting residue inversions.
-Stripes from their three-row table are compared with the branch ladder
-they replaced; the D12 quotient's product and inverse, taken through
-P's law, with their own mod arithmetic, and its closed-form order with
-multiplying up; length_layers with counting the ball by length; and
-class_vertex with scanning the triangle's vertices.  The one-pass
-coordinate maps are compared with the scans and searches they replaced:
-inverse and center_coords with placing window entries by residue,
-triangle_to_perm with trying three entries per axis, and the lattice
-route with three times the centroid.
+Each closed form is checked against a route that shares none of its
+rule, never against a kept copy of an earlier formula.  The oracles:
+the isometry multiplied out along the reduced word, for perm_to_iso,
+triangle_of and the translation cosets; the translation built by
+repeated multiplication; order by multiplying up to six times, parity by
+counting residue inversions, and the type read off both; reduced_word,
+whose descent walk jumps over each periodic run by a few floor
+divisions, against stripping the smallest descent one letter at a time,
+on seeded elements of length up to 2561 and up to the 2,000,000-letter
+cap; length_layers against counting the ball by length; and
+breadth-first search on the flip graph, for ball and triangle_ball layer
+by layer, for gallery_distance_bfs and triangle_distance through the
+ball of radius 2h + 1 around one triangle, and for the shortest PLR word
+of plr_path.  Wall flips and the hexagon cycles read off the
+six-triangle ring are compared with right multiplication of windows,
+class_vertex with the class of each vertex, the strip-offset walk of
+plr_path also with the greedy rule over apply_move, and the progression
+analyzer's ranking with the loop over nine chord names, near the origin
+and at roots up to 10^12 or comma levels up to 10^6.  The D12
+quotient's product, inverse and order are still compared with their own
+mod arithmetic, a second home of P's law until an action on the 24
+triads replaces it.
 Whole balls are checked exhaustively; hypothesis covers long random
 words, distant triangle pairs and chord progressions.
 """
@@ -50,13 +46,11 @@ from tonnetz.core import (
     IDENTITY,
     AffinePermutation,
     ElementType,
-    TriangleCoords,
     ball,
     from_word,
     length_layers,
     right_mult_generator,
     translation_factor,
-    triangle_to_perm,
 )
 from tonnetz.lattice import (
     BASE_TRIANGLE,
@@ -66,12 +60,10 @@ from tonnetz.lattice import (
     class_vertex,
     gallery_distance_bfs,
     generator_isometry,
-    geometric_coords,
     neighbors,
     perm_of,
     perm_to_iso,
     triangle_ball,
-    triangle_from_coords,
     triangle_from_vertices,
     triangle_of,
     vertex_class,
@@ -86,12 +78,10 @@ from tonnetz.pitch import (
     spell_vertex,
 )
 from tonnetz.progressions import (
-    StripeKind,
     analyze,
     apply_move,
     apply_plr,
     plr_path,
-    stripe,
     triangle_distance,
     vertex_cycle,
 )
@@ -227,20 +217,18 @@ def ref_triangle_ball(center, radius):
 
 
 def ref_gallery_distance(t1, t2):
-    """Flip distance by a queue-driven BFS that stops at the first hit."""
-    if t1 == t2:
-        return 0
-    seen = {t1}
-    queue = deque([(t1, 0)])
-    while queue:
-        t, d = queue.popleft()
-        for nb in neighbors(t):
-            if nb == t2:
-                return d + 1
-            if nb not in seen:
-                seen.add(nb)
-                queue.append((nb, d + 1))
-    raise AssertionError("flip graph is connected")
+    """Flip distance: t2's layer in the ball of radius 2h + 1 around t1.
+
+    h = max(|dp|, |dq|, |dp + dq|) over the roots: two flips move a root by
+    one step of the hexagonal metric, and one more turns the triangle over,
+    so a connected flip graph reaches t2 within 2h + 1 flips.
+    """
+    (p1, q1), _ = t1
+    (p2, q2), _ = t2
+    dp, dq = p2 - p1, q2 - q1
+    dist = ref_triangle_ball(t1, 2 * max(abs(dp), abs(dq), abs(dp + dq)) + 1)
+    assert t2 in dist, f"{t2} is not within 2h + 1 flips of {t1}"
+    return dist[t2]
 
 
 def ref_reduced_word(f):
@@ -325,34 +313,6 @@ def ref_distance(t1, t2):
     return len((perm_of(t1).inverse() * perm_of(t2)).reduced_word())
 
 
-def ref_stripe_member(seed, kind, k):
-    """Member k of the stripe through seed, one branch per kind and orientation."""
-    p, q = seed.root
-    if kind is StripeKind.FIFTHS:
-        if seed.up:
-            if k % 2 == 0:
-                return Triangle((p + k // 2, q), up=True)
-            return Triangle((p + (k - 1) // 2, q + 1), up=False)
-        if k % 2 == 0:
-            return Triangle((p + k // 2, q), up=False)
-        return Triangle((p + (k + 1) // 2, q - 1), up=True)
-    if kind is StripeKind.HEXATONIC:
-        if seed.up:
-            if k % 2 == 0:
-                return Triangle((p, q + k // 2), up=True)
-            return Triangle((p, q + (k + 1) // 2), up=False)
-        if k % 2 == 0:
-            return Triangle((p, q + k // 2), up=False)
-        return Triangle((p, q + (k - 1) // 2), up=True)
-    if seed.up:
-        if k % 2 == 0:
-            return Triangle((p + k // 2, q - k // 2), up=True)
-        return Triangle((p + (k - 1) // 2, q - (k - 1) // 2), up=False)
-    if k % 2 == 0:
-        return Triangle((p + k // 2, q - k // 2), up=False)
-    return Triangle((p + (k + 1) // 2, q - (k + 1) // 2), up=True)
-
-
 def ref_d12_compose(x, y):
     """The coset product with its own sign rule, reduced mod 3 and mod 4."""
     sign = -1 if x.flip else 1
@@ -381,88 +341,6 @@ def ref_length_layers(radius):
     for f in ball(radius):
         counts[f.length()] += 1
     return counts
-
-
-def ref_class_vertex(t, cls):
-    """The vertex of t whose class is cls, by testing each vertex."""
-    for v in t.vertices():
-        if vertex_class(v) == cls:
-            return v
-    raise ValueError(f"triangle {t} has no class-{cls} vertex")
-
-
-def ref_inverse(f):
-    """f(p) = v puts p + (n - v) at the position n in {-1, 0, 1} congruent to v."""
-    out = [0, 0, 0]
-    for p, v in zip((-1, 0, 1), f.window):
-        r = v % 3
-        target = r if r != 2 else -1
-        out[target + 1] = p + (target - v)
-    return AffinePermutation(*out)
-
-
-def ref_center_coords(f):
-    """Find the window entry of each residue class, adjusted by its slot."""
-    a, b, c = f.window
-    out = []
-    for i in GENERATOR_INDICES:
-        r = i % 3
-        if a % 3 == r:
-            out.append(a + 1)
-        elif b % 3 == r:
-            out.append(b)
-        else:
-            out.append(c - 1)
-    return TriangleCoords(*out)
-
-
-def ref_triangle_to_perm(coords):
-    """Try entries c - 1, c, c + 1 on each axis; the offsets pick the slots."""
-    c1, c2, c3 = coords
-    slots = {}
-    for i, ci in zip(GENERATOR_INDICES, (c1, c2, c3)):
-        for entry in (ci - 1, ci, ci + 1):
-            if entry % 3 == i % 3:
-                offset = entry - ci
-                if offset in slots:
-                    raise ValueError(f"{(c1, c2, c3)} is not a triangle center")
-                slots[offset] = entry
-                break
-    return AffinePermutation(slots[-1], slots[0], slots[1])
-
-
-def ref_centroid3(t):
-    """Three times the centroid, in lattice coordinates."""
-    p, q = t.root
-    if t.up:
-        return (3 * p + 1, 3 * q + 1)
-    return (3 * p + 2, 3 * q - 1)
-
-
-def ref_geometric_coords(t):
-    """Axis coordinates of the centroid, shifted so the base triangle is 0."""
-    cp, cq = ref_centroid3(t)
-    dp, dq = cp - 1, cq - 1
-    return TriangleCoords(-(2 * dp + dq) // 3, (dp + 2 * dq) // 3, (dp - dq) // 3)
-
-
-def ref_triangle_from_coords(coords):
-    """Back to three times the centroid; its residue tells the orientation."""
-    _, c2, c3 = coords
-    dq = c2 - c3
-    dp = c2 + 2 * c3
-    cp, cq = dp + 1, dq + 1
-    if cp % 3 == 1:
-        return Triangle(((cp - 1) // 3, (cq - 1) // 3), up=True)
-    return Triangle(((cp - 2) // 3, (cq + 1) // 3), up=False)
-
-
-def outcome(fn, *args):
-    """The repr of fn(*args), or the ValueError it raises."""
-    try:
-        return repr(fn(*args))
-    except ValueError as e:
-        return f"ValueError: {e}"
 
 
 def check_sigma_reads(f):
@@ -542,17 +420,6 @@ def test_length_layers_is_the_ball_count():
         length_layers(-1)
 
 
-def test_stripe_is_the_branch_ladder():
-    seeds = sorted(triangle_ball(BASE_TRIANGLE, 8)) + [Triangle((1000, -999), up=False)]
-    for kind in StripeKind:
-        for seed in seeds:
-            for count in range(10):
-                expected = [ref_stripe_member(seed, kind, k) for k in range(-count, count + 1)]
-                members = stripe(seed, kind, count)
-                assert members == expected
-                assert [type(t.up) for t in members] == [bool] * len(members)
-
-
 def test_d12_is_the_mod_arithmetic():
     cosets = [D12Coset(a, b, fl) for a in range(3) for b in range(4) for fl in (False, True)]
     assert len(cosets) == 24
@@ -563,43 +430,9 @@ def test_d12_is_the_mod_arithmetic():
             assert d12_compose(x, y) == ref_d12_compose(x, y)
 
 
-def test_class_vertex_is_the_vertex_scan():
-    for t in triangle_ball(BASE_TRIANGLE, 8):
-        for cls in (0, 1, 2):
-            assert class_vertex(t, cls) == ref_class_vertex(t, cls)
-    for cls in (3, -1):
-        with pytest.raises(ValueError, match=f"no class-{cls} vertex"):
-            class_vertex(BASE_TRIANGLE, cls)
-
-
 def test_window_maps_are_the_residue_scans():
     for f in ball(12):
-        assert outcome(f.inverse) == outcome(ref_inverse, f)
-        assert outcome(f.center_coords) == outcome(ref_center_coords, f)
         assert perm_to_iso(f) == ref_iso(f)
-
-
-def test_lattice_coords_are_the_centroid_route():
-    for t in triangle_ball(BASE_TRIANGLE, 12):
-        assert outcome(geometric_coords, t) == outcome(ref_geometric_coords, t)
-
-
-def test_coordinate_inverses_are_the_searches():
-    box = range(-9, 10)
-    seen = []
-    for coords in ((c1, c2, c3) for c1 in box for c2 in box for c3 in box):
-        expected = outcome(ref_triangle_to_perm, coords)
-        assert outcome(triangle_to_perm, coords) == expected
-        # the reference maps every triple; only a center may reach a triangle
-        want = outcome(ref_triangle_from_coords, coords)
-        if expected.startswith("ValueError"):
-            want = f"ValueError: {coords} is not a triangle center"
-        assert outcome(triangle_from_coords, coords) == want
-        seen.append(expected)
-    # the box holds centers, repeated slots and sums other than zero
-    assert any(s.startswith("AffinePermutation(") for s in seen)
-    assert any(s.endswith("is not a triangle center") for s in seen)
-    assert any(s.endswith("does not sum to zero") for s in seen)
 
 
 def test_ball_is_the_layer_loop():
@@ -796,8 +629,13 @@ def test_wall_flip_is_right_multiplication():
         f = perm_of(t)
         for i in GENERATOR_INDICES:
             assert wall_flip(t, i) == triangle_of(right_mult_generator(f, i))
+        # a wall lies opposite the vertex of one class, and class_vertex finds it
+        assert [class_vertex(t, vertex_class(v)) for v in t.vertices()] == list(t.vertices())
     with pytest.raises(ValueError):
         wall_flip(BASE_TRIANGLE, 4)
+    for cls in (3, -1):
+        with pytest.raises(ValueError, match=f"no class-{cls} vertex"):
+            class_vertex(BASE_TRIANGLE, cls)
 
 
 def test_vertex_cycle_is_the_window_walk():

@@ -82,12 +82,6 @@ def test_r_orders():
     assert r_order(QUINTSCHRITT) is None
 
 
-def test_p_generators_are_involutions():
-    for i in (1, 2, 3):
-        g = p_generator(i)
-        assert p_compose(g, g) == P_IDENTITY
-
-
 def test_p_normal_form():
     pi1, pi2, pi3 = (p_generator(i) for i in (1, 2, 3))
     a_gen = p_compose(pi3, pi1)
@@ -100,23 +94,11 @@ def test_p_normal_form():
     assert x == PElement(-2, 3, True)
 
 
-def test_p_inverses():
-    for x in P_BOX:
-        assert p_compose(x, p_inverse(x)) == P_IDENTITY
-
-
 def test_p_isometry_fixtures():
     assert p_isometry(PElement(0, 0, True)).v == (1, 0)
     assert p_isometry(PElement(0, 0, True)).m == (-1, 0, 0, -1)
     assert p_isometry(PElement(2, 3, False)).v == (3, -1)
     assert p_isometry(PElement(2, 3, False)).m == (1, 0, 0, 1)
-
-
-def test_p_isometry_homomorphism():
-    small = [PElement(a, b, fl) for a in (-2, 0, 1) for b in (-1, 0, 2) for fl in (False, True)]
-    for x in small:
-        for y in small:
-            assert p_isometry(p_compose(x, y)) == p_isometry(x) * p_isometry(y)
 
 
 def test_p_left_action_on_base():
@@ -131,13 +113,6 @@ def test_p_to_r_fixtures():
     assert p_to_r(pi1) == SEITENWECHSEL
     assert p_to_r(p_compose(pi3, pi2)) == QUINTSCHRITT
     assert p_to_r(p_compose(pi3, pi1)) == TERZSCHRITT
-
-
-def test_p_to_r_reverses_products():
-    small = [PElement(a, b, fl) for a in (-2, 0, 1) for b in (-1, 0, 2) for fl in (False, True)]
-    for x in small:
-        for y in small:
-            assert p_to_r(p_compose(x, y)) == r_compose(p_to_r(y), p_to_r(x))
 
 
 def test_p_to_r_is_a_bijection_on_the_box():
@@ -157,18 +132,6 @@ def test_comma_subgroup_membership():
     assert not in_comma_subgroup(PElement(1, 0, False))
     assert not in_comma_subgroup(PElement(3, 2, False))
     assert not in_comma_subgroup(PElement(3, 4, True))
-
-
-def test_comma_subgroup_normal():
-    for x in P_BOX:
-        for k in NAMED_COMMAS.values():
-            conj = p_compose(p_compose(x, k), p_inverse(x))
-            assert in_comma_subgroup(conj)
-
-
-def test_quotient_size():
-    images = {project_d12(x) for x in P_BOX}
-    assert len(images) == 24
 
 
 def test_projection_homomorphism():
