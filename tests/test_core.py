@@ -1,7 +1,6 @@
 """Window arithmetic: composition, reduction, length, classification."""
 
 import itertools
-import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -221,32 +220,48 @@ def refusal(fn, arg):
     return str(exc.value)
 
 
+def rotate(window, k):
+    """The window moved k slots left: tau^k, the extended affine rotation."""
+    for _ in range(k):
+        a, b, c = window
+        window = (b, c, a + 3)
+    for _ in range(-k):
+        a, b, c = window
+        window = (c - 3, a, b)
+    return window
+
+
 def test_triangle_to_perm_rejects_non_centers():
-    with pytest.raises(ValueError):
-        triangle_to_perm((1, -1, 0))  # offsets collide at 0
-    with pytest.raises(ValueError):
-        triangle_to_perm((1, 0, 0))  # does not sum to zero
-    # the centers in the box are those of the triangles a flip search reaches
-    # (each within 2 * 9 + 1 flips); both inverses refuse every other triple
+    assert refusal(triangle_to_perm, (1, -1, 0)) == "(1, -1, 0) is not a triangle center"
+    assert refusal(triangle_to_perm, (1, 0, 0)) == "(1, 0, 0) is not a triangle center"
+    assert refusal(triangle_to_perm, (1, 1, 1)) == "window (0, 1, 2) does not sum to zero"
+    # the centers are the coordinates of the triangles a flip search reaches
+    # (those with entries up to n lie within 2n + 1 flips); each inverse takes
+    # a center to its triangle, which fixes the window triangle_to_perm gives
     box = range(-9, 10)
-    centers = {
-        tuple(c): t
-        for t in triangle_ball(BASE_TRIANGLE, 19)
-        for c in [geometric_coords(t)]
-        if max(map(abs, c)) <= 9
-    }
-    assert len(centers) == 181
-    unsummed = r"window \(-?\d+, -?\d+, -?\d+\) does not sum to zero"
+    reached = {tuple(geometric_coords(t)): t for t in triangle_ball(BASE_TRIANGLE, 37)}
+    windows = {}
+    for c, t in reached.items():
+        if max(map(abs, c)) <= 18:
+            f = triangle_to_perm(c)
+            assert triangle_of(f) == t
+            windows[c] = f.window
+    assert sum(max(map(abs, c)) <= 9 for c in windows) == 181
     for coords in itertools.product(box, repeat=3):
-        if coords in centers:
-            assert triangle_from_coords(coords) == centers[coords]
-            assert triangle_of(triangle_to_perm(coords)) == centers[coords]
+        if coords in windows:
+            assert triangle_from_coords(coords) == reached[coords]
             continue
         message = f"{coords} is not a triangle center"
         assert refusal(triangle_from_coords, coords) == message
-        refused = refusal(triangle_to_perm, coords)
-        # a triple summing to zero with one entry per slot would be a center
-        assert refused == message or (sum(coords) and re.fullmatch(unsummed, refused))
+        # adding (k, k, k) to a center's coordinates rotates its window k
+        # slots, so a triple summing to 3k != 0 is refused for its window
+        # exactly when the triple less (k, k, k) is a center; every other
+        # triple is not a center
+        k, rest = divmod(sum(coords), 3)
+        base = tuple(x - k for x in coords)
+        if not rest and base in windows:
+            message = f"window {rotate(windows[base], k)} does not sum to zero"
+        assert refusal(triangle_to_perm, coords) == message
 
 
 def test_center_distance_fixtures():

@@ -15,7 +15,11 @@ mutant: killed, with the first failing test (every one with
 --all-failures), or survived, timed out or out of memory.  It exits 1 if
 any live mutant is not killed.
 
-    python tools/mutants.py [--all-failures] [--repo DIR] [ID ...]
+Before any mutant it replays the unmutated copy under the same conditions.
+If tier-1 fails there, a kill would say nothing about the mutant, so the
+runner prints the failing tests and exits 1 without replaying any.
+
+    python tools/mutants.py [--all-failures] [--repo DIR]
 
 Stdlib only; pytest does not collect it.  Each replay is one tier-1 run,
 so the whole corpus takes minutes.
@@ -95,13 +99,15 @@ def limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def replay(repo: Path, record: dict, all_failures: bool) -> tuple[str, list[str]]:
-    """Run tier-1 on a mutated copy; return the outcome and the killing tests."""
+def replay(repo: Path, record: dict | None, all_failures: bool) -> tuple[str, list[str]]:
+    """Run tier-1 on a copy mutated by record (unmutated if None); return
+    the outcome and the failing tests."""
     with tempfile.TemporaryDirectory(prefix="tonnetz-mutant-") as tmp:
         root = Path(tmp)
         copy_tree(repo, root)
         try:
-            apply(root, record)
+            if record is not None:
+                apply(root, record)
         except ValueError as exc:
             return f"not applied: {exc}", []
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -129,7 +135,6 @@ def replay(repo: Path, record: dict, all_failures: bool) -> tuple[str, list[str]
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("ids", nargs="*", help="replay only these mutants")
     parser.add_argument("--all-failures", action="store_true",
                         help="run all of tier-1 and list every test that kills a mutant")
     parser.add_argument("--repo", type=Path, default=HERE.parent,
@@ -137,16 +142,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     records = load(CORPUS)
-    unknown = set(args.ids) - {r["id"] for r in records}
-    if unknown:
-        parser.error(f"unknown mutant ids: {', '.join(sorted(unknown))}")
     repo = args.repo.resolve()
+    start = time.perf_counter()
+    outcome, failed = replay(repo, None, all_failures=True)
+    said = {"survived": "passed", "killed": "failed"}.get(outcome, outcome)
+    print(f"unmutated: {said} ({time.perf_counter() - start:.1f} s)", flush=True)
+    if outcome != "survived":
+        print("tier-1 does not pass on the unmutated copy; no mutant replayed",
+              *(f"    {k}" for k in failed), sep="\n")
+        return 1
     missed = []
     times = []
-    start = time.perf_counter()
     for record in records:
-        if args.ids and record["id"] not in args.ids:
-            continue
         if record["status"] != "live":
             print(f"{record['id']}: {record['status']}, not run")
             continue
