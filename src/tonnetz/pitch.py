@@ -9,13 +9,12 @@ vertices in different third-rows, written as a [q=n] suffix when needed.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple
 
 from .lattice import T1_VECTOR, T2_VECTOR, Triangle, Vertex
 
 LETTERS = "FCGDAEB"
-
-_ACCIDENTAL_VALUE = {"#": 1, "x": 2, "b": -1}
 
 # The most sharps or flats a spelled name may carry.  A name grows with the
 # distance of its vertex from the origin, so without a cap a far element
@@ -146,6 +145,11 @@ _CHORD_RE = re.compile(
 )
 
 
+# a progression repeats its chords, so parse_chord keeps its last 256
+# answers, each about 0.47 kB plus its symbol.  typed=True keeps keys that are
+# equal but of different types apart, such as a default_comma of 1, True and
+# 1.0, since each gives its own answer; a refused symbol is not kept.
+@lru_cache(maxsize=256, typed=True)
 def parse_chord(
     text: str, default_comma: int | None = None
 ) -> tuple[ChordName, Triangle]:
@@ -153,6 +157,7 @@ def parse_chord(
 
     Returns the chord name and its triangle.  Unannotated symbols get the
     comma level from default_comma if given, else from default_comma_level.
+    Repeated calls share one answer, whose parts are immutable named tuples.
     """
     s = text.strip()
     if not s:
@@ -163,9 +168,10 @@ def parse_chord(
     assert m is not None  # first character already checked
     if m.end() != len(s):
         raise ChordParseError(f"unexpected {s[m.end():]!r}", text, m.end())
-    fifth_index = LETTERS.index(m.group("letter")) - 1
-    for ch in m.group("accidentals"):
-        fifth_index += 7 * _ACCIDENTAL_VALUE[ch]
+    # the pattern admits only all flats or sharps mixed with double sharps
+    acc = m.group("accidentals")
+    sharps = len(acc) + acc.count("x") if acc[:1] != "b" else -len(acc)
+    fifth_index = LETTERS.index(m.group("letter")) - 1 + 7 * sharps
     if m.group("comma") is not None:
         comma = int(m.group("comma"))
     elif default_comma is not None:

@@ -15,6 +15,7 @@ chords can tear them apart.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core import from_word
@@ -200,7 +201,21 @@ def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
 
 
 def hexagon_cycle(t: Triangle) -> HexagonCycle:
-    """The cycle around t's class-2 vertex, the center of its tiling hexagon."""
+    """The cycle around t's class-2 vertex, the center of its tiling hexagon.
+
+    Repeated calls share one answer, an immutable named tuple.
+    """
+    (p, q), _ = t
+    return _hexagon_cycle(t, p, q)
+
+
+# a progression repeats its chords, so hexagon_cycle keeps its last 256
+# answers, each about 2.2 kB.  The answer depends on the types of p and q as
+# well as their values (a root of (0, True) spells comma True), but typed=True
+# sees only the types of the arguments themselves, so p and q are passed flat
+# beside t.  A refused triangle, such as a plain tuple, is not kept.
+@lru_cache(maxsize=256, typed=True)
+def _hexagon_cycle(t: Triangle, p: int, q: int) -> HexagonCycle:
     return vertex_cycle(t, class_vertex(t, 2))
 
 

@@ -430,7 +430,8 @@ def test_d12_is_the_mod_arithmetic():
             assert d12_compose(x, y) == ref_d12_compose(x, y)
 
 
-def test_window_maps_are_the_residue_scans():
+def test_perm_to_iso_is_the_generator_product():
+    # over a larger ball than check_element's
     for f in ball(12):
         assert perm_to_iso(f) == ref_iso(f)
 

@@ -1,5 +1,7 @@
 """Note spelling on the lattice, chord symbols, hexagon common tones."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -234,3 +236,50 @@ def test_hexagon_tone_translates():
             v = vertex_of(hexagon_common_tone(e1, e2))
             assert v[0] == base[0] - e1 + 2 * e2
             assert v[1] == base[1] + 2 * e1 - e2
+
+
+# --- parse_chord's sign count and memo -------------------------------------------
+
+# test_cli's budget for a hostile input
+BUDGET_S = 2.0
+
+
+def test_parse_chord_counts_accidentals_in_closed_form():
+    # five million signs, each kind of spelling the pattern admits
+    n = 5_000_000
+    for symbol, fifth_index in (
+        ("C" + "#" * n, 7 * n),
+        ("C" + "b" * n, -7 * n),
+        ("C" + "x#" * (n // 2), 7 * 3 * (n // 2)),
+    ):
+        start = time.perf_counter()
+        chord, _ = parse_chord(symbol)
+        assert time.perf_counter() - start < BUDGET_S
+        assert chord.root.fifth_index == fifth_index
+    # the memo would keep the three 5 MB symbols alive
+    parse_chord.cache_clear()
+
+
+@pytest.mark.parametrize("commas", [(1, True, 1.0), (1.0, True, 1)])
+def test_parse_chord_memo_keeps_equal_keys_of_other_types_apart(commas):
+    # 1, True and 1.0 are equal, hash alike and give three different answers
+    answers = {repr(parse_chord.__wrapped__("C", c)) for c in commas}
+    assert len(answers) == 3
+    parse_chord.cache_clear()
+    for c in commas:
+        assert repr(parse_chord("C", c)) == repr(parse_chord.__wrapped__("C", c))
+
+
+def test_parse_chord_memo_keeps_no_refusal():
+    size = parse_chord.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ChordParseError):
+            parse_chord("C#b")
+        assert parse_chord.cache_info().currsize == size
+
+
+def test_parse_chord_memo_is_bounded():
+    parse_chord.cache_clear()
+    for comma in range(2 * 256):
+        parse_chord("C", comma)
+    assert parse_chord.cache_info().currsize == 256

@@ -14,6 +14,7 @@ from tonnetz.lattice import BASE_TRIANGLE, Triangle, triangle_ball
 from tonnetz.pitch import format_chord, format_note, name_triangle
 from tonnetz.progressions import (
     StripeKind,
+    _hexagon_cycle,
     analyze,
     apply_move,
     apply_plr,
@@ -92,6 +93,32 @@ def test_hexagon_cycle_around_e():
     assert format_note(cyc.common_tone) == "E"
     assert [format_chord(c) for c in cyc.chords] == ["C", "Em", "E", "C#m", "A", "Am"]
     assert len(set(cyc.triangles)) == 6
+
+
+@pytest.mark.parametrize("roots", [((0, True), (0, 1)), ((0, 1), (0, True))])
+def test_hexagon_cycle_memo_keeps_nested_types_apart(roots):
+    triangles = [Triangle(root, True) for root in roots]
+    # the two are equal and hash alike, but the bool root spells comma True
+    assert len({repr(_hexagon_cycle.__wrapped__(t, *t.root)) for t in triangles}) == 2
+    _hexagon_cycle.cache_clear()
+    for t in triangles:
+        assert repr(hexagon_cycle(t)) == repr(_hexagon_cycle.__wrapped__(t, *t.root))
+
+
+def test_hexagon_cycle_memo_keeps_no_refusal():
+    size = _hexagon_cycle.cache_info().currsize
+    for _ in range(2):
+        # a plain tuple is no Triangle: it has no vertices()
+        with pytest.raises(AttributeError):
+            hexagon_cycle(((0, 0), True))
+        assert _hexagon_cycle.cache_info().currsize == size
+
+
+def test_hexagon_cycle_memo_is_bounded():
+    _hexagon_cycle.cache_clear()
+    for p in range(2 * 256):
+        hexagon_cycle(Triangle((p, 0), True))
+    assert _hexagon_cycle.cache_info().currsize == 256
 
 
 def test_vertex_cycle_around_g():

@@ -12,8 +12,9 @@ tracks, plus new ones it does not ignore) into a temporary directory,
 applies the replacement there and runs tier-1 in a child process under a
 wall-clock timeout and an address-space limit.  It prints one line per
 mutant: killed, with the first failing test (every one with
---all-failures), or survived, timed out or out of memory.  It exits 1 if
-any live mutant is not killed.
+--all-failures), or survived, timed out or out of memory.  The acceptance
+tests run last, so the first failing test named is a unit test where one
+fails.  It exits 1 if any live mutant is not killed.
 
 Before any mutant it replays the unmutated copy under the same conditions.
 If tier-1 fails there, a kill would say nothing about the mutant, so the
@@ -85,6 +86,14 @@ def apply(root: Path, record: dict) -> None:
     target.write_text(text.replace(record["old"], record["new"]))
 
 
+def test_modules(root: Path) -> list[str]:
+    """tier-1's test modules, tests/test_acceptance.py last: an acceptance
+    test runs many functions at once, so naming it says little."""
+    names = sorted(p.name for p in (root / "tests").glob("test_*.py"))
+    names.sort(key=lambda name: name == "test_acceptance.py")
+    return [f"tests/{name}" for name in names]
+
+
 def failures(output: str) -> list[str]:
     """The test ids of pytest's short summary, FAILED and ERROR lines."""
     out = []
@@ -111,7 +120,7 @@ def replay(repo: Path, record: dict | None, all_failures: bool) -> tuple[str, li
         except ValueError as exc:
             return f"not applied: {exc}", []
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, *TIER1, *([] if all_failures else ["-x"])]
+        command = [sys.executable, *TIER1, *([] if all_failures else ["-x"]), *test_modules(root)]
         proc = subprocess.Popen(
             command, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, preexec_fn=limit_memory, start_new_session=True,
