@@ -145,11 +145,12 @@ _CHORD_RE = re.compile(
 )
 
 
-# a progression repeats its chords, so parse_chord keeps its last 256
-# answers, each about 0.47 kB plus its symbol.  typed=True keeps keys that are
-# equal but of different types apart, such as a default_comma of 1, True and
-# 1.0, since each gives its own answer; a refused symbol is not kept.
-@lru_cache(maxsize=256, typed=True)
+# The longest symbol parse_chord's memo keeps.  A memo key holds its symbol
+# alive, and a symbol has no length cap, so longer ones parse without the memo;
+# the memo then holds at most 256 symbols of 64 characters.
+_MEMO_SYMBOL_LENGTH = 64
+
+
 def parse_chord(
     text: str, default_comma: int | None = None
 ) -> tuple[ChordName, Triangle]:
@@ -157,8 +158,21 @@ def parse_chord(
 
     Returns the chord name and its triangle.  Unannotated symbols get the
     comma level from default_comma if given, else from default_comma_level.
-    Repeated calls share one answer, whose parts are immutable named tuples.
+    Repeated calls with a symbol of at most 64 characters share one answer,
+    whose parts are immutable named tuples.
     """
+    # anything but a string goes to the memo, whose key or body refuses it
+    if isinstance(text, str) and len(text) > _MEMO_SYMBOL_LENGTH:
+        return _parse_chord.__wrapped__(text, default_comma)
+    return _parse_chord(text, default_comma)
+
+
+# a progression repeats its chords, so parse_chord keeps its last 256
+# answers, each about 0.47 kB plus its symbol.  typed=True keeps keys that are
+# equal but of different types apart, such as a default_comma of 1, True and
+# 1.0, since each gives its own answer; a refused symbol is not kept.
+@lru_cache(maxsize=256, typed=True)
+def _parse_chord(text: str, default_comma: int | None) -> tuple[ChordName, Triangle]:
     s = text.strip()
     if not s:
         raise ChordParseError("empty chord symbol", text, 0)

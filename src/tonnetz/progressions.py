@@ -31,7 +31,7 @@ from .lattice import (
     perm_to_iso,
     vertex_class,
 )
-from .pitch import ChordName, NoteName, chord_triangle, parse_chord, spell_vertex
+from .pitch import ChordName, NoteName, parse_chord, spell_vertex
 
 PLR_EDGES = {
     "P": Edge.FIFTH,
@@ -294,7 +294,7 @@ def stripe(seed: Triangle, kind: StripeKind | str, count: int = 3) -> list[Trian
     chain = []
     for k in range(-count, count + 1):
         h, odd = divmod(k, 2)
-        chain.append(Triangle((p + h * dp + odd * op, q + h * dq + odd * oq), up != odd))
+        chain.append(_make(Triangle, ((p + h * dp + odd * op, q + h * dq + odd * oq), up != odd)))
     return chain
 
 
@@ -317,28 +317,75 @@ class ProgressionReport(NamedTuple):
     total_distance: int
 
 
-def _resolve(symbol: str, prev: Triangle, default_comma: int | None) -> tuple[ChordName, Triangle]:
+def _flips_at(u: int, fifths: int, delta: int) -> int:
+    """Flips from the previous chord to the instance u comma levels above its root.
+
+    The new root lies fifths steps up the line of fifths from the previous
+    one, and delta is the previous orientation less the new one.  One comma
+    level up moves a root by (-4, 1), so the instance's strips p, q' and
+    p + q (see triangle_distance) lie |4u - fifths|, |u - delta| and
+    |3u - fifths| strips from the previous chord's.
+    """
+    return abs(4 * u - fifths) + abs(u - delta) + abs(3 * u - fifths)
+
+
+# the table of nearest levels holds |fifths| <= _TABLE_REACH.  Past it the
+# first and last terms of _flips_at keep one sign over the band u in -4..4,
+# so each level up changes the flips by -7 +- 1 (or 7 +- 1 below the table)
+# and the band's edge, u = 4 (or -4), is nearest
+_TABLE_REACH = 16
+
+
+def _nearest_offsets(fifths: int, delta: int) -> tuple[int, int, int]:
+    """(lo, hi, flips): the run of offsets u in -4..4 nearest the previous chord.
+
+    The flips are convex in u, so the offsets at the fewest make one run.
+    """
+    band = range(-4, 5)
+    flips = [_flips_at(u, fifths, delta) for u in band]
+    least = min(flips)
+    nearest = [u for u, d in zip(band, flips) if d == least]
+    return nearest[0], nearest[-1], least
+
+
+# _nearest_offsets(fifths, delta) is _NEAREST[3 * (fifths + _TABLE_REACH) + 1 + delta]
+_NEAREST = tuple(
+    _nearest_offsets(fifths, delta)
+    for fifths in range(-_TABLE_REACH, _TABLE_REACH + 1)
+    for delta in (-1, 0, 1)
+)
+
+
+def _resolve(
+    symbol: str, prev: Triangle, default_comma: int | None
+) -> tuple[ChordName, Triangle, int]:
     """Pick the instance of the chord nearest to the previous triangle.
 
     Explicit [q=n] annotations are honored; otherwise comma levels within
     four of the previous root's level compete, ranked by gallery distance,
-    then by |q|, then by q.
+    then by |q|, then by q.  Returns the chord, its triangle and their
+    distance from prev.
     """
     chord, t = parse_chord(symbol, default_comma)
     if "[q=" in symbol:
-        return chord, t
-    # one comma level up moves the chord's root by (-4, 1) and so its strips
-    # p, q', p + q by (-4, 1, -3); the instance k levels above t lies
-    # |dp + 4k| + |dq - k| + |ds + 3k| flips from prev.  Only the winner is named.
-    dp, dq, ds = _strip_offsets(prev, t)
-    comma = chord.root.comma
-    prev_comma = prev.root[1]
-    _, _, best = min(
-        (abs(dp + 4 * k) + abs(dq - k) + abs(ds + 3 * k), abs(comma + k), comma + k)
-        for k in range(prev_comma - comma - 4, prev_comma - comma + 5)
-    )
-    winner = ChordName(NoteName(chord.root.fifth_index, best), chord.minor)
-    return winner, chord_triangle(winner)
+        return chord, t, triangle_distance(prev, t)
+    # the nearest offsets from prev's level depend only on fifths and delta
+    # (see _flips_at); of their levels, the one of least |q|, then least q,
+    # is 0 clamped into the run
+    (p, q), up = prev
+    fifth_index = chord.root.fifth_index
+    fifths = fifth_index - p - 4 * q
+    delta = up - t.up
+    if -_TABLE_REACH <= fifths <= _TABLE_REACH:
+        lo, hi, distance = _NEAREST[3 * (fifths + _TABLE_REACH) + 1 + delta]
+    else:
+        lo = hi = 4 if fifths > 0 else -4
+        distance = _flips_at(lo, fifths, delta)
+    lo += q
+    hi += q
+    comma = lo if lo > 0 else hi if hi < 0 else 0
+    winner = _make(ChordName, (_make(NoteName, (fifth_index, comma)), chord.minor))
+    return winner, _make(Triangle, ((fifth_index - 4 * comma, comma), t.up)), distance
 
 
 def analyze(symbols: list[str], default_comma: int | None = None) -> ProgressionReport:
@@ -353,6 +400,7 @@ def analyze(symbols: list[str], default_comma: int | None = None) -> Progression
     if not symbols:
         raise ValueError("progression needs at least one chord")
     steps = []
+    total = 0
     prev_triangle = None
     for symbol in symbols:
         if prev_triangle is None:
@@ -361,23 +409,15 @@ def analyze(symbols: list[str], default_comma: int | None = None) -> Progression
             common: tuple[NoteName, ...] = ()
             shares = False
         else:
-            chord, t = _resolve(symbol, prev_triangle, default_comma)
-            distance = triangle_distance(prev_triangle, t)
-            shared = set(prev_triangle.vertices()) & set(t.vertices())
-            common = tuple(sorted(spell_vertex(v) for v in shared))
+            chord, t, distance = _resolve(symbol, prev_triangle, default_comma)
+            around = prev_triangle.vertices()
+            shared = [v for v in t.vertices() if v in around]
+            common = tuple(sorted([spell_vertex(v) for v in shared]))
             shares = any(vertex_class(v) == 2 for v in shared)
-        steps.append(
-            ProgressionStep(
-                symbol=symbol.strip(),
-                chord=chord,
-                triangle=t,
-                distance=distance,
-                common_tones=common,
-                shares_hexagon=shares,
-            )
-        )
+        steps.append(_make(ProgressionStep, (symbol.strip(), chord, t, distance, common, shares)))
+        total += distance
         prev_triangle = t
-    return ProgressionReport(tuple(steps), sum(s.distance for s in steps))
+    return _make(ProgressionReport, (tuple(steps), total))
 
 
 if __name__ == "__main__":

@@ -21,6 +21,11 @@ EDGE_CENTI = 10000
 HALF_EDGE_CENTI = 5000
 ROW_CENTI = 8660
 
+# The most letters a path overlay may have, the CLI's cap on --path: each
+# letter draws one <line> of about 135 bytes, so a path at the cap adds
+# about 5.3 MB to the document.
+MAX_PATH_LETTERS = 40_000
+
 # fill styles for highlighted triangles
 PALETTE = {
     "center": "#f4b860",
@@ -62,6 +67,9 @@ class RenderSpec(_RenderFields):
         for _, style in self.highlights:
             if style not in PALETTE:
                 raise ValueError(f"unknown style {style!r}; choose from {sorted(PALETTE)}")
+        n = len(self.path)
+        if n > MAX_PATH_LETTERS:
+            raise ValueError(f"path has {n} letters; render draws paths of at most {MAX_PATH_LETTERS}")
         for letter in self.path:
             if letter not in "PLR":
                 raise ValueError(f"path letters must be P, L or R, got {letter!r}")

@@ -22,7 +22,7 @@ from tonnetz.core import format_window, generator, parse_window
 from tonnetz.lattice import BASE_TRIANGLE, Triangle, parse_triangle, perm_of
 from tonnetz.pitch import MAX_ACCIDENTALS, parse_chord
 from tonnetz.progressions import StripeKind, apply_plr, triangle_distance
-from tonnetz.render import LabelMode
+from tonnetz.render import MAX_PATH_LETTERS, LabelMode
 
 
 def run(capsys, *argv):
@@ -743,6 +743,11 @@ def test_parser_choices_are_the_enums():
     assert cli.STRIPE_KINDS == tuple(k.value for k in StripeKind)
     assert cli.LABEL_MODES == tuple(m.value for m in LabelMode)
     assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES)) == tuple(SUITE_SIZES)
+
+
+def test_path_cap_is_the_library_cap():
+    # a literal too, for the same reason; RenderSpec refuses a longer path itself
+    assert cli.LIMITS["render_path_letters"][0] == MAX_PATH_LETTERS
 
 
 # --- no request path runs a search ----------------------------------------------

@@ -18,7 +18,9 @@ six-triangle ring are compared with right multiplication of windows,
 class_vertex with the class of each vertex, the strip-offset walk of
 plr_path also with the greedy rule over apply_move, and the progression
 analyzer's ranking with the loop over nine chord names, near the origin
-and at roots up to 10^12 or comma levels up to 10^6.  The D12
+and at roots up to 10^12 or comma levels up to 10^6.  Its table of nearest
+comma levels is also checked against the nine candidates ranked by
+breadth-first search, for every step of up to 20 fifths.  The D12
 quotient's product, inverse and order are still compared with their own
 mod arithmetic, a second home of P's law until an action on the 24
 triads replaces it.
@@ -73,6 +75,7 @@ from tonnetz.pitch import (
     ChordName,
     NoteName,
     chord_triangle,
+    format_note,
     name_triangle,
     parse_chord,
     spell_vertex,
@@ -255,13 +258,22 @@ def ref_vertex_cycle(t, v):
     return tuple(triangle_of(g) for g in elems)
 
 
-def ref_placements(symbols, default_comma):
-    """Each chord's (name, triangle), ranking nine built chord names per chord."""
+def ref_steps(symbols, default_comma):
+    """Each chord's (name, triangle, distance, common tones, shares hexagon).
+
+    Ranks nine built chord names per chord; the tones shared with the
+    previous chord are a set intersection, and two chords share a hexagon
+    when their class-2 vertices are one.
+    """
     out = []
     prev = None
     for symbol in symbols:
         chord, t = parse_chord(symbol, default_comma)
-        if prev is not None and "[q=" not in symbol:
+        if prev is None:
+            out.append((chord, t, 0, (), False))
+            prev = t
+            continue
+        if "[q=" not in symbol:
             prev_comma = spell_vertex(prev.root).comma
             best = None
             for q in range(prev_comma - 4, prev_comma + 5):
@@ -271,7 +283,10 @@ def ref_placements(symbols, default_comma):
                 if best is None or key < best[0]:
                     best = (key, cand, cand_t)
             _, chord, t = best
-        out.append((chord, t))
+        shared = set(prev.vertices()) & set(t.vertices())
+        common = tuple(sorted(spell_vertex(v) for v in shared))
+        shares = class_vertex(prev, 2) == class_vertex(t, 2)
+        out.append((chord, t, triangle_distance(prev, t), common, shares))
         prev = t
     return out
 
@@ -816,12 +831,21 @@ chord_symbols = st.builds(
 )
 
 
+def _as_ref_steps(report):
+    assert report.total_distance == sum(s.distance for s in report.steps)
+    return [
+        (s.chord, s.triangle, s.distance, s.common_tones, s.shares_hexagon) for s in report.steps
+    ]
+
+
+default_commas = st.one_of(st.none(), st.integers(-3, 3), st.just(True))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(chord_symbols, min_size=1, max_size=12), st.one_of(st.none(), st.integers(-3, 3)))
+@given(st.lists(chord_symbols, min_size=1, max_size=12), default_commas)
 def test_analyze_is_the_nine_candidate_loop(symbols, default_comma):
     report = analyze(symbols, default_comma)
-    placed = [(s.chord, s.triangle) for s in report.steps]
-    assert placed == ref_placements(symbols, default_comma)
+    assert repr(_as_ref_steps(report)) == repr(ref_steps(symbols, default_comma))
 
 
 @settings(max_examples=100, deadline=None)
@@ -829,7 +853,7 @@ def test_analyze_is_the_nine_candidate_loop(symbols, default_comma):
     chord_symbols,
     st.integers(-(10**6), 10**6),
     st.lists(chord_symbols, max_size=8),
-    st.one_of(st.none(), st.integers(-3, 3)),
+    default_commas,
 )
 @example("C", 10**6, ["G", "Am"], None)
 @example("Ebm", -(10**6), ["Cb", "Gb", "Db"], 2)
@@ -837,5 +861,33 @@ def test_analyze_far_comma_is_the_nine_candidate_loop(first, comma, rest, defaul
     # later chords follow the first one's comma band wherever it lies
     symbols = [first.split("[")[0] + f"[q={comma}]", *rest]
     report = analyze(symbols, default_comma)
-    placed = [(s.chord, s.triangle) for s in report.steps]
-    assert placed == ref_placements(symbols, default_comma)
+    assert repr(_as_ref_steps(report)) == repr(ref_steps(symbols, default_comma))
+
+
+@pytest.mark.parametrize("prev_comma", [*range(-6, 7), True])
+def test_analyze_places_each_step_by_the_search(prev_comma):
+    # every step of -20..20 fifths from C, Cm, Db or Dbm at the given comma
+    # level to a major or minor chord, so each sign of prev.up - t.up, against
+    # the nine candidates ranked by flip search, then by |q|, then by q
+    for root, f0 in (("C", 0), ("Db", -5)):
+        for prev_minor, minor in ((False, False), (False, True), (True, False), (True, True)):
+            for fifths in range(-20, 21):
+                f = f0 + fifths
+                symbols = [root + "m" * prev_minor, format_note(NoteName(f, 0)) + "m" * minor]
+                first, step = analyze(symbols, prev_comma).steps
+                prev, q0 = first.triangle, first.triangle.root[1]
+                ranked = []
+                for q in range(q0 - 4, q0 + 5):
+                    cand = Triangle((f - 4 * q, q), not minor)
+                    ranked.append((gallery_distance_bfs(prev, cand), abs(q), q, cand))
+                distance, _, q, cand = min(ranked)
+                assert repr(step.triangle) == repr(cand)
+                assert repr(step.chord) == repr(ChordName(NoteName(f, q), minor))
+                assert step.distance == distance
+
+
+def test_analyze_refuses_a_float_comma_level():
+    # a float default level puts the first chord at a float root, and the
+    # table of nearest levels takes integer steps only
+    with pytest.raises(TypeError):
+        analyze(["C", "G"], 1.0)

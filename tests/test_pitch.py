@@ -1,6 +1,7 @@
 """Note spelling on the lattice, chord symbols, hexagon common tones."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from tonnetz.pitch import (
     ChordName,
     ChordParseError,
     NoteName,
+    _parse_chord,
     accidental_string,
     chord_tones,
     chord_triangle,
@@ -256,30 +258,63 @@ def test_parse_chord_counts_accidentals_in_closed_form():
         chord, _ = parse_chord(symbol)
         assert time.perf_counter() - start < BUDGET_S
         assert chord.root.fifth_index == fifth_index
-    # the memo would keep the three 5 MB symbols alive
-    parse_chord.cache_clear()
 
 
 @pytest.mark.parametrize("commas", [(1, True, 1.0), (1.0, True, 1)])
 def test_parse_chord_memo_keeps_equal_keys_of_other_types_apart(commas):
     # 1, True and 1.0 are equal, hash alike and give three different answers
-    answers = {repr(parse_chord.__wrapped__("C", c)) for c in commas}
+    answers = {repr(_parse_chord.__wrapped__("C", c)) for c in commas}
     assert len(answers) == 3
-    parse_chord.cache_clear()
+    _parse_chord.cache_clear()
     for c in commas:
-        assert repr(parse_chord("C", c)) == repr(parse_chord.__wrapped__("C", c))
+        assert repr(parse_chord("C", c)) == repr(_parse_chord.__wrapped__("C", c))
 
 
 def test_parse_chord_memo_keeps_no_refusal():
-    size = parse_chord.cache_info().currsize
+    size = _parse_chord.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ChordParseError):
             parse_chord("C#b")
-        assert parse_chord.cache_info().currsize == size
+        assert _parse_chord.cache_info().currsize == size
 
 
 def test_parse_chord_memo_is_bounded():
-    parse_chord.cache_clear()
+    _parse_chord.cache_clear()
     for comma in range(2 * 256):
         parse_chord("C", comma)
-    assert parse_chord.cache_info().currsize == 256
+    assert _parse_chord.cache_info().currsize == 256
+
+
+def test_parse_chord_memo_keeps_no_long_symbol():
+    # 256 distinct symbols of 100,000 sharps each, dropped once parsed
+    _parse_chord.cache_clear()
+    tracemalloc.start()
+    try:
+        for extra in range(256):
+            chord, _ = parse_chord("C" + "#" * (100_000 + extra))
+            assert chord.root.fifth_index == 7 * (100_000 + extra)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert _parse_chord.cache_info().currsize == 0
+    # a symbol at the memo's length is kept, one longer is not
+    parse_chord("C" + "#" * 63)
+    parse_chord("C" + "#" * 64)
+    assert _parse_chord.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # a hashable non-string reaches the parser, which has no .strip for it
+        (None, AttributeError),
+        (("C",) * 100, AttributeError),
+        # an unhashable one cannot be a memo key, however long it is
+        (["C"], TypeError),
+        (["C"] * 100, TypeError),
+    ],
+)
+def test_parse_chord_refuses_what_is_not_a_string(text, error):
+    with pytest.raises(error):
+        parse_chord(text)

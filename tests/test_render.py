@@ -7,7 +7,7 @@ import pytest
 
 from tonnetz.lattice import BASE_TRIANGLE, Triangle, triangle_ball
 from tonnetz.progressions import _triangles_within
-from tonnetz.render import LabelMode, RenderSpec, render_svg
+from tonnetz.render import MAX_PATH_LETTERS, LabelMode, RenderSpec, render_svg
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -113,6 +113,14 @@ def test_spec_validation():
         render_svg(RenderSpec(Triangle((0.5, 0), True), 1))
     with pytest.raises(ValueError, match="not a lattice triangle"):
         render_svg(RenderSpec(Triangle((0, 0), 1), 1))
+
+
+def test_spec_caps_the_path():
+    assert RenderSpec(BASE_TRIANGLE, 0, path="PL" * (MAX_PATH_LETTERS // 2)).path
+    # the length is refused before any letter is read
+    for path in ("P" * (MAX_PATH_LETTERS + 1), "Q" * (MAX_PATH_LETTERS + 1)):
+        with pytest.raises(ValueError, match=f"path has {MAX_PATH_LETTERS + 1} letters"):
+            RenderSpec(BASE_TRIANGLE, 0, path=path)
 
 
 def test_no_external_references():
