@@ -12,8 +12,7 @@ that correspondence lives in :mod:`tonnetz.lattice`.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Iterable, NamedTuple
 
 WINDOW_POSITIONS = (-1, 0, 1)
 
@@ -393,57 +392,26 @@ def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePer
     return AffinePermutation(*out)
 
 
-# a set of nodes: an ordered dict keyed by the nodes
-Layer = TypeVar("Layer", bound=dict)
-
-
-def bfs_layers(start: Layer, expand: Callable[[Layer, Layer, int], Layer]) -> Iterator[Layer]:
-    """Breadth-first layers of a bipartite undirected graph.
-
-    Yields start, the layer at depth 0, then each next layer, until one is
-    empty.  expand(layer, back, depth) returns layer depth + 1: every
-    neighbour of layer (at depth) that is not in back (layer depth - 1,
-    empty at depth 0).  A layer is an ordered dict keyed by its nodes.  The
-    graph must be symmetric (m is a neighbour of n exactly when n is one of
-    m) and bipartite (no odd cycle): then every neighbour of layer k lies
-    in layer k - 1 or k + 1, never in layer k itself, so only two layers
-    are remembered, not the whole ball.  On an infinite graph the caller
-    decides where to stop; a layer is computed only when it is asked for.
-
-    The 4-cycle is bipartite:
-
-    >>> step = lambda layer, back, depth: {
-    ...     m: None for n in layer for m in ((n + 1) % 4, (n - 1) % 4) if m not in back
-    ... }
-    >>> [list(layer) for layer in islice(bfs_layers({0: None}, step), 5)]
-    [[0], [1, 3], [2]]
-    """
-    back, layer, depth = {}, start, 0
-    while layer:
-        yield layer
-        back, layer, depth = layer, expand(layer, back, depth), depth + 1
-
-
 def ball(radius: int) -> list[AffinePermutation]:
-    """All elements of length <= radius, in breadth-first order.
+    """All elements of length <= radius, by the differences of their windows.
 
-    Each generator changes the length by one, so the Cayley graph is
-    bipartite, as bfs_layers requires.
+    A window [a, a + u, a + u + v] meets each residue class mod 3 once
+    exactly when u and v are congruent and nonzero mod 3, and then sums to
+    zero exactly when 3a = -(2u + v).  Its length, |u // 3| + |v // 3| +
+    |(u + v) // 3| by Shi's formula, is at least |u // 3| and |v // 3|, so
+    both differences lie in -3 * radius .. 3 * radius + 2.  The elements
+    come in order of u, then v.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-
-    def expand(
-        layer: dict[AffinePermutation, None], back: dict[AffinePermutation, None], depth: int
-    ) -> dict[AffinePermutation, None]:
-        return {
-            g: None
-            for f in layer
-            for i in GENERATOR_INDICES
-            if (g := right_mult_generator(f, i)) not in back
-        }
-
-    return [f for layer in islice(bfs_layers({IDENTITY: None}, expand), radius + 1) for f in layer]
+    top = 3 * radius + 3
+    return [
+        _make_element(AffinePermutation, (a := -(2 * u + v) // 3, a + u, a + u + v))
+        for u in range(-3 * radius, top)
+        if u % 3
+        for v in range(u % 3 - 3 * radius, top, 3)
+        if abs(u // 3) + abs(v // 3) + abs((u + v) // 3) <= radius
+    ]
 
 
 def length_layers(radius: int) -> list[int]:

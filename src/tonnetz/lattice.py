@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
-from itertools import islice
 from typing import NamedTuple
 
 from .core import (
@@ -22,15 +21,12 @@ from .core import (
     AffinePermutation,
     TriangleCoords,
     _not_a_sequence,
-    bfs_layers,
     translation_factor,
     triangle_to_perm,
 )
 
 Vertex = tuple[int, int]
 
-FIFTH: Vertex = (1, 0)
-THIRD: Vertex = (0, 1)
 ORIGIN: Vertex = (0, 0)
 
 
@@ -419,34 +415,36 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
 def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:
     """All triangles within the given flip distance, with their distances.
 
-    The breadth-first oracle that render's closed-form ball, read off the
-    strip distance, is tested against.  Every flip turns a triangle over,
-    so all triangles of layer d point the same way, up exactly when
-    center.up differs from d being odd, and a layer holds bare roots.
+    Breadth-first search on the flip graph, layer by layer: the oracle
+    that closed forms such as ball, length and render's strip ball are
+    tested against.  Every flip turns a triangle over, so all triangles
+    of layer d point the same way, up exactly when center.up differs from
+    d being odd, and a layer holds bare roots.  The graph is bipartite, so
+    each flip out of layer d lands in layer d - 1 or d + 1: the next layer
+    is the roots reached that are not in the layer before, and the search
+    keeps two layers, not the whole ball.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     _check_lattice_triangle(center)
     root, up = center
-    # the flip offsets out of even layers, then out of odd ones
-    offsets = (tuple(_FLIP_OFFSETS[up].values()), tuple(_FLIP_OFFSETS[not up].values()))
-
-    def expand(
-        layer: dict[Vertex, None], back: dict[Vertex, None], depth: int
-    ) -> dict[Vertex, None]:
-        return {
-            r: None
-            for p, q in layer
-            for dp, dq in offsets[depth % 2]
-            if (r := (p + dp, q + dq)) not in back
-        }
-
-    layers = islice(bfs_layers({root: None}, expand), radius + 1)
-    return {
-        _make_triangle(Triangle, (r, up != (d % 2 == 1))): d
-        for d, layer in enumerate(layers)
-        for r in layer
-    }
+    ball: dict[Triangle, int] = {}
+    back: dict[Vertex, None] = {}
+    layer = {root: None}
+    for d in range(radius + 1):
+        if d:
+            # out of layer d - 1, whose triangles point up exactly when up is
+            steps = _FLIP_OFFSETS[up].values()
+            back, layer = layer, {
+                r: None
+                for p, q in layer
+                for dp, dq in steps
+                if (r := (p + dp, q + dq)) not in back
+            }
+            up = not up
+        for r in layer:
+            ball[_make_triangle(Triangle, (r, up))] = d
+    return ball
 
 
 # --- triangle text format ---------------------------------------------------

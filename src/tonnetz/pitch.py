@@ -157,7 +157,8 @@ def parse_chord(
     """Parse a chord symbol like "C", "F#m", "Ebm[q=-1]" or "Amin".
 
     Returns the chord name and its triangle.  Unannotated symbols get the
-    comma level from default_comma if given, else from default_comma_level.
+    comma level from default_comma if given, else from default_comma_level;
+    a default_comma that is neither an int nor None raises TypeError.
     Repeated calls with a symbol of at most 64 characters share one answer,
     whose parts are immutable named tuples.
     """
@@ -169,10 +170,14 @@ def parse_chord(
 
 # a progression repeats its chords, so parse_chord keeps its last 256
 # answers, each about 0.47 kB plus its symbol.  typed=True keeps keys that are
-# equal but of different types apart, such as a default_comma of 1, True and
-# 1.0, since each gives its own answer; a refused symbol is not kept.
+# equal but of different types apart, such as a default_comma of 1 and True,
+# since each gives its own answer; a refused symbol is not kept.
 @lru_cache(maxsize=256, typed=True)
 def _parse_chord(text: str, default_comma: int | None) -> tuple[ChordName, Triangle]:
+    # a level of any other type would put the chord at a root that is not
+    # a lattice vertex, such as a float one; bool is an int
+    if default_comma is not None and not isinstance(default_comma, int):
+        raise TypeError(f"default_comma must be an int or None, got {default_comma!r}")
     s = text.strip()
     if not s:
         raise ChordParseError("empty chord symbol", text, 0)

@@ -151,7 +151,8 @@ def suite_bijection(radius: int) -> list[CheckResult]:
             lambda t: f"coords {lattice.format_triangle(t)}",
         )
     )
-    layer_counts = core.length_layers(radius)
+    lengths = [f.length() for f in elems]
+    layer_counts = [lengths.count(k) for k in range(radius + 1)]
     bfs_counts = [sum(1 for d in bfs.values() if d == k) for k in range(radius + 1)]
     results.append(
         CheckResult(

@@ -10,20 +10,22 @@ whose descent walk jumps over each periodic run by a few floor
 divisions, against stripping the smallest descent one letter at a time,
 on seeded elements of length up to 2561 and up to the 2,000,000-letter
 cap; length_layers against counting the ball by length; and
-breadth-first search on the flip graph, for ball and triangle_ball layer
-by layer, for gallery_distance_bfs and triangle_distance through the
-ball of radius 2h + 1 around one triangle, and for the shortest PLR word
-of plr_path.  Wall flips and the hexagon cycles read off the
-six-triangle ring are compared with right multiplication of windows,
-class_vertex with the class of each vertex, the strip-offset walk of
-plr_path also with the greedy rule over apply_move, and the progression
-analyzer's ranking with the loop over nine chord names, near the origin
-and at roots up to 10^12 or comma levels up to 10^6.  Its table of nearest
-comma levels is also checked against the nine candidates ranked by
-breadth-first search, for every step of up to 20 fifths.  The D12
-quotient's product, inverse and order are still compared with their own
-mod arithmetic, a second home of P's law until an action on the 24
-triads replaces it.
+breadth-first search on the flip graph, which is triangle_ball itself:
+the tests define no search of their own.  It checks ball, listed by
+window differences, against the elements of the triangles within each
+radius; gallery_distance_bfs and triangle_distance through the ball of
+radius 2h + 1 around one triangle; and plr_path against the walk that
+takes the first of P, L, R one flip closer to the goal.  Wall flips and
+the hexagon cycles read off the six-triangle ring are compared with
+right multiplication of windows, class_vertex with the class of each
+vertex, the strip-offset walk of plr_path also with the greedy rule over
+apply_move, and the progression analyzer's ranking with the loop over
+nine chord names, near the origin and at roots up to 10^12 or comma
+levels up to 10^6.  Its table of nearest comma levels is also checked
+against the nine candidates ranked by breadth-first search, for every
+step of up to 20 fifths.  The D12 quotient's product, inverse and order
+are still compared with their own mod arithmetic, a second home of P's
+law until an action on the 24 triads replaces it.
 Whole balls are checked exhaustively; hypothesis covers long random
 words, distant triangle pairs and chord progressions.
 """
@@ -35,7 +37,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -162,65 +163,8 @@ def ref_translation_perm(vec):
     return g
 
 
-def ref_plr_path(start, goal):
-    """Breadth-first search trying P, L, R in that order."""
-    if start == goal:
-        return ""
-    parent = {start: (start, "")}
-    queue = deque([start])
-    while queue:
-        t = queue.popleft()
-        for letter in "PLR":
-            nb = apply_move(t, letter)
-            if nb in parent:
-                continue
-            parent[nb] = (t, letter)
-            if nb == goal:
-                letters = []
-                cur = nb
-                while cur != start:
-                    cur, letter = parent[cur]
-                    letters.append(letter)
-                return "".join(letters)
-            queue.append(nb)
-    raise AssertionError("flip graph is connected")
-
-
-def ref_ball(radius):
-    """Elements of length <= radius, layer by layer, generators in index order."""
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    out = [IDENTITY]
-    for _ in range(radius):
-        nxt = []
-        for f in frontier:
-            for i in GENERATOR_INDICES:
-                g = right_mult_generator(f, i)
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-                    out.append(g)
-        frontier = nxt
-    return out
-
-
-def ref_triangle_ball(center, radius):
-    """Triangles within the flip distance, layer by layer, with distances."""
-    dist = {center: 0}
-    frontier = [center]
-    for d in range(1, radius + 1):
-        nxt = []
-        for t in frontier:
-            for nb in neighbors(t):
-                if nb not in dist:
-                    dist[nb] = d
-                    nxt.append(nb)
-        frontier = nxt
-    return dist
-
-
-def ref_gallery_distance(t1, t2):
-    """Flip distance: t2's layer in the ball of radius 2h + 1 around t1.
+def ref_flip_ball(t1, t2):
+    """The flip distances around t1 out to 2h + 1, which reach t2.
 
     h = max(|dp|, |dq|, |dp + dq|) over the roots: two flips move a root by
     one step of the hexagonal metric, and one more turns the triangle over,
@@ -229,9 +173,14 @@ def ref_gallery_distance(t1, t2):
     (p1, q1), _ = t1
     (p2, q2), _ = t2
     dp, dq = p2 - p1, q2 - q1
-    dist = ref_triangle_ball(t1, 2 * max(abs(dp), abs(dq), abs(dp + dq)) + 1)
+    dist = triangle_ball(t1, 2 * max(abs(dp), abs(dq), abs(dp + dq)) + 1)
     assert t2 in dist, f"{t2} is not within 2h + 1 flips of {t1}"
-    return dist[t2]
+    return dist
+
+
+def ref_gallery_distance(t1, t2):
+    """Flip distance: t2's layer in the flip search around t1."""
+    return ref_flip_ball(t1, t2)[t2]
 
 
 def ref_reduced_word(f):
@@ -452,12 +401,13 @@ def test_perm_to_iso_is_the_generator_product():
 
 
 def test_ball_is_the_layer_loop():
-    assert ball(8) == ref_ball(8)
-
-
-@pytest.mark.parametrize("center", [BASE_TRIANGLE, Triangle((3, -2), up=False)])
-def test_triangle_ball_is_the_layer_loop(center):
-    assert list(triangle_ball(center, 6).items()) == list(ref_triangle_ball(center, 6).items())
+    # the elements of length <= r are those whose triangles lie within r flips
+    for r in range(13):
+        elems = ball(r)
+        assert len(set(elems)) == len(elems)
+        assert set(elems) == {perm_of(t) for t in triangle_ball(BASE_TRIANGLE, r)}
+    with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        ball(-1)
 
 
 def test_gallery_distance_bfs_is_the_queue_bfs():
@@ -669,8 +619,16 @@ def test_triangle_distance_is_bfs_distance():
 
 
 def test_plr_path_is_the_bfs_word():
+    # from each triangle, the first of P, L, R that lands one flip closer to
+    # the goal in the flip search around it; the word is read right to left
     for a, b in PAIRS:
-        assert plr_path(a, b) == ref_plr_path(a, b)
+        dist = ref_flip_ball(b, a)
+        t, moves = a, []
+        while t != b:
+            letter = next(x for x in "PLR" if dist.get(apply_move(t, x)) == dist[t] - 1)
+            moves.append(letter)
+            t = apply_move(t, letter)
+        assert plr_path(a, b) == "".join(reversed(moves))
 
 
 # --- hypothesis over long words -----------------------------------------------
@@ -887,7 +845,9 @@ def test_analyze_places_each_step_by_the_search(prev_comma):
 
 
 def test_analyze_refuses_a_float_comma_level():
-    # a float default level puts the first chord at a float root, and the
-    # table of nearest levels takes integer steps only
-    with pytest.raises(TypeError):
-        analyze(["C", "G"], 1.0)
+    # a float default level would put a chord at a float root, whether it is
+    # the first chord, one the table of nearest levels places or an annotated one
+    refusal = r"^default_comma must be an int or None, got 1\.0$"
+    for symbols in (["C"], ["C", "G"], ["C", "G###"], ["C[q=0]", "G"]):
+        with pytest.raises(TypeError, match=refusal):
+            analyze(symbols, 1.0)

@@ -262,12 +262,20 @@ def test_parse_chord_counts_accidentals_in_closed_form():
 
 @pytest.mark.parametrize("commas", [(1, True, 1.0), (1.0, True, 1)])
 def test_parse_chord_memo_keeps_equal_keys_of_other_types_apart(commas):
-    # 1, True and 1.0 are equal, hash alike and give three different answers
-    answers = {repr(_parse_chord.__wrapped__("C", c)) for c in commas}
-    assert len(answers) == 3
+    # 1, True and 1.0 are equal and hash alike: 1 and True give two different
+    # answers, and 1.0 is refused whether or not 1 is in the memo
+    answers = {repr(_parse_chord.__wrapped__("C", c)) for c in commas if not isinstance(c, float)}
+    assert len(answers) == 2
     _parse_chord.cache_clear()
     for c in commas:
-        assert repr(parse_chord("C", c)) == repr(_parse_chord.__wrapped__("C", c))
+        if isinstance(c, float):
+            size = _parse_chord.cache_info().currsize
+            refusal = r"^default_comma must be an int or None, got 1\.0$"
+            with pytest.raises(TypeError, match=refusal):
+                parse_chord("C", c)
+            assert _parse_chord.cache_info().currsize == size
+        else:
+            assert repr(parse_chord("C", c)) == repr(_parse_chord.__wrapped__("C", c))
 
 
 def test_parse_chord_memo_keeps_no_refusal():
