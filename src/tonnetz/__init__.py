@@ -27,7 +27,6 @@ _EXPORTS = {
         "from_word",
         "generator",
         "identity",
-        "length_layers",
         "parse_window",
         "parse_word",
         "triangle_to_perm",

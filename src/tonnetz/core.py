@@ -12,7 +12,8 @@ that correspondence lives in :mod:`tonnetz.lattice`.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from itertools import product
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 WINDOW_POSITIONS = (-1, 0, 1)
 
@@ -114,85 +115,19 @@ class AffinePermutation(_Window):
     def reduced_word(self) -> tuple[int, ...]:
         """The canonical reduced word, stripping the smallest descent first.
 
-        The walk applies the window rewriting rules of right_mult_generator to
-        bare integers; only the identity [-1, 0, 1] has no right descent.  Its
-        letters fall into blocks: letters 1 and 2 that sort the window by one of
-        the words 1, 2, 12, 21 or 121, or by none, then a letter 3.  A long word
-        runs straight and repeats one block B.  Once two successive blocks are
-        equal, B B is a reduced factor, so B is neither a rotation nor a
-        reflection (their squares are shorter): an even B is a translation, and
-        an odd B a glide reflection whose square is one.  A round, B or B B, is
-        then a translation, which shifts the window at each of its steps by a
-        fixed vector.  Which letters 1 and 2 fire depends only on the window's
-        order, so the walk repeats the round while, at each of its letters 3,
-        the window [x, y, z] is still sorted and is not the identity, the one
-        sorted window with z <= x + 3.  The letters left bound the rounds before
-        the identity.  The gaps y - x and z - y were positive at round j = -1,
-        the round just stripped, and are linear in j, so the rounds j >= 0 that
-        keep them all positive are an interval 0..k-1, and k is the least of a
-        few floor divisions.  The walk appends the k rounds at once and goes on:
-        each run costs one Python step plus an O(L) copy, and the word is the
-        letter-by-letter one.
+        greedy_walk with _descent_moves as its moves and the window's
+        residues as its state.  Its offsets are the quotients of f^-1 that
+        length() sums, which right multiplication never permutes: the strip
+        offsets q', p + q and p of f's triangle past the base triangle's.
 
         >>> AffinePermutation(-3, 2, 1).reduced_word()
         (2, 3, 2)
         >>> AffinePermutation(1, -1, 0).reduced_word()
         (2, 1)
         """
-        letters = []
-        a, b, c = self
-        # the last two blocks, letters[p:q] and letters[q:n], each begin at
-        # the start of the walk or after a letter 3, and end in a letter 3
-        p = q = 0
-        while True:
-            if a > b:
-                letters.append(1)
-                a, b = b, a
-            elif b > c:
-                letters.append(2)
-                b, c = c, b
-            elif c > a + 3:
-                letters.append(3)
-                a, c = c - 3, a + 3
-                n = len(letters)
-                # a block's length and first letter name its sorting word
-                if n - q == q - p and letters[p] == letters[q]:
-                    size = n - p if (n - q) % 2 else n - q
-                    # no more rounds than the letters left to strip
-                    k = (abs((b - a) // 3) + abs((c - a) // 3) + abs((c - b) // 3)) // size
-                    if k:
-                        round_ = letters[n - size :]
-                        # the translation: the round's rules on the zero window
-                        da = db = dc = 0
-                        for letter in round_:
-                            if letter == 1:
-                                da, db = db, da
-                            elif letter == 2:
-                                db, dc = dc, db
-                            else:
-                                da, dc = dc - 3, da + 3
-                        # the window and its change per round, along the round;
-                        # a gap t with change dt < 0 stays positive for -(t // dt)
-                        x, y, z, ea, eb, ec = a, b, c, da, db, dc
-                        for letter in round_:
-                            if letter == 1:
-                                x, y, ea, eb = y, x, eb, ea
-                            elif letter == 2:
-                                y, z, eb, ec = z, y, ec, eb
-                            else:
-                                if eb < ea:
-                                    k = min(k, -((y - x) // (eb - ea)))
-                                if ec < eb:
-                                    k = min(k, -((z - y) // (ec - eb)))
-                                x, z, ea, ec = z - 3, x + 3, ec, ea
-                        letters += round_ * k
-                        a, b, c = a + k * da, b + k * db, c + k * dc
-                    n = q = len(letters)
-                p, q = q, n
-            else:
-                break
-        letters.reverse()
-        return tuple(letters)
+        a, b, c = self.inverse()
+        offsets = ((b - a) // 3, (c - a) // 3, (c - b) // 3)
+        return tuple(b"".join(greedy_walk(_DESCENTS, offsets, self.residues))[::-1])
 
     @property
     def residues(self) -> tuple[int, int, int]:
@@ -347,6 +282,88 @@ def from_word(word: Iterable[int]) -> AffinePermutation:
     return _make_element(AffinePermutation, (a, b, c))
 
 
+# --- the greedy walk ------------------------------------------------------
+
+
+def walk_table(moves: dict) -> dict:
+    """The table of a greedy walk on three offsets, from its moves.
+
+    moves[state] lists the steps from each state in the order tried, each as
+    (letter, i, sign, next state): the letter moves offset i one step toward
+    zero, and the walk takes the first step whose offset has the sign.
+    While the signs hold, the states follow a path until one repeats.  Entry
+    (state, *signs) holds its letters, their number, the index of the last
+    step to take (inf for a round, back at its first state), each offset's
+    moves, the indices of those steps, and the state and moves after each.
+    """
+    steps = {}
+    for state, signs in product(moves, product((-1, 0, 1), repeat=3)):
+        if step := next(((x, i, to) for x, i, sign, to in moves[state] if signs[i] == sign), None):
+            steps[state, signs] = step
+    table = {}
+    for first, signs in steps:
+        word, state, count, hits, after, seen = None, first, [0, 0, 0], ([], [], []), [], {first}
+        while step := steps.get((state, signs)):
+            letter, i, state = step
+            word = letter if word is None else word + letter
+            count[i] += 1
+            hits[i].append(len(after))
+            after.append((state, *count))
+            if state in seen:
+                break
+            seen.add(state)
+        last = float("inf") if state == first else len(after) - 1
+        table[(first, *signs)] = (word, len(word), last, *count, *hits, after)
+    return table
+
+
+def greedy_walk(table: dict, offsets: tuple[int, int, int], state: Hashable) -> list:
+    """The letters of walk_table's walk, as pieces to join in walking order.
+
+    A step moves one offset toward zero and never changes its sign, so the
+    signs change at most three times: at most three phases, each perhaps
+    after a lead-in.  A phase takes whole rounds of its path and part of one,
+    to the step that zeroes an offset: offset i, moved m_i times a round,
+    reaches zero in round (|o_i| - 1) // m_i.
+    """
+    d0, d1, d2 = offsets
+    s0, s1, s2 = (d0 > 0) - (d0 < 0), (d1 > 0) - (d1 < 0), (d2 > 0) - (d2 < 0)
+    d0, d1, d2 = abs(d0), abs(d1), abs(d2)
+    pieces = []
+    while d0 or d1 or d2:
+        word, period, last, m0, m1, m2, h0, h1, h2, after = table[state, s0, s1, s2]
+        if m0 and (t := (d0 - 1) // m0 * period + h0[(d0 - 1) % m0]) < last:
+            last = t
+        if m1 and (t := (d1 - 1) // m1 * period + h1[(d1 - 1) % m1]) < last:
+            last = t
+        if m2 and (t := (d2 - 1) // m2 * period + h2[(d2 - 1) % m2]) < last:
+            last = t
+        k, n = divmod(last, period)
+        pieces.append(word * k + word[: n + 1])
+        state, c0, c1, c2 = after[n]
+        d0, d1, d2 = d0 - k * m0 - c0, d1 - k * m1 - c1, d2 - k * m2 - c2
+        s0, s1, s2 = s0 if d0 else 0, s1 if d1 else 0, s2 if d2 else 0
+    return pieces
+
+
+# reduced_word's walls in the order tried: the letter, the window positions
+# whose quotient shows the descent, its sign then (f = [a, b, c] has s1 when
+# b < a, s2 when c < b, s3 when c > a + 3), and where the residues go
+_WALLS = ((b"\1", 0, 1, -1, (1, 0, 2)), (b"\2", 1, 2, -1, (0, 2, 1)), (b"\3", 0, 2, 1, (2, 1, 0)))
+
+
+def _descent_moves(residues: tuple[int, int, int]) -> Iterator[tuple]:
+    """reduced_word's moves from f, which strip the descents s1, s2, s3.
+
+    The offsets are f^-1's quotients at slots (0, 1), (0, 2) and (1, 2).  f's
+    entry congruent to r is in slot (r + 1) % 3 of f^-1, and two of f's entries
+    have their slots' quotient, negated when both windows order them alike.
+    """
+    for letter, i, j, sign, moved in _WALLS:
+        k, m = (residues[i] + 1) % 3, (residues[j] + 1) % 3
+        yield letter, k + m - 1, (-sign if k < m else sign), tuple(residues[x] for x in moved)
+
+
 # The six elements of the finite subgroup generated by s2 and s3.  A
 # translation fixes every residue class mod 3, so f = t * sigma and its
 # finite factor sigma share window residues, and the residues pick sigma.
@@ -355,6 +372,10 @@ FINITE_WORDS = ((), (2,), (3,), (2, 3), (3, 2), (2, 3, 2))
 _FINITE_BY_RESIDUES = {
     from_word(w).residues: (w, from_word(w).inverse()) for w in FINITE_WORDS
 }
+
+
+# reduced_word's walk, over the six residue patterns of a window
+_DESCENTS = walk_table({r: tuple(_descent_moves(r)) for r in _FINITE_BY_RESIDUES})
 
 
 def translation_factor(f: AffinePermutation) -> tuple[int, int, tuple[int, ...]]:
@@ -395,34 +416,21 @@ def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePer
 def ball(radius: int) -> list[AffinePermutation]:
     """All elements of length <= radius, by the differences of their windows.
 
-    A window [a, a + u, a + u + v] meets each residue class mod 3 once
-    exactly when u and v are congruent and nonzero mod 3, and then sums to
-    zero exactly when 3a = -(2u + v).  Its length, |u // 3| + |v // 3| +
-    |(u + v) // 3| by Shi's formula, is at least |u // 3| and |v // 3|, so
-    both differences lie in -3 * radius .. 3 * radius + 2.  The elements
-    come in order of u, then v.
+    [a, a + u, a + u + v] is an element exactly when u = 3m + rho and
+    v = 3n + rho with rho = 1 or 2, and 3a = -(2u + v).  By Shi's formula its
+    length is |m| + |n| + |n + c| with c = m + (rho == 2): at most radius for
+    n in -((s + c) // 2) .. (s - c) // 2, s = radius - |m|, if s >= |c|, that
+    is if |(2u - 1) // 3| <= radius.  The elements come in order of u, then v.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    top = 3 * radius + 3
     return [
         _make_element(AffinePermutation, (a := -(2 * u + v) // 3, a + u, a + u + v))
-        for u in range(-3 * radius, top)
+        for u in range(-((3 * radius - 1) // 2), (3 * radius + 3) // 2 + 1)
         if u % 3
-        for v in range(u % 3 - 3 * radius, top, 3)
-        if abs(u // 3) + abs(v // 3) + abs((u + v) // 3) <= radius
+        for c, s in [(u // 3 + (u % 3 == 2), radius - abs(u // 3))]
+        for v in range(u % 3 - 3 * ((s + c) // 2), u % 3 + 3 * ((s - c) // 2) + 1, 3)
     ]
-
-
-def length_layers(radius: int) -> list[int]:
-    """Number of elements of each length 0..radius: 1, then 3k at length k.
-
-    >>> length_layers(3)
-    [1, 3, 6, 9]
-    """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    return [1] + [3 * k for k in range(1, radius + 1)]
 
 
 # --- text formats ---------------------------------------------------------
@@ -471,8 +479,3 @@ def format_word(word: Iterable[int]) -> str:
         return "e"
     return " ".join(f"s{i}" for i in letters)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import from_word
+from .core import from_word, greedy_walk, walk_table
 from .lattice import (
     T1_VECTOR,
     T2_VECTOR,
@@ -61,41 +61,42 @@ def apply_plr(t: Triangle, word: str) -> Triangle:
     return t
 
 
+# plr_path's moves from each orientation, in the order tried: the letter, the
+# strip offset past goal's that it moves, the sign that makes the move come
+# closer (from up, P lowers q', L raises p + q, R lowers p), the next orientation
+_PLR_MOVES = {
+    True: (("P", 1, 1, False), ("L", 2, -1, False), ("R", 0, 1, False)),
+    False: (("P", 1, -1, True), ("L", 2, 1, True), ("R", 0, -1, True)),
+}
+_PLR_WALK = walk_table(_PLR_MOVES)
+
+
 def plr_path(start: Triangle, goal: Triangle) -> str:
     """A shortest PLR word taking start to goal, rightmost letter first.
 
     Walks from start, each step taking the first of P, L, R that brings
     the triangle closer to goal.  Of all shortest words this is the
     least when moves are compared in the order they are applied, with
-    P < L < R.  Its length is the gallery distance.
+    P < L < R.  Its length is the gallery distance.  This is greedy_walk
+    on the strip offsets past goal's, with the orientation as its state.
+    Paths of at most 64 flips with the same offsets share one word.
 
     >>> from .lattice import BASE_TRIANGLE
     >>> plr_path(BASE_TRIANGLE, Triangle((1, 0), up=True))
     'RL'
     """
-    # off the lattice no flip brings the walk closer, so it would never end
     _check_lattice_triangle(start)
     _check_lattice_triangle(goal)
-    # the walk tracks how far the triangle's strips lie past goal's (see
-    # triangle_distance).  A move crosses one line, so it steps one offset
-    # by one: from an up triangle P lowers q', L raises p + q and R lowers p,
-    # and from a down triangle each letter moves its strip the other way.
-    # Short of goal some move lowers the distance, so R needs no test.
-    dp, dq, ds = _strip_offsets(start, goal)
-    sign = 1 if start.up else -1
-    letters = []
-    while dp or dq or ds:
-        if dq * sign > 0:
-            letters.append("P")
-            dq -= sign
-        elif ds * sign < 0:
-            letters.append("L")
-            ds += sign
-        else:
-            letters.append("R")
-            dp -= sign
-        sign = -sign
-    return "".join(reversed(letters))
+    offsets = _strip_offsets(start, goal)
+    if abs(offsets[0]) + abs(offsets[1]) + abs(offsets[2]) > 64:
+        return _plr_word.__wrapped__(offsets, start.up)
+    return _plr_word(offsets, start.up)
+
+
+# a progression repeats its chord pairs, so plr_path keeps 256 short words
+@lru_cache(maxsize=256)
+def _plr_word(offsets: tuple[int, int, int], up: bool) -> str:
+    return "".join(greedy_walk(_PLR_WALK, offsets, up))[::-1]
 
 
 def triangle_distance(t1: Triangle, t2: Triangle) -> int:
@@ -419,8 +420,3 @@ def analyze(symbols: list[str], default_comma: int | None = None) -> Progression
         prev_triangle = t
     return _make(ProgressionReport, (tuple(steps), total))
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -150,8 +150,3 @@ def conjugate_translation(i: int, vec: TranslationVector | tuple[int, int]) -> T
     g = s * translation_perm(vec) * s
     return translation_coords(g)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

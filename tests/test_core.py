@@ -15,7 +15,6 @@ from tonnetz.core import (
     from_word,
     generator,
     identity,
-    length_layers,
     parse_window,
     parse_word,
     right_mult_generator,
@@ -278,7 +277,8 @@ def test_center_distance_fixtures():
 
 
 def test_ball_layer_counts():
-    assert length_layers(5) == [1, 3, 6, 9, 12, 15]
+    # one element of length 0, then 3k of each length k
+    assert [sum(1 for f in ball(5) if f.length() == k) for k in range(6)] == [1, 3, 6, 9, 12, 15]
     assert len(ball(6)) == 64
 
 

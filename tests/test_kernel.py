@@ -6,16 +6,20 @@ the isometry multiplied out along the reduced word, for perm_to_iso,
 triangle_of and the translation cosets; the translation built by
 repeated multiplication; order by multiplying up to six times, parity by
 counting residue inversions, and the type read off both; reduced_word,
-whose descent walk jumps over each periodic run by a few floor
-divisions, against stripping the smallest descent one letter at a time,
-on seeded elements of length up to 2561 and up to the 2,000,000-letter
-cap; length_layers against counting the ball by length; and
+whose greedy walk jumps over each periodic run by a floor division,
+against stripping the smallest descent one letter at a time, on seeded
+elements of length up to 2561 and up to the 2,000,000-letter cap; the
+layers of ball and of triangle_ball against 1, then 3k at length k; and
 breadth-first search on the flip graph, which is triangle_ball itself:
 the tests define no search of their own.  It checks ball, listed by
 window differences, against the elements of the triangles within each
 radius; gallery_distance_bfs and triangle_distance through the ball of
 radius 2h + 1 around one triangle; and plr_path against the walk that
-takes the first of P, L, R one flip closer to the goal.  Wall flips and
+takes the first of P, L, R one flip closer to the goal.  Past the ball
+the oracle is construction: an element built by D ascents puts the
+triangles of g and g * f D flips apart, for D = 160 and 2560, and
+reduced_word's walk offsets are the strip offsets of f's triangle, each
+side computed on its own.  Wall flips and
 the hexagon cycles read off the six-triangle ring are compared with
 right multiplication of windows, class_vertex with the class of each
 vertex, the strip-offset walk of plr_path also with the greedy rule over
@@ -51,7 +55,6 @@ from tonnetz.core import (
     ElementType,
     ball,
     from_word,
-    length_layers,
     right_mult_generator,
     translation_factor,
 )
@@ -299,6 +302,10 @@ def ref_d12_order(x):
     raise AssertionError("the quotient has 24 elements")
 
 
+# the number of elements of each length 0, 1, 2, ...: 1, then 3k at length k
+LAYERS = [1] + [3 * k for k in range(1, 31)]
+
+
 def ref_length_layers(radius):
     """Elements of ball(radius) counted by length."""
     counts = [0] * (radius + 1)
@@ -372,16 +379,17 @@ def test_translation_factor_recombines():
         assert translation_perm((e1, e2)) * from_word(word) == f
 
 
-def test_length_layers_count_the_triangle_ball():
-    dist = triangle_ball(BASE_TRIANGLE, 8)
-    assert length_layers(8) == [sum(1 for d in dist.values() if d == k) for k in range(9)]
+def test_triangle_ball_layers_are_1_then_3k():
+    # one triangle at distance 0, then 3k at each distance k, around an up
+    # and a down triangle
+    for center in (BASE_TRIANGLE, Triangle((3, -2), up=False)):
+        dist = triangle_ball(center, 8)
+        assert [sum(1 for d in dist.values() if d == k) for k in range(9)] == LAYERS[:9]
 
 
-def test_length_layers_is_the_ball_count():
+def test_ball_layers_are_1_then_3k():
     for r in range(31):
-        assert length_layers(r) == ref_length_layers(r)
-    with pytest.raises(ValueError, match="^radius must be non-negative$"):
-        length_layers(-1)
+        assert ref_length_layers(r) == LAYERS[: r + 1]
 
 
 def test_d12_is_the_mod_arithmetic():
@@ -541,11 +549,10 @@ def test_library_import_loads_no_dataclasses():
             assert {m for m in loaded if m.startswith("tonnetz")} == {"tonnetz"}
 
 
-# the package's re-exports at the time the package stopped importing its
-# submodules eagerly, by the submodule that defines each
+# the package's re-exports, by the submodule that defines each
 PACKAGE_EXPORTS = {
     "core": """AffinePermutation ElementType IDENTITY TriangleCoords ball
-        format_window format_word from_word generator identity length_layers
+        format_window format_word from_word generator identity
         parse_window parse_word triangle_to_perm""",
     "lattice": """BASE_TRIANGLE Edge Isometry Triangle Vertex flip format_triangle
         gallery_distance_bfs geometric_coords neighbors parse_triangle perm_of
@@ -568,7 +575,7 @@ EXPORT_HOME = {n: m for m, names in PACKAGE_EXPORTS.items() for n in names.split
 
 
 def test_lazy_package_surface(monkeypatch):
-    assert len(EXPORT_HOME) == 79
+    assert len(EXPORT_HOME) == 78
     # forget every cached export, so each lookup below goes through __getattr__
     for name in EXPORT_HOME:
         monkeypatch.delitem(vars(tonnetz), name, raising=False)
@@ -636,13 +643,20 @@ def test_plr_path_is_the_bfs_word():
 
 @settings(max_examples=150, deadline=None)
 @given(long_words)
-# reduced words whose walk finds a run: no round follows it, exactly one
-# round follows it, or it runs until the walk ends, with an even block
-# (3121) and an odd one (312, jumped as 312312)
+# reduced words whose walk, stripping letters from the right, repeats a
+# round of four letters (1213, read from the right) once, twice or three
+# times before an offset reaches zero, then takes part of a round of six
+# and a last letter; and one that repeats a round of six letters (213213)
+# twice before the zero
 @example([1, 3, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1])
 @example([1, 3, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1])
 @example([3, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1])
 @example([3, 1, 2] * 6)
+# one whole round of six letters, then an offset reaches zero on the
+# first, the second or the last step of the next round
+@example([2, 3, 1, 2, 3, 1, 2, 3])
+@example([1, 2, 3] * 3)
+@example([3, 1, 2] * 4 + [3])
 def test_long_word_element(word):
     f = from_word(word)
     check_element(f)
@@ -659,6 +673,39 @@ def test_long_reduced_word_is_the_descent_walk(length, sigma):
     f = seeded_element(length, sigma)
     assert f.length() == length and translation_factor(f)[2] == sigma
     assert f.reduced_word() == ref_reduced_word(f)
+
+
+def strips(t):
+    """The strips p, q' and p + q that hold a triangle (see triangle_distance)."""
+    (p, q), up = t
+    return p, q - (not up), p + q
+
+
+def test_reduced_word_walks_the_strip_offsets():
+    # the walk's offsets, f^-1's quotients, are the strips q', p + q and p
+    # of f's triangle past the base triangle's
+    for f in ball(12):
+        a, b, c = f.inverse()
+        dp, dq, ds = (x - y for x, y in zip(strips(triangle_of(f)), strips(BASE_TRIANGLE)))
+        assert ((b - a) // 3, (c - a) // 3, (c - b) // 3) == (dq, ds, dp)
+
+
+@pytest.mark.parametrize(
+    "length, sigma",
+    LONG_ELEMENTS,
+    ids=[f"D{length}-" + ("".join(map(str, sigma)) or "e") for length, sigma in LONG_ELEMENTS],
+)
+def test_far_pair_built_by_ascents(length, sigma):
+    # f is built by `length` ascents, so the triangles of g and g * f lie
+    # `length` flips apart for every g: the far range by construction
+    f = seeded_element(length, sigma)
+    for start in (Triangle((-50, 70), up=False), Triangle((90, -30), up=True)):
+        goal = triangle_of(perm_of(start) * f)
+        assert triangle_distance(start, goal) == triangle_distance(goal, start) == length
+        for a, b in ((start, goal), (goal, start)):
+            word = plr_path(a, b)
+            assert len(word) == length
+            assert apply_plr(a, word) == b
 
 
 def test_reduced_word_at_the_letter_cap():
@@ -762,6 +809,10 @@ def test_far_vertex_cycle_is_the_window_walk(t, k):
 
 @settings(max_examples=100, deadline=None)
 @given(far_triangles, st.integers(-15, 15), st.integers(-15, 15), st.booleans())
+# walks that repeat their round of two letters once, then reach zero on
+# the first or on the last step of the next round
+@example(Triangle((10**12, -(10**12)), up=True), -2, 0, True)
+@example(Triangle((10**12, -(10**12)), up=True), -3, 1, False)
 def test_far_plr_path_takes_the_first_closer_move(a, dp, dq, up):
     (p, q), _ = a
     b = Triangle((p + dp, q + dq), up)

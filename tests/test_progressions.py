@@ -15,6 +15,7 @@ from tonnetz.pitch import format_chord, format_note, name_triangle
 from tonnetz.progressions import (
     StripeKind,
     _hexagon_cycle,
+    _plr_word,
     analyze,
     apply_move,
     apply_plr,
@@ -291,6 +292,18 @@ def test_analyze_empty_rejected():
 def test_analyze_first_chord_honors_default_comma():
     report = analyze(["E"], default_comma=0)
     assert report.steps[0].triangle == Triangle((4, 0), up=True)
+
+
+def test_plr_path_memo_keeps_words_of_at_most_64_flips():
+    # a progression's short paths repeat and share a word; a longer path is
+    # walked afresh and not kept
+    _plr_word.cache_clear()
+    for goal, kept in ((Triangle((32, 0), up=False), 0), (Triangle((32, 0), up=True), 1)):
+        word = plr_path(BASE_TRIANGLE, goal)
+        assert apply_plr(BASE_TRIANGLE, word) == goal
+        assert _plr_word.cache_info().currsize == kept
+    assert plr_path(BASE_TRIANGLE, goal) is word
+    assert len(word) == 64 and _plr_word.cache_info().hits == 1
 
 
 def test_plr_path_rejects_off_lattice_triangles():

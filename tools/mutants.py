@@ -29,6 +29,7 @@ so the whole corpus takes minutes.
 import argparse
 import json
 import os
+import re
 import resource
 import shutil
 import signal
@@ -52,6 +53,13 @@ TIER1 = [
     "-m", "pytest", "-q", "--continue-on-collection-errors",
     "-p", "no:cacheprovider", "--hypothesis-seed=0", "-rfE",
 ]
+
+
+# a MemoryError that was raised: pytest's exception line (E MemoryError),
+# also inside a hypothesis exception group (| E MemoryError), or the last
+# line of a bare traceback; a failing test's printed source that merely
+# names MemoryError does not match
+RAISED_MEMORY_ERROR = re.compile(r"^(?:\s*\| )?(?:E\s+)?MemoryError\b", re.MULTILINE)
 
 
 def load(path: Path) -> list[dict]:
@@ -132,7 +140,7 @@ def replay(repo: Path, record: dict | None, all_failures: bool) -> tuple[str, li
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
             return "timed out", []
-    if "MemoryError" in output:
+    if RAISED_MEMORY_ERROR.search(output):
         return "out of memory", failures(output)
     if proc.returncode == 0:
         return "survived", []
