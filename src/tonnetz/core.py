@@ -245,19 +245,12 @@ def generator(i: int) -> AffinePermutation:
 
 
 def right_mult_generator(f: AffinePermutation, i: int) -> AffinePermutation:
-    """f * s_i by the window rewriting rule, without composing maps.
+    """f * s_i, whose triangle is f's flipped across its wall of type i.
 
     >>> right_mult_generator(AffinePermutation(-1, 1, 0), 3).window
     (-3, 1, 2)
     """
-    a, b, c = f
-    if i == 1:
-        return _make_element(AffinePermutation, (b, a, c))
-    if i == 2:
-        return _make_element(AffinePermutation, (a, c, b))
-    if i == 3:
-        return _make_element(AffinePermutation, (c - 3, b, a + 3))
-    raise ValueError(f"generator index must be 1, 2 or 3, got {i!r}")
+    return f * generator(i)
 
 
 def from_word(word: Iterable[int]) -> AffinePermutation:
@@ -268,7 +261,8 @@ def from_word(word: Iterable[int]) -> AffinePermutation:
     >>> from_word([]) == identity()
     True
     """
-    # right_mult_generator's rules, on the window's three entries
+    # f * s_i rewrites f's window [a, b, c]: s1 swaps a and b, s2 swaps b
+    # and c, and s3 gives [c - 3, b, a + 3]
     a, b, c = IDENTITY
     for i in word:
         if i == 1:

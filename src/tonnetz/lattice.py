@@ -104,9 +104,8 @@ _FLIP_OFFSETS = {
 }
 
 
-# builds a Triangle from (root, up) without the named tuple's Python-level
-# __new__, which flip, neighbors and triangle_ball would otherwise call for
-# every triangle they build
+# builds a Triangle without the named tuple's Python-level __new__, which
+# flip and triangle_ball would otherwise call for every triangle they build
 _make_triangle = tuple.__new__
 
 
@@ -123,14 +122,7 @@ def flip(t: Triangle, edge: Edge) -> Triangle:
 
 def neighbors(t: Triangle) -> tuple[Triangle, Triangle, Triangle]:
     """The three flips of t, in Edge order."""
-    (p, q), up = t
-    (p1, q1), (p2, q2), (p3, q3) = _FLIP_OFFSETS[up].values()
-    down = not up
-    return (
-        _make_triangle(Triangle, ((p + p1, q + q1), down)),
-        _make_triangle(Triangle, ((p + p2, q + q2), down)),
-        _make_triangle(Triangle, ((p + p3, q + q3), down)),
-    )
+    return tuple(flip(t, e) for e in Edge)
 
 
 # the wall of s_i, the edge it fixes on the base triangle, lies opposite the
@@ -219,6 +211,13 @@ def generator_isometry(i: int) -> Isometry:
 T1_VECTOR = (-1, 2)
 T2_VECTOR = (2, -1)
 
+
+def translation_shift(e1: int, e2: int) -> Vertex:
+    """The lattice shift of t1^e1 * t2^e2: e1 * T1_VECTOR + e2 * T2_VECTOR."""
+    (a1, b1), (a2, b2) = T1_VECTOR, T2_VECTOR
+    return (e1 * a1 + e2 * a2, e1 * b1 + e2 * b2)
+
+
 # isometries of the six finite factors, keyed by their words
 _FINITE_ISOMETRIES = {
     w: reduce(Isometry.__mul__, map(generator_isometry, w), IDENTITY_ISOMETRY)
@@ -229,16 +228,15 @@ _FINITE_ISOMETRIES = {
 def perm_to_iso(f: AffinePermutation) -> Isometry:
     """The lattice isometry realizing f; a group homomorphism.
 
-    For f = t1^e1 * t2^e2 * sigma it is sigma's isometry followed by the
-    shift e1 * T1_VECTOR + e2 * T2_VECTOR.
+    For f = t1^e1 * t2^e2 * sigma it is sigma's isometry, then t1^e1 * t2^e2's.
 
     >>> perm_to_iso(AffinePermutation(2, -3, 1))
     Isometry(m=(1, 0, 0, 1), v=(-1, 2))
     """
     e1, e2, word = translation_factor(f)
     m, (x, y) = _FINITE_ISOMETRIES[word]
-    (a1, b1), (a2, b2) = T1_VECTOR, T2_VECTOR
-    return Isometry(m, (x + e1 * a1 + e2 * a2, y + e1 * b1 + e2 * b2))
+    dx, dy = translation_shift(e1, e2)
+    return Isometry(m, (x + dx, y + dy))
 
 
 def triangle_of(f: AffinePermutation) -> Triangle:

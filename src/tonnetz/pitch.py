@@ -12,7 +12,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .lattice import T1_VECTOR, T2_VECTOR, Triangle, Vertex
+from .lattice import Triangle, Vertex, translation_shift
 
 LETTERS = "FCGDAEB"
 
@@ -145,10 +145,12 @@ _CHORD_RE = re.compile(
 )
 
 
-# The longest symbol parse_chord's memo keeps.  A memo key holds its symbol
-# alive, and a symbol has no length cap, so longer ones parse without the memo;
-# the memo then holds at most 256 symbols of 64 characters.
+# The longest symbol parse_chord's memo keeps, and the magnitude an int in a
+# memo key stays below.  A key holds its symbol and default_comma alive, and
+# neither has a cap, so larger ones parse without the memo, which then holds
+# at most 256 symbols of 64 characters and levels of 63 bits.
 _MEMO_SYMBOL_LENGTH = 64
+_MEMO_INT_BOUND = 2**63
 
 
 def parse_chord(
@@ -159,11 +161,14 @@ def parse_chord(
     Returns the chord name and its triangle.  Unannotated symbols get the
     comma level from default_comma if given, else from default_comma_level;
     a default_comma that is neither an int nor None raises TypeError.
-    Repeated calls with a symbol of at most 64 characters share one answer,
-    whose parts are immutable named tuples.
+    Repeated calls with a symbol of at most 64 characters and a level below
+    2**63 in magnitude share one answer, whose parts are immutable named tuples.
     """
-    # anything but a string goes to the memo, whose key or body refuses it
-    if isinstance(text, str) and len(text) > _MEMO_SYMBOL_LENGTH:
+    # anything but a string, or a level but an int, goes to the memo, whose
+    # key or body refuses it
+    if (isinstance(text, str) and len(text) > _MEMO_SYMBOL_LENGTH) or (
+        isinstance(default_comma, int) and not -_MEMO_INT_BOUND < default_comma < _MEMO_INT_BOUND
+    ):
         return _parse_chord.__wrapped__(text, default_comma)
     return _parse_chord(text, default_comma)
 
@@ -205,7 +210,7 @@ def hexagon_common_tone(e1: int, e2: int) -> NoteName:
     """The note shared by all six chords of the coset hexagon t1^e1 t2^e2.
 
     The base hexagon's common tone is the major third above the origin;
-    translating by (e1, e2) moves it by e1 * T1_VECTOR + e2 * T2_VECTOR.
+    translating by (e1, e2) moves it by the translation's lattice shift.
     """
-    (a1, b1), (a2, b2) = T1_VECTOR, T2_VECTOR
-    return spell_vertex((e1 * a1 + e2 * a2, 1 + e1 * b1 + e2 * b2))
+    x, y = translation_shift(e1, e2)
+    return spell_vertex((x, 1 + y))

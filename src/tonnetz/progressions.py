@@ -20,8 +20,6 @@ from typing import NamedTuple
 
 from .core import from_word, greedy_walk, walk_table
 from .lattice import (
-    T1_VECTOR,
-    T2_VECTOR,
     Edge,
     Triangle,
     Vertex,
@@ -29,9 +27,10 @@ from .lattice import (
     class_vertex,
     flip,
     perm_to_iso,
+    translation_shift,
     vertex_class,
 )
-from .pitch import ChordName, NoteName, parse_chord, spell_vertex
+from .pitch import _MEMO_INT_BOUND, ChordName, NoteName, parse_chord, spell_vertex
 
 PLR_EDGES = {
     "P": Edge.FIFTH,
@@ -204,9 +203,15 @@ def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
 def hexagon_cycle(t: Triangle) -> HexagonCycle:
     """The cycle around t's class-2 vertex, the center of its tiling hexagon.
 
-    Repeated calls share one answer, an immutable named tuple.
+    Repeated calls with a root below 2**63 in magnitude share one answer, an
+    immutable named tuple.
     """
     (p, q), _ = t
+    # anything but an int goes to the memo, whose body refuses it
+    if (isinstance(p, int) and not -_MEMO_INT_BOUND < p < _MEMO_INT_BOUND) or (
+        isinstance(q, int) and not -_MEMO_INT_BOUND < q < _MEMO_INT_BOUND
+    ):
+        return _hexagon_cycle.__wrapped__(t, p, q)
     return _hexagon_cycle(t, p, q)
 
 
@@ -214,7 +219,8 @@ def hexagon_cycle(t: Triangle) -> HexagonCycle:
 # answers, each about 2.2 kB.  The answer depends on the types of p and q as
 # well as their values (a root of (0, True) spells comma True), but typed=True
 # sees only the types of the arguments themselves, so p and q are passed flat
-# beside t.  A refused triangle, such as a plain tuple, is not kept.
+# beside t.  A refused triangle, such as a plain tuple, is not kept, nor is
+# one whose root reaches 2**63 in magnitude, which the memo would keep alive.
 @lru_cache(maxsize=256, typed=True)
 def _hexagon_cycle(t: Triangle, p: int, q: int) -> HexagonCycle:
     return vertex_cycle(t, class_vertex(t, 2))
@@ -241,10 +247,9 @@ def translation_cycle(t: Triangle) -> list[Triangle]:
     The three translation generators multiply to the identity, so the
     third chord is the seed again.
     """
-    (a1, b1), (a2, b2) = T1_VECTOR, T2_VECTOR
-    first = _shift(t, a1, b1)
-    second = _shift(first, a2, b2)
-    third = _shift(second, -a1 - a2, -b1 - b2)
+    first = _shift(t, *translation_shift(1, 0))
+    second = _shift(first, *translation_shift(0, 1))
+    third = _shift(second, *translation_shift(-1, -1))
     return [first, second, third]
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from . import core, lattice, pitch, progressions, render, riemann, subgroups
 from .core import IDENTITY, ball, from_word, generator
-from .lattice import BASE_TRIANGLE, Triangle, gallery_distance_bfs, triangle_ball, triangle_of
+from .lattice import BASE_TRIANGLE, Triangle, triangle_ball, triangle_of
 from .riemann import PElement, RElement
 from .subgroups import S3_ELEMENTS, translation_perm
 
@@ -189,13 +189,6 @@ def suite_center_distance(radius: int) -> list[CheckResult]:
     return results
 
 
-def _lattice_shift(vec: tuple[int, int]) -> tuple[int, int]:
-    """e1 * T1_VECTOR + e2 * T2_VECTOR, the lattice shift of t1^e1 * t2^e2."""
-    (a1, b1), (a2, b2) = lattice.T1_VECTOR, lattice.T2_VECTOR
-    e1, e2 = vec
-    return (e1 * a1 + e2 * a2, e1 * b1 + e2 * b2)
-
-
 def suite_translations(radius: int) -> list[CheckResult]:
     """The translation subgroup: abelian, normal, index six."""
     rng = range(-min(radius, 3), min(radius, 3) + 1)
@@ -211,8 +204,8 @@ def suite_translations(radius: int) -> list[CheckResult]:
             return False
         # s_i moves a lattice shift u to m u, m being its isometry's linear part
         linear = lattice.Isometry(lattice.generator_isometry(i).m, (0, 0))
-        image = linear.apply(_lattice_shift(v))
-        return _lattice_shift(subgroups.conjugate_translation(i, v)) == image
+        image = linear.apply(lattice.translation_shift(*v))
+        return lattice.translation_shift(*subgroups.conjugate_translation(i, v)) == image
 
     def factors_once(f):
         vec, sigma = subgroups.decompose(f)
@@ -465,7 +458,8 @@ def suite_pitch(radius: int) -> list[CheckResult]:
 
 def suite_progressions(radius: int) -> list[CheckResult]:
     """PLR paths, cycles and stripes."""
-    triangles = sorted(triangle_ball(BASE_TRIANGLE, min(radius, 4)))
+    dist = triangle_ball(BASE_TRIANGLE, min(radius, 4))
+    triangles = sorted(dist)
     pcs = {
         progressions.StripeKind.FIFTHS: None,
         progressions.StripeKind.HEXATONIC: {0, 4, 8},
@@ -476,7 +470,7 @@ def suite_progressions(radius: int) -> list[CheckResult]:
         word = progressions.plr_path(BASE_TRIANGLE, t)
         return (
             progressions.apply_plr(BASE_TRIANGLE, word) == t
-            and len(word) == gallery_distance_bfs(BASE_TRIANGLE, t)
+            and len(word) == dist[t]
             and len(word) == progressions.triangle_distance(BASE_TRIANGLE, t)
         )
 

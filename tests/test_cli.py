@@ -451,6 +451,14 @@ def within_budget():
     assert time.perf_counter() - start < BUDGET_S
 
 
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_suite_at_the_radius_cap(suite):
+    # each suite alone finishes within BUDGET_S at the cap; all at once do not
+    with within_budget():
+        results = verify.run_suite(suite, cli.LIMITS["verify_radius"][0])
+    assert [r for r in results if not r.ok] == []
+
+
 def timed_json(capsys, *argv):
     with within_budget():
         return run_json(capsys, *argv)

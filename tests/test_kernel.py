@@ -29,7 +29,9 @@ levels up to 10^6.  Its table of nearest comma levels is also checked
 against the nine candidates ranked by breadth-first search, for every
 step of up to 20 fifths.  The D12 quotient's product, inverse and order
 are still compared with their own mod arithmetic, a second home of P's
-law until an action on the 24 triads replaces it.
+law until an action on the 24 triads replaces it.  Coxeter length is
+also counted as the map's inversions, pair by pair, on ball(12) and on
+long words.
 Whole balls are checked exhaustively; hypothesis covers long random
 words, distant triangle pairs and chord progressions.
 """
@@ -197,6 +199,17 @@ def ref_reduced_word(f):
     return tuple(reversed(letters))
 
 
+def ref_inversions(f):
+    """Coxeter length as the inversion count, not by Shi's closed form.
+
+    The pairs i < j with i in the window and f(i) > f(j) (Björner and
+    Brenti, Combinatorics of Coxeter Groups, section 8.3).  Past
+    j = max - min + 1 over the window, f(j) >= min + j - 1 > f(i).
+    """
+    top = max(f) - min(f) + 1
+    return sum(f(i) > f(j) for i in (-1, 0, 1) for j in range(i + 1, top + 1))
+
+
 def ref_vertex_cycle(t, v):
     """Right-multiply t's element by the pair of v's class; map each back.
 
@@ -358,6 +371,11 @@ def test_ball_elements():
     for f in BALL:
         check_element(f)
         assert f.length() == gallery_distance_bfs(BASE_TRIANGLE, triangle_of(f))
+
+
+def test_length_is_the_inversion_count():
+    for f in ball(12):
+        assert f.length() == ref_inversions(f)
 
 
 def test_order_parity_classify_are_the_loops():
@@ -660,7 +678,7 @@ def test_plr_path_is_the_bfs_word():
 def test_long_word_element(word):
     f = from_word(word)
     check_element(f)
-    assert f.length() <= len(word)
+    assert f.length() == ref_inversions(f) <= len(word)
     assert f.length() % 2 == len(word) % 2
 
 

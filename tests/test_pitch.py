@@ -312,6 +312,28 @@ def test_parse_chord_memo_keeps_no_long_symbol():
     assert _parse_chord.cache_info().currsize == 1
 
 
+def test_parse_chord_memo_keeps_no_huge_comma_level():
+    # 256 distinct levels of 100,000 digits each, dropped once parsed
+    huge = 10**100_000
+    _parse_chord.cache_clear()
+    tracemalloc.start()
+    try:
+        for extra in range(256):
+            level = (huge + extra) * (-1) ** extra
+            chord, _ = parse_chord("C", level)
+            assert chord.root.comma == level
+        del chord, level
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert _parse_chord.cache_info().currsize == 0
+    # a level below 2**63 in magnitude is kept, one at 2**63 is not
+    for level in (2**63 - 1, -(2**63 - 1), 2**63, -(2**63)):
+        parse_chord("C", level)
+    assert _parse_chord.cache_info().currsize == 2
+
+
 @pytest.mark.parametrize(
     "text, error",
     [

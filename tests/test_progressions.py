@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,28 @@ def test_hexagon_cycle_memo_is_bounded():
     for p in range(2 * 256):
         hexagon_cycle(Triangle((p, 0), True))
     assert _hexagon_cycle.cache_info().currsize == 256
+
+
+def test_hexagon_cycle_memo_keeps_no_huge_root():
+    # 256 distinct triangles with a coordinate of 100,000 digits, dropped once used
+    huge = 10**100_000
+    _hexagon_cycle.cache_clear()
+    tracemalloc.start()
+    try:
+        for extra in range(256):
+            n = (huge + extra) * (-1) ** extra
+            t = Triangle((n, 0) if extra % 4 < 2 else (0, n), up=extra % 3 == 0)
+            assert hexagon_cycle(t).triangles[0] == t
+        del n, t
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert _hexagon_cycle.cache_info().currsize == 0
+    # a root below 2**63 in magnitude is kept, one that reaches it is not
+    for root in ((2**63 - 1, -(2**63 - 1)), (2**63, 0), (0, -(2**63))):
+        hexagon_cycle(Triangle(root, True))
+    assert _hexagon_cycle.cache_info().currsize == 1
 
 
 def test_vertex_cycle_around_g():
