@@ -26,7 +26,6 @@ _EXPORTS = {
         "format_word",
         "from_word",
         "generator",
-        "identity",
         "parse_window",
         "parse_word",
         "triangle_to_perm",

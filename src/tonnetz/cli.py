@@ -411,7 +411,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     spec = RenderSpec(
         center=center,
         radius=args.radius,
-        highlights=((center, "center"),),
+        highlights=(center,),
         path=args.path,
         label_mode=LabelMode(args.labels),
     )

@@ -228,10 +228,6 @@ _GENERATORS = {
 }
 
 
-def identity() -> AffinePermutation:
-    return IDENTITY
-
-
 def generator(i: int) -> AffinePermutation:
     """The i-th generating reflection, i in {1, 2, 3}.
 
@@ -258,7 +254,7 @@ def from_word(word: Iterable[int]) -> AffinePermutation:
 
     >>> from_word([2, 3, 2]).window
     (-3, 2, 1)
-    >>> from_word([]) == identity()
+    >>> from_word([]) == IDENTITY
     True
     """
     # f * s_i rewrites f's window [a, b, c]: s1 swaps a and b, s2 swaps b

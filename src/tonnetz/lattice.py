@@ -37,10 +37,6 @@ class Edge(Enum):
     MINOR_THIRD = "minor-third"
     MAJOR_THIRD = "major-third"
 
-    # members are singletons compared by identity; Enum's own __hash__ is a
-    # Python-level call on every flip-table lookup
-    __hash__ = object.__hash__
-
 
 class Triangle(NamedTuple):
     """A unit triangle, in normal form (root, orientation).
@@ -104,11 +100,6 @@ _FLIP_OFFSETS = {
 }
 
 
-# builds a Triangle without the named tuple's Python-level __new__, which
-# flip and triangle_ball would otherwise call for every triangle they build
-_make_triangle = tuple.__new__
-
-
 def flip(t: Triangle, edge: Edge) -> Triangle:
     """The other triangle sharing the given edge; an involution.
 
@@ -117,7 +108,7 @@ def flip(t: Triangle, edge: Edge) -> Triangle:
     """
     (p, q), up = t
     dp, dq = _FLIP_OFFSETS[up][edge]
-    return _make_triangle(Triangle, ((p + dp, q + dq), not up))
+    return Triangle((p + dp, q + dq), not up)
 
 
 def neighbors(t: Triangle) -> tuple[Triangle, Triangle, Triangle]:
@@ -441,7 +432,7 @@ def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:
             }
             up = not up
         for r in layer:
-            ball[_make_triangle(Triangle, (r, up))] = d
+            ball[Triangle(r, up)] = d
     return ball
 
 

@@ -79,8 +79,8 @@ def accidental_string(count: int) -> str:
     return "b" * (-count)
 
 
-def format_note(note: NoteName, with_comma: bool = False) -> str:
-    """The spelled name, such as "F#" or "Ebb[q=-1]"; every name is built here.
+def format_note(note: NoteName) -> str:
+    """The spelled name, such as "F#" or "Ebb"; every name is built here.
 
     Raises ValueError for a note with more than MAX_ACCIDENTALS sharps or
     flats, before building any string.
@@ -92,10 +92,7 @@ def format_note(note: NoteName, with_comma: bool = False) -> str:
             f"note at fifth index {note.fifth_index} needs {abs(count)} {kind}; "
             f"spelled names carry at most {MAX_ACCIDENTALS}"
         )
-    s = note.letter + accidental_string(count)
-    if with_comma:
-        s += f"[q={note.comma}]"
-    return s
+    return note.letter + accidental_string(count)
 
 
 def format_chord(chord: ChordName, with_comma: bool = False) -> str:

@@ -30,7 +30,7 @@ from .lattice import (
     translation_shift,
     vertex_class,
 )
-from .pitch import _MEMO_INT_BOUND, ChordName, NoteName, parse_chord, spell_vertex
+from .pitch import _MEMO_INT_BOUND, ChordName, NoteName, name_triangle, parse_chord, spell_vertex
 
 PLR_EDGES = {
     "P": Edge.FIFTH,
@@ -154,7 +154,7 @@ _RING = (
 )
 
 # builds named tuples without their Python-level __new__, as core's
-# _make_element and lattice's _make_triangle do
+# _make_element does
 _make = tuple.__new__
 
 
@@ -182,7 +182,7 @@ def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
     ['C', 'Em', 'E', 'C#m', 'A', 'Am']
     """
     x, y = v
-    ring = [((x + dx, y + dy), up) for (dx, dy), up in _RING]
+    ring = [Triangle((x + dx, y + dy), up) for (dx, dy), up in _RING]
     try:
         i = ring.index(t)
     except ValueError:
@@ -192,11 +192,8 @@ def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
     return HexagonCycle(
         center=v,
         common_tone=spell_vertex(v),
-        triangles=tuple([_make(Triangle, u) for u in walk]),
-        # each chord is name_triangle's: the root spelled, minor when down
-        chords=tuple(
-            [_make(ChordName, (_make(NoteName, (p + 4 * q, q)), not up)) for (p, q), up in walk]
-        ),
+        triangles=tuple(walk),
+        chords=tuple(map(name_triangle, walk)),
     )
 
 
@@ -229,14 +226,12 @@ def _hexagon_cycle(t: Triangle, p: int, q: int) -> HexagonCycle:
 # --- rotation and translation orbits -----------------------------------------
 
 
-def rotation_cycle(t: Triangle, sense: int = 1) -> list[Triangle]:
+def rotation_cycle(t: Triangle) -> list[Triangle]:
     """Orbit of t under the order-3 rotation about the base hexagon center.
 
-    The rotation is s3*s2 (sense >= 0) or s2*s3 (sense < 0), acting on the
-    whole lattice by left multiplication.
+    The rotation is s3*s2, acting on the whole lattice by left multiplication.
     """
-    word = (3, 2) if sense >= 0 else (2, 3)
-    iso = perm_to_iso(from_word(word))
+    iso = perm_to_iso(from_word((3, 2)))
     second = iso.apply_triangle(t)
     return [t, second, iso.apply_triangle(second)]
 
@@ -335,10 +330,8 @@ def _flips_at(u: int, fifths: int, delta: int) -> int:
     return abs(4 * u - fifths) + abs(u - delta) + abs(3 * u - fifths)
 
 
-# the table of nearest levels holds |fifths| <= _TABLE_REACH.  Past it the
-# first and last terms of _flips_at keep one sign over the band u in -4..4,
-# so each level up changes the flips by -7 +- 1 (or 7 +- 1 below the table)
-# and the band's edge, u = 4 (or -4), is nearest
+# the table of nearest levels holds |fifths| <= _TABLE_REACH, the steps a
+# progression takes; _resolve ranks the band itself for a farther step
 _TABLE_REACH = 16
 
 
@@ -385,8 +378,7 @@ def _resolve(
     if -_TABLE_REACH <= fifths <= _TABLE_REACH:
         lo, hi, distance = _NEAREST[3 * (fifths + _TABLE_REACH) + 1 + delta]
     else:
-        lo = hi = 4 if fifths > 0 else -4
-        distance = _flips_at(lo, fifths, delta)
+        lo, hi, distance = _nearest_offsets(fifths, delta)
     lo += q
     hi += q
     comma = lo if lo > 0 else hi if hi < 0 else 0

@@ -26,14 +26,8 @@ ROW_CENTI = 8660
 # about 5.3 MB to the document.
 MAX_PATH_LETTERS = 40_000
 
-# fill styles for highlighted triangles
-PALETTE = {
-    "center": "#f4b860",
-    "path": "#c8e0f4",
-    "accent": "#b7d9b1",
-    "warm": "#e8b4b8",
-}
-
+# highlighted triangles are drawn over the grid in this one fill
+_HIGHLIGHT_FILL = "#f4b860"
 _UP_FILL = "#f7f5f0"
 _DOWN_FILL = "#eceae3"
 _EDGE_COLOR = "#9a9488"
@@ -50,7 +44,7 @@ class LabelMode(Enum):
 class _RenderFields(NamedTuple):
     center: Triangle
     radius: int
-    highlights: tuple[tuple[Triangle, str], ...] = ()
+    highlights: tuple[Triangle, ...] = ()
     path: str = ""
     label_mode: LabelMode = LabelMode.NOTES
 
@@ -64,9 +58,6 @@ class RenderSpec(_RenderFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
-        for _, style in self.highlights:
-            if style not in PALETTE:
-                raise ValueError(f"unknown style {style!r}; choose from {sorted(PALETTE)}")
         n = len(self.path)
         if n > MAX_PATH_LETTERS:
             raise ValueError(f"path has {n} letters; render draws paths of at most {MAX_PATH_LETTERS}")
@@ -123,7 +114,7 @@ def render_svg(spec: RenderSpec) -> str:
     """Render the spec to a complete SVG 1.1 document."""
     triangles = sorted(_triangles_within(spec.center, spec.radius))
     centi = {v: _vertex_centi(v) for v in sorted({v for t in triangles for v in t.vertices()})}
-    styles = dict(spec.highlights)
+    highlights = set(spec.highlights)
 
     xs = [x for x, _ in centi.values()]
     ys = [y for _, y in centi.values()]
@@ -149,9 +140,9 @@ def render_svg(spec: RenderSpec) -> str:
             f'stroke="{_EDGE_COLOR}" stroke-width="1.00"/>'
         )
     for t in triangles:
-        if t in styles:
+        if t in highlights:
             parts.append(
-                f'<polygon points="{_points(t, centi)}" fill="{PALETTE[styles[t]]}" '
+                f'<polygon points="{_points(t, centi)}" fill="{_HIGHLIGHT_FILL}" '
                 f'fill-opacity="0.85" stroke="{_EDGE_COLOR}" stroke-width="1.00"/>'
             )
 

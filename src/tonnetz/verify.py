@@ -546,7 +546,7 @@ def suite_render(radius: int) -> list[CheckResult]:
     spec = render.RenderSpec(
         center=BASE_TRIANGLE,
         radius=min(radius, 3),
-        highlights=((BASE_TRIANGLE, "center"),),
+        highlights=(BASE_TRIANGLE,),
         path="RL",
         label_mode=render.LabelMode.NOTES,
     )

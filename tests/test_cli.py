@@ -6,13 +6,11 @@ import importlib
 import json
 import pkgutil
 import sys
-import signal
-import time
 import tracemalloc
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from conftest import BUDGET_S, within_budget
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tonnetz
@@ -424,31 +422,7 @@ def test_default_comma_env_invalid(monkeypatch, capsys):
 
 # --- hostile inputs: huge windows and far chords finish quickly ----------------
 
-BUDGET_S = 2.0
 HUGE_WINDOWS = ["[-3000001,3000000,1]", "[2999999,-999999,-2000000]"]
-
-
-@contextmanager
-def within_budget():
-    """Fail a block that runs BUDGET_S or longer, from inside it if need be.
-
-    The alarm raises in the running call, so unbounded work fails the test
-    at the budget instead of hanging the whole run; pytest.fail's exception
-    is not one that cli.main catches.
-    """
-
-    def overdue(signum, frame):
-        pytest.fail(f"still running after {BUDGET_S} s")
-
-    previous = signal.signal(signal.SIGALRM, overdue)
-    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.perf_counter() - start < BUDGET_S
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))

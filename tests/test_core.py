@@ -14,7 +14,6 @@ from tonnetz.core import (
     format_word,
     from_word,
     generator,
-    identity,
     parse_window,
     parse_word,
     right_mult_generator,
@@ -32,8 +31,8 @@ words = st.lists(st.sampled_from([1, 2, 3]), max_size=8)
 
 
 def test_identity_window():
-    assert identity().window == (-1, 0, 1)
-    assert identity() == IDENTITY
+    assert IDENTITY.window == (-1, 0, 1)
+    assert from_word([]) == IDENTITY
 
 
 def test_generator_windows():

@@ -520,12 +520,10 @@ def test_element_value_semantics():
         AffinePermutation(0, 0, 0)
     with pytest.raises(ValueError, match="^radius must be non-negative$"):
         RenderSpec(BASE_TRIANGLE, -1)
-    styles = r"\['accent', 'center', 'path', 'warm'\]"
-    with pytest.raises(ValueError, match=rf"^unknown style 'neon'; choose from {styles}$"):
-        RenderSpec(BASE_TRIANGLE, 1, highlights=((BASE_TRIANGLE, "neon"),))
     with pytest.raises(ValueError, match="^path letters must be P, L or R, got 'Q'$"):
         RenderSpec(BASE_TRIANGLE, 1, path="PLQ")
     assert RenderSpec(BASE_TRIANGLE, 1) == RenderSpec(center=BASE_TRIANGLE, radius=1, path="")
+    assert RenderSpec(BASE_TRIANGLE, 1, (BASE_TRIANGLE,)).highlights == (BASE_TRIANGLE,)
     for a, b in ((3, 0), (0, 4), (-1, 0), (0, -1)):
         with pytest.raises(ValueError, match=rf"^coset exponents out of range: \({a}, {b}\)$"):
             D12Coset(a, b, False)
@@ -570,8 +568,8 @@ def test_library_import_loads_no_dataclasses():
 # the package's re-exports, by the submodule that defines each
 PACKAGE_EXPORTS = {
     "core": """AffinePermutation ElementType IDENTITY TriangleCoords ball
-        format_window format_word from_word generator identity
-        parse_window parse_word triangle_to_perm""",
+        format_window format_word from_word generator parse_window parse_word
+        triangle_to_perm""",
     "lattice": """BASE_TRIANGLE Edge Isometry Triangle Vertex flip format_triangle
         gallery_distance_bfs geometric_coords neighbors parse_triangle perm_of
         perm_to_iso triangle_ball triangle_from_coords triangle_from_vertices
@@ -593,7 +591,7 @@ EXPORT_HOME = {n: m for m, names in PACKAGE_EXPORTS.items() for n in names.split
 
 
 def test_lazy_package_surface(monkeypatch):
-    assert len(EXPORT_HOME) == 78
+    assert len(EXPORT_HOME) == 77
     # forget every cached export, so each lookup below goes through __getattr__
     for name in EXPORT_HOME:
         monkeypatch.delitem(vars(tonnetz), name, raising=False)

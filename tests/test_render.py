@@ -70,18 +70,32 @@ def test_triangle_count_radius_two():
     assert len(root.findall(".//svg:polygon", NS)) == 10
 
 
+def overlays(spec: RenderSpec) -> list[ET.Element]:
+    """The polygons drawn over the grid: only those carry a fill-opacity."""
+    polygons = parse(render_svg(spec)).findall(".//svg:polygon", NS)
+    return [p for p in polygons if p.get("fill-opacity")]
+
+
 def test_highlights_add_overlay_polygons():
     plain = render_svg(RenderSpec(BASE_TRIANGLE, 1))
-    lit = render_svg(
-        RenderSpec(
-            BASE_TRIANGLE,
-            1,
-            highlights=((BASE_TRIANGLE, "center"), (Triangle((0, 0), up=False), "path")),
-        )
-    )
+    both = (BASE_TRIANGLE, Triangle((0, 0), up=False))
+    lit = render_svg(RenderSpec(BASE_TRIANGLE, 1, highlights=both))
     n_plain = len(parse(plain).findall(".//svg:polygon", NS))
     n_lit = len(parse(lit).findall(".//svg:polygon", NS))
     assert n_lit == n_plain + 2
+
+
+def test_highlight_overlay_fill():
+    (overlay,) = overlays(RenderSpec(BASE_TRIANGLE, 1, highlights=(BASE_TRIANGLE,)))
+    assert overlay.get("fill") == "#f4b860"
+    assert overlay.get("points") == "0.00,0.00 100.00,0.00 50.00,-86.60"
+
+
+def test_highlight_outside_the_ball_draws_no_overlay():
+    far = Triangle((5, 0), True)
+    spec = RenderSpec(BASE_TRIANGLE, 1, highlights=(far,))
+    assert not overlays(spec)
+    assert render_svg(spec) == render_svg(RenderSpec(BASE_TRIANGLE, 1))
 
 
 def test_path_draws_marker_and_lines():
@@ -104,8 +118,6 @@ def test_path_segments_connect_centroids():
 def test_spec_validation():
     with pytest.raises(ValueError):
         RenderSpec(BASE_TRIANGLE, -1)
-    with pytest.raises(ValueError):
-        RenderSpec(BASE_TRIANGLE, 1, highlights=((BASE_TRIANGLE, "neon"),))
     with pytest.raises(ValueError):
         RenderSpec(BASE_TRIANGLE, 1, path="PLQ")
     # no flip reaches a triangle off the lattice
@@ -201,5 +213,5 @@ def test_svg_bytes_are_pinned(name, center):
 
 def test_svg_with_path_is_pinned():
     center = PIN_CENTRES["down"]
-    doc = render_svg(RenderSpec(center, 8, highlights=((center, "center"),), path="PLRLPRRL"))
+    doc = render_svg(RenderSpec(center, 8, highlights=(center,), path="PLRLPRRL"))
     assert hashlib.sha256(doc.encode()).hexdigest() == PATH_PIN
