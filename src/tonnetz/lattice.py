@@ -298,11 +298,15 @@ def class_vertex(t: Triangle, cls: int) -> Vertex:
 
 def _check_lattice_triangle(t: Triangle) -> None:
     # no flip reaches a triangle off the lattice, a non-integer root has no
-    # bit in a search's frame, and a non-bool orientation has no flip table
-    (p, q), up = t
+    # bit in a search's frame, and a non-bool orientation has no flip table;
+    # a value of another shape is refused the same way
+    try:
+        (p, q), up = t
+    except (TypeError, ValueError):
+        p = q = up = None
     if not (isinstance(p, int) and isinstance(q, int) and isinstance(up, bool)):
         raise ValueError(
-            f"{t} is not a lattice triangle: its root must be integers and up a bool"
+            f"{t!r} is not a lattice triangle: its root must be integers and up a bool"
         )
 
 
@@ -405,8 +409,8 @@ def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:
     """All triangles within the given flip distance, with their distances.
 
     Breadth-first search on the flip graph, layer by layer: the oracle
-    that closed forms such as ball, length and render's strip ball are
-    tested against.  Every flip turns a triangle over, so all triangles
+    that closed forms such as ball and length, and the ball render draws,
+    are tested against.  Every flip turns a triangle over, so all triangles
     of layer d point the same way, up exactly when center.up differs from
     d being odd, and a layer holds bare roots.  The graph is bipartite, so
     each flip out of layer d lands in layer d - 1 or d + 1: the next layer

@@ -119,27 +119,6 @@ def _strip_offsets(t1: Triangle, t2: Triangle) -> tuple[int, int, int]:
     return p1 - p2, (q1 - (not up1)) - (q2 - (not up2)), p1 + q1 - p2 - q2
 
 
-def _triangles_within(center: Triangle, radius: int) -> list[Triangle]:
-    """The triangles at most radius flips from center, row by row.
-
-    By triangle_distance, t is one of them when |dp| + |dq'| + |ds| <= radius.
-    In row (q, up), dq' is fixed and ds = dp + a with a = q - q0, so the row
-    holds the dp with |dp| + |dp + a| <= m = radius - |dq'|: none when
-    m < |a|, else -((m + a) // 2) .. (m - a) // 2.
-    """
-    _check_lattice_triangle(center)
-    (p0, q0), _ = center
-    triangles = []
-    for a in range(-radius, radius + 1):
-        q = q0 + a
-        for up in (True, False):
-            m = radius - abs(_strip_offsets(Triangle((p0, q), up), center)[1])
-            if m >= abs(a):
-                lo, hi = p0 - (m + a) // 2, p0 + (m - a) // 2
-                triangles.extend(_make(Triangle, ((p, q), up)) for p in range(lo, hi + 1))
-    return triangles
-
-
 # --- hexagon cycles ----------------------------------------------------------
 
 # the six triangles around a vertex v, as root offsets from v and

@@ -12,10 +12,10 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .core import format_window
-from .lattice import Triangle, Vertex, perm_of
+from .core import AffinePermutation, ball, format_window
+from .lattice import Triangle, Vertex, _check_lattice_triangle, perm_of, triangle_of
 from .pitch import format_chord, format_note, name_triangle, spell_vertex
-from .progressions import _triangles_within, apply_move
+from .progressions import apply_move
 
 EDGE_CENTI = 10000
 HALF_EDGE_CENTI = 5000
@@ -56,6 +56,9 @@ class RenderSpec(_RenderFields):
 
     def __new__(cls, *args: object, **kwargs: object) -> RenderSpec:
         self = super().__new__(cls, *args, **kwargs)
+        _check_lattice_triangle(self.center)
+        for t in self.highlights:
+            _check_lattice_triangle(t)
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
         n = len(self.path)
@@ -104,15 +107,22 @@ def _text(x: int, y: int, content: str, size: int, color: str = _LABEL_COLOR) ->
     )
 
 
-def _triangle_label(t: Triangle, mode: LabelMode) -> str:
+def _triangle_label(t: Triangle, f: AffinePermutation, mode: LabelMode) -> str:
     if mode is LabelMode.WINDOWS:
-        return format_window(perm_of(t)).strip("[]")
+        return format_window(f).strip("[]")
     return format_chord(name_triangle(t))
 
 
 def render_svg(spec: RenderSpec) -> str:
-    """Render the spec to a complete SVG 1.1 document."""
-    triangles = sorted(_triangles_within(spec.center, spec.radius))
+    """Render the spec to a complete SVG 1.1 document.
+
+    The group acts on the left and keeps flip distance, so the triangles
+    within radius flips of the center are those of g * f for f in
+    ball(radius), where g is the center's element.
+    """
+    g = perm_of(spec.center)
+    elements = {triangle_of(h): h for h in (g * f for f in ball(spec.radius))}
+    triangles = sorted(elements)
     centi = {v: _vertex_centi(v) for v in sorted({v for t in triangles for v in t.vertices()})}
     highlights = set(spec.highlights)
 
@@ -167,7 +177,7 @@ def render_svg(spec: RenderSpec) -> str:
         size = 14 if spec.label_mode is LabelMode.WINDOWS else 20
         for t in triangles:
             x, y = _centroid_centi(t)
-            parts.append(_text(x, y + 500, _triangle_label(t, spec.label_mode), size))
+            parts.append(_text(x, y + 500, _triangle_label(t, elements[t], spec.label_mode), size))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -509,7 +509,8 @@ def suite_progressions(radius: int) -> list[CheckResult]:
     fmt = lattice.format_triangle
     cases = ((path_lands(t), t) for t in triangles)
     results = [_sweep("PLR paths are shortest and land", cases, lambda t: f"path to {fmt(t)}")]
-    # vertex cycles walk by wall flips; the windows are the oracle
+    # a wall flip is right multiplication by its generator; the windows are
+    # the oracle
     cases = (
         (lattice.wall_flip(t, i) == triangle_of(lattice.perm_of(t) * generator(i)), t, i)
         for t in triangles

@@ -141,6 +141,24 @@ def test_bfs_rejects_non_bool_orientation():
         triangle_ball(Triangle((0.5, 0), True), 2)
 
 
+# values of other shapes than ((int, int), bool); the last is the old
+# (triangle, "center") highlight pair
+NOT_TRIANGLES = [None, "C", 5, ("junk", 5, None), ((0, 0, 0), True), (BASE_TRIANGLE, "center")]
+
+
+@pytest.mark.parametrize("value", NOT_TRIANGLES, ids=repr)
+def test_searches_refuse_a_value_of_another_shape(value):
+    # each used to raise whatever unpacking it raised: TypeError for None
+    # and 5, a bare ValueError for "C"
+    for search in (
+        lambda: triangle_ball(value, 1),
+        lambda: gallery_distance_bfs(BASE_TRIANGLE, value),
+        lambda: gallery_distance_bfs(value, BASE_TRIANGLE),
+    ):
+        with pytest.raises(ValueError, match=r"is not a lattice triangle: its root must be"):
+            search()
+
+
 def test_right_multiplication_is_a_flip():
     # multiplying by a generator on the right flips across one own edge
     for f in ball(4):

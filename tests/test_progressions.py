@@ -336,6 +336,13 @@ def test_plr_path_rejects_non_bool_orientation():
             plr_path(*pair)
 
 
+@pytest.mark.parametrize("value", [None, "C", ("junk", 5, None)], ids=repr)
+def test_plr_path_refuses_a_value_of_another_shape(value):
+    for pair in ((BASE_TRIANGLE, value), (value, BASE_TRIANGLE)):
+        with pytest.raises(ValueError, match="is not a lattice triangle"):
+            plr_path(*pair)
+
+
 def test_progression_output_is_pinned():
     # every field the layer returns, over seeded inputs: PLR words between
     # random pairs, the cycle around every vertex of the radius-8 ball, and

@@ -5,8 +5,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from tonnetz.lattice import BASE_TRIANGLE, Triangle, triangle_ball
-from tonnetz.progressions import _triangles_within
+from tonnetz.core import format_window
+from tonnetz.lattice import BASE_TRIANGLE, Triangle, perm_of, triangle_ball
 from tonnetz.render import MAX_PATH_LETTERS, LabelMode, RenderSpec, render_svg
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
@@ -127,6 +127,23 @@ def test_spec_validation():
         render_svg(RenderSpec(Triangle((0, 0), 1), 1))
 
 
+# the old (triangle, "center") pair among them
+@pytest.mark.parametrize(
+    "highlights",
+    [
+        ("junk", 5, None),
+        (BASE_TRIANGLE, "center"),
+        (Triangle((0.5, 0), True),),
+        (Triangle((0, 0), 1),),
+    ],
+    ids=repr,
+)
+def test_spec_refuses_highlights_off_the_lattice(highlights):
+    # each used to draw the same bytes as no highlights at all
+    with pytest.raises(ValueError, match="is not a lattice triangle"):
+        RenderSpec(BASE_TRIANGLE, 1, highlights=highlights)
+
+
 def test_spec_caps_the_path():
     assert RenderSpec(BASE_TRIANGLE, 0, path="PL" * (MAX_PATH_LETTERS // 2)).path
     # the length is refused before any letter is read
@@ -149,7 +166,7 @@ def test_other_center_is_translated_copy():
     assert sorted(texts(parse(there))) == ["B", "Bm", "D#m", "G#m"]
 
 
-# --- the ball by its closed form ----------------------------------------------
+# --- the ball render draws --------------------------------------------------
 
 # an up and a down centre, a negative root and a root near 10^12
 BALL_CENTRES = [
@@ -160,18 +177,30 @@ BALL_CENTRES = [
 ]
 
 
-def test_closed_form_ball_is_the_bfs_ball():
+def window_labels(center: Triangle, radius: int) -> list[str]:
+    return texts(parse(render_svg(RenderSpec(center, radius, label_mode=LabelMode.WINDOWS))))
+
+
+def bfs_window_labels(center: Triangle, radius: int) -> list[str]:
+    """The breadth-first ball in render's order, each triangle labelled
+    with its own window by lattice's route from triangle to element."""
+    return [format_window(perm_of(t)).strip("[]") for t in sorted(triangle_ball(center, radius))]
+
+
+def test_render_draws_the_bfs_ball():
     for center in BALL_CENTRES:
         for radius in range(17):
-            assert sorted(_triangles_within(center, radius)) == sorted(
-                triangle_ball(center, radius)
-            ), (center, radius)
+            assert window_labels(center, radius) == bfs_window_labels(center, radius), (
+                center,
+                radius,
+            )
     center = Triangle((-5, 9), True)
-    assert sorted(_triangles_within(center, 64)) == sorted(triangle_ball(center, 64))
+    assert window_labels(center, 64) == bfs_window_labels(center, 64)
 
 
 # sha256 of render_svg's document, by centre, label mode and radius; recorded
-# from the breadth-first ball that the closed form replaced
+# when render still searched its ball breadth first, and unchanged by the
+# strip rows and then core.ball that drew it since
 PIN_CENTRES = {"down": Triangle((3, -7), False), "far": Triangle((-4_000_000, 1_000_000), True)}
 SVG_PINS = {
     ("down", "notes", 0): "e4a6eb30005250b36169145d603715a9681abf5413cae0c840766dbd4c2d4247",

@@ -16,9 +16,14 @@ mutant: killed, with the first failing test (every one with
 tests run last, so the first failing test named is a unit test where one
 fails.  It exits 1 if any live mutant is not killed.
 
-Before any mutant it replays the unmutated copy under the same conditions.
-If tier-1 fails there, a kill would say nothing about the mutant, so the
-runner prints the failing tests and exits 1 without replaying any.
+Before any tier-1 run it reads every record against the repository: the
+old text of a live or equivalent record must occur in its file exactly
+once, and that of a retired record not at all.  A stale record would
+replay nothing, or claim code gone that is still there, so the runner
+names each one and exits 1.  Then it replays the unmutated copy under the
+same conditions as a mutant.  If tier-1 fails there, a kill would say
+nothing about the mutant, so the runner prints the failing tests and
+exits 1 without replaying any.
 
     python tools/mutants.py [--all-failures] [--repo DIR]
 
@@ -71,6 +76,19 @@ def load(path: Path) -> list[dict]:
         if ids.count(r["id"]) > 1:
             raise SystemExit(f"{path}: duplicate id {r['id']!r}")
     return records
+
+
+def stale(repo: Path, records: list[dict]) -> list[str]:
+    """The records whose old text does not match their status in repo."""
+    out = []
+    for r in records:
+        target = repo / r["file"]
+        found = target.read_text().count(r["old"]) if target.is_file() else 0
+        want = 0 if r["status"] == "retired" else 1
+        if found != want:
+            out.append(f"{r['id']}: {r['status']}, old text occurs {found} times "
+                       f"in {r['file']}, not {want}")
+    return out
 
 
 def copy_tree(repo: Path, dest: Path) -> None:
@@ -160,6 +178,10 @@ def main(argv: list[str] | None = None) -> int:
 
     records = load(CORPUS)
     repo = args.repo.resolve()
+    bad = stale(repo, records)
+    if bad:
+        print("stale records; no tier-1 run", *(f"    {b}" for b in bad), sep="\n")
+        return 1
     start = time.perf_counter()
     outcome, failed = replay(repo, None, all_failures=True)
     said = {"survived": "passed", "killed": "failed"}.get(outcome, outcome)
