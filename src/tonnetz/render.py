@@ -9,6 +9,7 @@ decision; numbers are only formatted with two decimals at emit time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 from typing import NamedTuple
 
@@ -68,6 +69,11 @@ class RenderSpec(_RenderFields):
             if letter not in "PLR":
                 raise ValueError(f"path letters must be P, L or R, got {letter!r}")
         return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> RenderSpec:
+        # _replace builds its copy with _make, which would skip the checks
+        return cls(*iterable)
 
 
 def _vertex_centi(v: Vertex) -> tuple[int, int]:

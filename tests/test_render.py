@@ -144,6 +144,16 @@ def test_spec_refuses_highlights_off_the_lattice(highlights):
         RenderSpec(BASE_TRIANGLE, 1, highlights=highlights)
 
 
+def test_spec_checks_a_replaced_field():
+    spec = RenderSpec(BASE_TRIANGLE, 1)
+    # _replace builds its copy with _make, which used to skip every check:
+    # render then drew Triangle((0, 0), 2) as an up triangle
+    for field in ({"center": Triangle((0, 0), 2)}, {"highlights": ("junk",)}, {"path": "Q"}):
+        with pytest.raises(ValueError):
+            spec._replace(**field)
+    assert spec._replace(radius=2) == RenderSpec(BASE_TRIANGLE, 2)
+
+
 def test_spec_caps_the_path():
     assert RenderSpec(BASE_TRIANGLE, 0, path="PL" * (MAX_PATH_LETTERS // 2)).path
     # the length is refused before any letter is read
