@@ -298,8 +298,7 @@ def class_vertex(t: Triangle, cls: int) -> Vertex:
 
 def _check_lattice_triangle(t: Triangle) -> None:
     # no flip reaches a triangle off the lattice, a non-integer root has no
-    # bit in a search's frame, and a non-bool orientation has no flip table;
-    # a value of another shape is refused the same way
+    # bit in a search's frame, and a non-bool orientation has no flip table
     try:
         (p, q), up = t
     except (TypeError, ValueError):

@@ -9,9 +9,8 @@ decision; numbers are only formatted with two decimals at emit time.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import AffinePermutation, ball, format_window
 from .lattice import Triangle, Vertex, _check_lattice_triangle, perm_of, triangle_of
@@ -120,12 +119,8 @@ def _triangle_label(t: Triangle, f: AffinePermutation, mode: LabelMode) -> str:
 
 
 def render_svg(spec: RenderSpec) -> str:
-    """Render the spec to a complete SVG 1.1 document.
-
-    The group acts on the left and keeps flip distance, so the triangles
-    within radius flips of the center are those of g * f for f in
-    ball(radius), where g is the center's element.
-    """
+    """Render the spec to a complete SVG 1.1 document."""
+    # left multiplication keeps flip distance: the center's ball is g * ball(radius)
     g = perm_of(spec.center)
     elements = {triangle_of(h): h for h in (g * f for f in ball(spec.radius))}
     triangles = sorted(elements)
