@@ -148,8 +148,8 @@ NOT_TRIANGLES = [None, "C", 5, ("junk", 5, None), ((0, 0, 0), True), (BASE_TRIAN
 
 @pytest.mark.parametrize("value", NOT_TRIANGLES, ids=repr)
 def test_searches_refuse_a_value_of_another_shape(value):
-    # each used to raise whatever unpacking it raised: TypeError for None
-    # and 5, a bare ValueError for "C"
+    # unpacking used to raise its own error: TypeError for None and 5, a
+    # bare ValueError for "C"
     for search in (
         lambda: triangle_ball(value, 1),
         lambda: gallery_distance_bfs(BASE_TRIANGLE, value),
