@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Every subcommand accepts --json for a single machine-readable object on
-stdout; human output is stable "key: value" lines.  Exit codes: 0 on
-success, 1 on a domain error (bad element, unknown chord, failed
-verification, a negative --radius or --count, which argparse accepts as
-an integer and the library refuses, or an input beyond a row of LIMITS),
-2 on a usage error.
+stdout; human output is stable "key: value" lines.  Each cmd_* only
+computes: it returns its JSON payload and the function that builds its
+human lines, and main alone prints one or the other and picks the exit
+code.  Exit codes: 0 on success, 1 on a domain error (bad element,
+unknown chord, failed verification, a negative --radius or --count,
+which argparse accepts as an integer and the library refuses, an input
+beyond a row of LIMITS, or an I/O error while writing the output), 2 on
+a usage error.
 
 Element arguments are disambiguated by their first character: '[' opens
 a window, 's' or 'e' starts a generator word, anything else parses as a
@@ -18,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
 
 from .core import (
     AffinePermutation,
@@ -127,19 +129,6 @@ def parse_element(text: str) -> AffinePermutation:
     return perm_of(parse_chord(s, _default_comma())[1])
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: Callable[[], list[str]]) -> None:
-    """Print the payload as JSON, or else the lines human() builds.
-
-    The human lines are built only when printed: some of them format a
-    reduced word that can run to millions of letters.
-    """
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in human():
-            print(line)
-
-
 def _within(name: str, n: int, **fields: object) -> None:
     """Refuse n beyond the LIMITS row called name, with the row's message."""
     cap, message, _ = LIMITS[name]
@@ -167,33 +156,23 @@ def _window_payload(f: AffinePermutation) -> dict:
     }
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: argparse.Namespace) -> tuple:
     f = parse_element(args.element)
     payload = _window_payload(f)
-    _emit(
-        args,
-        payload,
-        lambda: [
-            f"word: {format_word(payload['word'])}",
-            f"window: {format_window(f)}",
-            f"length: {f.length()}",
-        ],
-    )
-    return 0
+    return payload, lambda: [
+        f"word: {format_word(payload['word'])}",
+        f"window: {format_window(f)}",
+        f"length: {f.length()}",
+    ]
 
 
-def cmd_mult(args: argparse.Namespace) -> int:
+def cmd_mult(args: argparse.Namespace) -> tuple:
     f = parse_element(args.left) * parse_element(args.right)
     payload = _window_payload(f)
-    _emit(
-        args,
-        payload,
-        lambda: [f"window: {format_window(f)}", f"word: {format_word(payload['word'])}"],
-    )
-    return 0
+    return payload, lambda: [f"window: {format_window(f)}", f"word: {format_word(payload['word'])}"]
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple:
     f = parse_element(args.element)
     order = f.order()
     coords = f.center_coords()
@@ -205,21 +184,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "flip_distance": f.length(),
         "window": list(f.window),
     }
-    _emit(
-        args,
-        payload,
-        lambda: [
-            f"type: {payload['type']}",
-            f"order: {order if order is not None else 'infinite'}",
-            f"center: ({coords[0]},{coords[1]},{coords[2]})",
-            f"center-distance: {payload['center_distance']}",
-            f"flip-distance: {payload['flip_distance']}",
-        ],
-    )
-    return 0
+    return payload, lambda: [
+        f"type: {payload['type']}",
+        f"order: {order if order is not None else 'infinite'}",
+        f"center: ({coords[0]},{coords[1]},{coords[2]})",
+        f"center-distance: {payload['center_distance']}",
+        f"flip-distance: {payload['flip_distance']}",
+    ]
 
 
-def cmd_chord(args: argparse.Namespace) -> int:
+def cmd_chord(args: argparse.Namespace) -> tuple:
     f = parse_element(args.element)
     t = triangle_of(f)
     chord = name_triangle(t)
@@ -228,30 +202,20 @@ def cmd_chord(args: argparse.Namespace) -> int:
         "comma": chord.root.comma,
         "triangle": format_triangle(t),
     }
-    _emit(
-        args,
-        payload,
-        lambda: [f"chord: {payload['chord']}", f"triangle: {payload['triangle']}"],
-    )
-    return 0
+    return payload, lambda: [f"chord: {payload['chord']}", f"triangle: {payload['triangle']}"]
 
 
-def cmd_locate(args: argparse.Namespace) -> int:
+def cmd_locate(args: argparse.Namespace) -> tuple:
     _, t = parse_chord(args.chord, _default_comma())
     f = perm_of(t)
     payload = {"window": list(f.window), "triangle": format_triangle(t)}
     if args.json:
         # only the JSON carries the reduced word, which a far comma makes huge
         payload["word"] = _reduced_word(f)
-    _emit(
-        args,
-        payload,
-        lambda: [f"window: {format_window(f)}", f"triangle: {payload['triangle']}"],
-    )
-    return 0
+    return payload, lambda: [f"window: {format_window(f)}", f"triangle: {payload['triangle']}"]
 
 
-def cmd_path(args: argparse.Namespace) -> int:
+def cmd_path(args: argparse.Namespace) -> tuple:
     from .progressions import plr_path, triangle_distance
 
     comma = _default_comma()
@@ -265,19 +229,14 @@ def cmd_path(args: argparse.Namespace) -> int:
         "word": list(g.reduced_word()),
         "length": len(word),
     }
-    _emit(
-        args,
-        payload,
-        lambda: [
-            f"plr: {word if word else '(empty)'}",
-            f"word: {format_word(payload['word'])}",
-            f"length: {len(word)}",
-        ],
-    )
-    return 0
+    return payload, lambda: [
+        f"plr: {word if word else '(empty)'}",
+        f"word: {format_word(payload['word'])}",
+        f"length: {len(word)}",
+    ]
 
 
-def cmd_hexagon(args: argparse.Namespace) -> int:
+def cmd_hexagon(args: argparse.Namespace) -> tuple:
     from .progressions import hexagon_cycle
     from .subgroups import format_translation_vector, hexagon_of
 
@@ -290,19 +249,14 @@ def cmd_hexagon(args: argparse.Namespace) -> int:
         "chords": chords,
         "coset": format_translation_vector(coset.base),
     }
-    _emit(
-        args,
-        payload,
-        lambda: [
-            f"tone: {payload['tone']}",
-            f"cycle: {' '.join(chords)}",
-            f"coset: {payload['coset']}",
-        ],
-    )
-    return 0
+    return payload, lambda: [
+        f"tone: {payload['tone']}",
+        f"cycle: {' '.join(chords)}",
+        f"coset: {payload['coset']}",
+    ]
 
 
-def cmd_stripe(args: argparse.Namespace) -> int:
+def cmd_stripe(args: argparse.Namespace) -> tuple:
     from .progressions import StripeKind, stripe
 
     _within("stripe_count", args.count)
@@ -317,11 +271,10 @@ def cmd_stripe(args: argparse.Namespace) -> int:
         "chords": chords,
         "triangles": [format_triangle(u) for u in chain],
     }
-    _emit(args, payload, lambda: [f"stripe: {' '.join(chords)}"])
-    return 0
+    return payload, lambda: [f"stripe: {' '.join(chords)}"]
 
 
-def cmd_riemann(args: argparse.Namespace) -> int:
+def cmd_riemann(args: argparse.Namespace) -> tuple:
     from .riemann import (
         d12_order,
         format_p,
@@ -344,15 +297,10 @@ def cmd_riemann(args: argparse.Namespace) -> int:
             "terz": x.terz,
             "order": order,
         }
-        _emit(
-            args,
-            payload,
-            lambda: [
-                f"element: {payload['element']}",
-                f"order: {order if order is not None else 'infinite'}",
-            ],
-        )
-        return 0
+        return payload, lambda: [
+            f"element: {payload['element']}",
+            f"order: {order if order is not None else 'infinite'}",
+        ]
     if args.riemann_cmd == "quotient":
         x = parse_p(args.element)
         coset = project_d12(x)
@@ -360,20 +308,14 @@ def cmd_riemann(args: argparse.Namespace) -> int:
             "coset": format_p(coset),
             "order": d12_order(coset),
         }
-        _emit(
-            args,
-            payload,
-            lambda: [f"coset: {payload['coset']}", f"order: {payload['order']}"],
-        )
-        return 0
+        return payload, lambda: [f"coset: {payload['coset']}", f"order: {payload['order']}"]
     x = parse_p(args.element)
     member = in_comma_subgroup(x)
     payload = {"element": format_p(x), "in_comma_subgroup": member}
-    _emit(args, payload, lambda: [f"in-comma-subgroup: {'yes' if member else 'no'}"])
-    return 0
+    return payload, lambda: [f"in-comma-subgroup: {'yes' if member else 'no'}"]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple:
     _within("verify_radius", args.radius)
     from .verify import run_all, run_suite
 
@@ -396,11 +338,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"{mark} {c['suite']:<{width}}  {c['check']}{detail}")
         return lines + [f"{len(checks) - failed}/{len(checks)} checks passed"]
 
-    _emit(args, payload, human)
-    return 1 if failed else 0
+    return payload, human
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace) -> tuple:
     from .render import LabelMode, RenderSpec, render_svg
 
     _within("render_radius", args.radius)
@@ -419,11 +360,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)
     payload = {"out": args.out, "bytes": len(doc.encode("utf-8"))}
-    _emit(args, payload, lambda: [f"wrote {args.out} ({payload['bytes']} bytes)"])
-    return 0
+    return payload, lambda: [f"wrote {args.out} ({payload['bytes']} bytes)"]
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> tuple:
     _within("analyze_chords", len(args.chords))
     from .progressions import analyze
 
@@ -452,8 +392,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             lines.append(line)
         return lines + [f"total distance: {payload['total_distance']}"]
 
-    _emit(args, payload, human)
-    return 0
+    return payload, human
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,10 +479,18 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return 2
     try:
-        return args.func(args)
+        payload, human = args.func(args)
+        # printing stays inside the try, so a failed write is an error too
+        if args.json:
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            # built only here: some lines format a reduced word of millions of letters
+            for line in human():
+                print(line)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 1 if payload.get("failed") else 0
 
 
 if __name__ == "__main__":

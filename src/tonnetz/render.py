@@ -59,6 +59,10 @@ class RenderSpec(_RenderFields):
         _check_lattice_triangle(self.center)
         for t in self.highlights:
             _check_lattice_triangle(t)
+        if not isinstance(self.label_mode, LabelMode):
+            raise ValueError(f"label_mode must be a LabelMode, got {self.label_mode!r}")
+        if not isinstance(self.radius, int):
+            raise ValueError(f"radius must be an int, got {self.radius!r}")
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
         n = len(self.path)

@@ -720,6 +720,26 @@ def test_json_builds_no_human_lines(capsys, monkeypatch):
         main(["reduce", "[-3,2,1]"])
 
 
+class BrokenPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [("chord", "C"), ("reduce", "[-3,2,1]", "--json")], ids=" ".join)
+def test_a_failed_write_exits_1(capsys, monkeypatch, argv):
+    # writing the output is part of the command: its OSError is reported
+    # like any other, and does not escape main
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    code = main(list(argv))
+    monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
+
+
 def test_parser_choices_are_the_enums():
     # the parser reads literal tuples so that building it imports nothing
     assert cli.STRIPE_KINDS == tuple(k.value for k in StripeKind)

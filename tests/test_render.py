@@ -154,6 +154,26 @@ def test_spec_checks_a_replaced_field():
     assert spec._replace(radius=2) == RenderSpec(BASE_TRIANGLE, 2)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"label_mode": "windows"},
+        {"label_mode": None},
+        {"radius": 1.5},
+        {"radius": "2"},
+        {"radius": None},
+    ],
+    ids=repr,
+)
+def test_spec_checks_label_mode_and_radius_type(fields):
+    # "windows" used to draw chord labels, 1.5 to fail only in render_svg,
+    # "2" to raise a bare TypeError from the sign check
+    with pytest.raises(ValueError, match="must be an int|must be a LabelMode"):
+        RenderSpec(BASE_TRIANGLE, **{"radius": 1, **fields})
+    with pytest.raises(ValueError, match="must be an int|must be a LabelMode"):
+        RenderSpec(BASE_TRIANGLE, 1)._replace(**fields)
+
+
 def test_spec_caps_the_path():
     assert RenderSpec(BASE_TRIANGLE, 0, path="PL" * (MAX_PATH_LETTERS // 2)).path
     # the length is refused before any letter is read
