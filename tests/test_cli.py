@@ -726,9 +726,6 @@ class BrokenPipe:
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
 
-    def flush(self):
-        pass
-
 
 @pytest.mark.parametrize("argv", [("chord", "C"), ("reduce", "[-3,2,1]", "--json")], ids=" ".join)
 def test_a_failed_write_exits_1(capsys, monkeypatch, argv):
