@@ -15,8 +15,6 @@ from enum import Enum
 from itertools import product
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
-WINDOW_POSITIONS = (-1, 0, 1)
-
 GENERATOR_INDICES = (1, 2, 3)
 
 
@@ -105,11 +103,14 @@ class AffinePermutation(_Window):
         >>> AffinePermutation(-3, 1, 2).inverse().window
         (-2, 2, 0)
         """
-        # f(p) = v gives f^-1(n) = p + n - v at the window position n = slot - 1
+        # f(p) = v gives f^-1(n) = p + n - v at the window position n = slot - 1,
+        # slot = (v + 1) % 3, for the entries v = a, b, c at p = -1, 0, 1
+        a, b, c = self
+        i, j, k = (a + 1) % 3, (b + 1) % 3, (c + 1) % 3
         out = [0, 0, 0]
-        for p, v in zip(WINDOW_POSITIONS, self):
-            slot = (v + 1) % 3
-            out[slot] = p + slot - 1 - v
+        out[i] = i - 2 - a
+        out[j] = j - 1 - b
+        out[k] = k - c
         return _make_element(AffinePermutation, out)
 
     def reduced_word(self) -> tuple[int, ...]:
@@ -196,10 +197,7 @@ class AffinePermutation(_Window):
         >>> AffinePermutation(-3, 2, 1).center_coords()
         TriangleCoords(c1=0, c2=2, c3=-2)
         """
-        out = [0, 0, 0]
-        for s, e in enumerate(self):
-            out[(e - 1) % 3] = e + 1 - s
-        return TriangleCoords(*out)
+        return _make_element(TriangleCoords, _center_coords(*self))
 
     def center_distance(self) -> int:
         """Half the coordinate l1-norm, i.e. the sum of positive coordinates.
@@ -215,8 +213,18 @@ class AffinePermutation(_Window):
 
 
 # builds an element from a window without the validating __new__, for the
-# group operations, whose results are windows of the group by construction
+# group operations, whose results are windows of the group by construction;
+# as tuple.__new__ it builds any named tuple without its Python-level __new__
 _make_element = tuple.__new__
+
+
+def _center_coords(a: int, b: int, c: int) -> list[int]:
+    """center_coords of the window [a, b, c], as a list."""
+    out = [0, 0, 0]
+    out[(a - 1) % 3] = a + 1
+    out[(b - 1) % 3] = b
+    out[(c - 1) % 3] = c - 1
+    return out
 
 
 IDENTITY = AffinePermutation(-1, 0, 1)
@@ -359,9 +367,16 @@ def _descent_moves(residues: tuple[int, int, int]) -> Iterator[tuple]:
 # finite factor sigma share window residues, and the residues pick sigma.
 FINITE_WORDS = ((), (2,), (3,), (2, 3), (3, 2), (2, 3, 2))
 
-_FINITE_BY_RESIDUES = {
-    from_word(w).residues: (w, from_word(w).inverse()) for w in FINITE_WORDS
-}
+
+def _factor_row(word: tuple[int, ...]) -> tuple:
+    """sigma's row of _FINITE_BY_RESIDUES: its word, and the slot and offset
+    of each of translation_factor's two read-offs."""
+    m1, _, m3 = from_word(word).inverse()
+    x, y = (m1 + 1) % 3, (m3 + 1) % 3
+    return word, x, m1 + 2 - x, y, y - m3
+
+
+_FINITE_BY_RESIDUES = {from_word(w).residues: _factor_row(w) for w in FINITE_WORDS}
 
 
 # reduced_word's walk, over the six residue patterns of a window
@@ -371,16 +386,20 @@ _DESCENTS = walk_table({r: tuple(_descent_moves(r)) for r in _FINITE_BY_RESIDUES
 def translation_factor(f: AffinePermutation) -> tuple[int, int, tuple[int, ...]]:
     """(e1, e2, word of sigma) with f = t1^e1 * t2^e2 * sigma, sigma in <s2, s3>.
 
-    The translation t1^e1 * t2^e2 has the window [3e1 - 1, 3(e2 - e1), 1 - 3e2].
+    The translation t = f * sigma^-1 has the window [3e1 - 1, 3(e2 - e1), 1 - 3e2],
+    and it reads f at sigma^-1's first and last entries m1 and m3: its first
+    entry is f(m1) = f[x] + m1 + 1 - x for x = (m1 + 1) % 3, and its last is
+    f(m3) = f[y] + m3 + 1 - y for y = (m3 + 1) % 3.  So sigma's row of the
+    residue table holds x, u = m1 + 2 - x, y and v = y - m3, and no product
+    is formed: e1 = (f[x] + u) // 3 and e2 = (v - f[y]) // 3.
 
     >>> translation_factor(AffinePermutation(-3, 2, 1))
     (0, 0, (2, 3, 2))
     >>> translation_factor(AffinePermutation(2, -3, 1))
     (1, 0, ())
     """
-    word, sigma_inverse = _FINITE_BY_RESIDUES[f.residues]
-    t = f * sigma_inverse
-    return (t.a + 1) // 3, (1 - t.c) // 3, word
+    word, x, u, y, v = _FINITE_BY_RESIDUES[f.residues]
+    return (f[x] + u) // 3, (v - f[y]) // 3, word
 
 
 def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePermutation:
@@ -394,13 +413,22 @@ def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePer
     (0, -1, 1)
     """
     c1, c2, c3 = coords
-    out: list[int | None] = [None, None, None]
-    for i, c in zip(GENERATOR_INDICES, (c1, c2, c3)):
-        d = (c - i + 1) % 3 - 1
-        if out[1 - d] is not None:
-            raise ValueError(f"{(c1, c2, c3)} is not a triangle center")
-        out[1 - d] = c - d
+    out = _window_at(c1, c2, c3)
+    if None in out:
+        raise ValueError(f"{(c1, c2, c3)} is not a triangle center")
     return AffinePermutation(*out)
+
+
+def _window_at(c1: int, c2: int, c3: int) -> list[int | None]:
+    """triangle_to_perm's window, None in each slot no coordinate fills."""
+    out: list[int | None] = [None, None, None]
+    d = c1 % 3 - 1
+    out[1 - d] = c1 - d
+    d = (c2 - 1) % 3 - 1
+    out[1 - d] = c2 - d
+    d = (c3 - 2) % 3 - 1
+    out[1 - d] = c3 - d
+    return out
 
 
 def ball(radius: int) -> list[AffinePermutation]:

@@ -20,9 +20,10 @@ from .core import (
     FINITE_WORDS,
     AffinePermutation,
     TriangleCoords,
+    _center_coords,
     _not_a_sequence,
+    _window_at,
     translation_factor,
-    triangle_to_perm,
 )
 
 Vertex = tuple[int, int]
@@ -76,6 +77,10 @@ class Triangle(NamedTuple):
 
 
 BASE_TRIANGLE = Triangle(ORIGIN, up=True)
+
+# builds named tuples without their Python-level __new__, as core's
+# _make_element does
+_make = tuple.__new__
 
 
 def triangle_from_vertices(verts: frozenset[Vertex] | set[Vertex]) -> Triangle:
@@ -236,7 +241,8 @@ def triangle_of(f: AffinePermutation) -> Triangle:
     >>> format_triangle(triangle_of(AffinePermutation(-3, 2, 1)))
     'D(-1,2)'
     """
-    return triangle_from_coords(f.center_coords())
+    _, c2, c3 = _center_coords(*f)
+    return _triangle_at(c2, c3)
 
 
 # --- the coordinate route between triangles and windows --------------------
@@ -249,27 +255,46 @@ def geometric_coords(t: Triangle) -> TriangleCoords:
     on every element is one of the verification suites.
     """
     (p, q), up = t
+    return _make(TriangleCoords, _geometric_coords(p, q, up))
+
+
+def _geometric_coords(p: int, q: int, up: bool) -> tuple[int, int, int]:
     d = not up
-    return TriangleCoords(-(2 * p + q), p + 2 * q - d, p - q + d)
+    return -(2 * p + q), p + 2 * q - d, p - q + d
 
 
 def triangle_from_coords(coords: TriangleCoords | tuple[int, int, int]) -> Triangle:
     """Inverse of geometric_coords.
 
     c2 + 2 * c3 is 3p and c2 - c3 is 3q for an up triangle; a down
-    triangle adds 1 to the first and -2 to the second.  Any other triple,
-    including one that does not sum to zero, is not a center.
+    triangle adds 1 to the first and -2 to the second.  So c2 - c3, which is
+    c2 + 2 * c3 mod 3, is 2 mod 3 at no center; nor is any triple that does
+    not sum to zero.
     """
     c1, c2, c3 = coords
-    dp = c2 + 2 * c3
-    if c1 + c2 + c3 or dp % 3 == 2:
+    if c1 + c2 + c3 or (c2 - c3) % 3 == 2:
         raise ValueError(f"{coords} is not a triangle center")
-    return Triangle((dp // 3, (c2 - c3 + 2) // 3), up=dp % 3 == 0)
+    return _triangle_at(c2, c3)
+
+
+def _triangle_at(c2: int, c3: int) -> Triangle:
+    """The triangle centred at (-c2 - c3, c2, c3), a center."""
+    dp = c2 + 2 * c3
+    return _make(Triangle, ((dp // 3, (c2 - c3 + 2) // 3), dp % 3 == 0))
 
 
 def perm_of(t: Triangle) -> AffinePermutation:
-    """The unique group element whose triangle is t."""
-    return triangle_to_perm(geometric_coords(t))
+    """The unique group element whose triangle is t.
+
+    Raises ValueError on a value that is not a lattice triangle: a root of
+    two ints and a bool orientation.
+
+    >>> perm_of(Triangle((-1, 2), up=False)).window
+    (-3, 2, 1)
+    """
+    _check_lattice_triangle(t)
+    (p, q), up = t
+    return _make(AffinePermutation, _window_at(*_geometric_coords(p, q, up)))
 
 
 def vertex_class(v: Vertex) -> int:
@@ -299,6 +324,7 @@ def class_vertex(t: Triangle, cls: int) -> Vertex:
 def _check_lattice_triangle(t: Triangle) -> None:
     # no flip reaches a triangle off the lattice, a non-integer root has no
     # bit in a search's frame, and a non-bool orientation has no flip table
+    # and would be read by its truth where the orientation picks a formula
     try:
         (p, q), up = t
     except (TypeError, ValueError):

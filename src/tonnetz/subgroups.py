@@ -60,6 +60,13 @@ class FiniteS3Element(Enum):
 
 _S3_PERMS = {el: from_word(el.value) for el in FiniteS3Element}
 
+# the members by word: FiniteS3Element(word) is an Enum call by value
+_S3_BY_WORD = {el.value: el for el in FiniteS3Element}
+
+# builds named tuples without their Python-level __new__, as core's
+# _make_element does
+_make = tuple.__new__
+
 S3_ELEMENTS = tuple(FiniteS3Element)
 
 _IDENTITY_RESIDUES = IDENTITY.residues
@@ -101,7 +108,7 @@ def translation_coords(f: AffinePermutation) -> TranslationVector:
     e1, e2, word = translation_factor(f)
     if word:
         raise NotATranslationError(f"{f.window} is not a translation")
-    return TranslationVector(e1, e2)
+    return _make(TranslationVector, (e1, e2))
 
 
 def translation_perm(vec: TranslationVector | tuple[int, int]) -> AffinePermutation:
@@ -121,7 +128,7 @@ def decompose(f: AffinePermutation) -> tuple[TranslationVector, FiniteS3Element]
     TranslationVector(e1=1, e2=0)
     """
     e1, e2, word = translation_factor(f)
-    return TranslationVector(e1, e2), FiniteS3Element(word)
+    return _make(TranslationVector, (e1, e2)), _S3_BY_WORD[word]
 
 
 def coset_mod_T(f: AffinePermutation) -> FiniteS3Element:
@@ -131,7 +138,8 @@ def coset_mod_T(f: AffinePermutation) -> FiniteS3Element:
 
 def hexagon_of(f: AffinePermutation) -> HexagonId:
     """The coset hexagon containing f's triangle."""
-    return HexagonId(decompose(f)[0])
+    e1, e2, _ = translation_factor(f)
+    return _make(HexagonId, (_make(TranslationVector, (e1, e2)),))
 
 
 def format_translation_vector(vec: TranslationVector | tuple[int, int]) -> str:

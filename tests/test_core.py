@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tonnetz.core import (
+    FINITE_WORDS,
     IDENTITY,
     AffinePermutation,
     ElementType,
+    TriangleCoords,
     ball,
     format_window,
     format_word,
@@ -17,6 +19,7 @@ from tonnetz.core import (
     parse_window,
     parse_word,
     right_mult_generator,
+    translation_factor,
     triangle_to_perm,
 )
 from tonnetz.lattice import (
@@ -28,6 +31,8 @@ from tonnetz.lattice import (
 )
 
 words = st.lists(st.sampled_from([1, 2, 3]), max_size=8)
+
+long_words = st.lists(st.sampled_from([1, 2, 3]), max_size=2560)
 
 
 def test_identity_window():
@@ -209,6 +214,32 @@ def test_center_coords_sum_zero():
     for f in ball(5):
         c = f.center_coords()
         assert c.c1 + c.c2 + c.c3 == 0
+
+
+def check_window_maps(f):
+    """translation_factor, inverse and center_coords of f against oracles
+    that form products or evaluate f pointwise."""
+    # the explicit read-off: f * sigma^-1 is the translation t1^e1 * t2^e2
+    e1, e2, word = translation_factor(f)
+    assert word in FINITE_WORDS
+    t = f * from_word(word).inverse()
+    assert t.window == (3 * e1 - 1, 3 * (e2 - e1), 1 - 3 * e2)
+    g = f.inverse()
+    assert type(g) is AffinePermutation
+    assert all(f(g(n)) == n == g(f(n)) for n in range(-7, 8))
+    c = f.center_coords()
+    assert type(c) is TriangleCoords
+    assert triangle_to_perm(c) == f
+
+
+def test_window_maps_on_the_ball():
+    for f in ball(8):
+        check_window_maps(f)
+
+
+@given(long_words)
+def test_window_maps_on_long_words(word):
+    check_window_maps(from_word(word))
 
 
 def refusal(fn, arg):

@@ -2,8 +2,9 @@
 
 import pytest
 from conftest import within_budget
+from hypothesis import given, strategies as st
 
-from tonnetz.core import ball, from_word, generator, parse_window
+from tonnetz.core import AffinePermutation, TriangleCoords, ball, from_word, generator, parse_window
 from tonnetz.lattice import (
     BASE_TRIANGLE,
     Edge,
@@ -12,9 +13,11 @@ from tonnetz.lattice import (
     format_triangle,
     gallery_distance_bfs,
     generator_isometry,
+    geometric_coords,
     neighbors,
     parse_triangle,
     perm_of,
+    perm_to_iso,
     triangle_ball,
     triangle_from_vertices,
     triangle_of,
@@ -118,6 +121,38 @@ def test_triangle_of_fixtures():
         f = parse_window(window)
         assert format_triangle(triangle_of(f)) == triangle
         assert perm_of(parse_triangle(triangle)) == f
+
+
+def check_triangle_maps(f):
+    """triangle_of and perm_of of f, and the types they return."""
+    t = triangle_of(f)
+    assert type(t) is Triangle and type(t.root) is tuple and type(t.up) is bool
+    # the isometry carries the base triangle by f's factors, not by the
+    # center coordinates triangle_of reads
+    assert perm_to_iso(f).apply_triangle(BASE_TRIANGLE) == t
+    g = perm_of(t)
+    assert type(g) is AffinePermutation and g == f
+    c = geometric_coords(t)
+    assert type(c) is TriangleCoords and c == f.center_coords()
+
+
+def test_triangle_maps_on_the_ball():
+    for f in ball(8):
+        check_triangle_maps(f)
+
+
+@given(st.lists(st.sampled_from([1, 2, 3]), max_size=2560))
+def test_triangle_maps_on_long_words(word):
+    check_triangle_maps(from_word(word))
+
+
+# perm_of read None as down and 1 as up, and indexed a list by a float
+@pytest.mark.parametrize(
+    "t", [Triangle((0, 0), None), Triangle((0, 0), 1), Triangle((0.5, 0), True)], ids=repr
+)
+def test_perm_of_refuses_a_triangle_off_the_lattice(t):
+    with pytest.raises(ValueError, match=r"is not a lattice triangle: its root must be"):
+        perm_of(t)
 
 
 def test_gallery_distance_bfs_rejects_off_lattice_triangles():

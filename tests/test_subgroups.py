@@ -1,11 +1,13 @@
 """The translation lattice, the finite quotient, and coset hexagons."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tonnetz.core import IDENTITY, from_word, generator
+from tonnetz.core import IDENTITY, ball, from_word, generator
 from tonnetz.subgroups import (
     S3_ELEMENTS,
     FiniteS3Element,
+    HexagonId,
     NotATranslationError,
     TranslationVector,
     conjugate_translation,
@@ -86,6 +88,28 @@ def test_decompose_of_s1():
     vec, sigma = decompose(generator(1))
     assert translation_perm(vec) * sigma.perm == generator(1)
     assert vec != (0, 0)
+
+
+def check_factorization(f):
+    """decompose and hexagon_of of f: f = t * sigma, and the types they return."""
+    vec, sigma = decompose(f)
+    assert type(vec) is TranslationVector
+    assert type(vec.e1) is int and type(vec.e2) is int
+    assert any(sigma is member for member in FiniteS3Element)
+    assert translation_perm(vec) * sigma.perm == f
+    hexagon = hexagon_of(f)
+    assert type(hexagon) is HexagonId and type(hexagon.base) is TranslationVector
+    assert hexagon.base == vec
+
+
+def test_factorization_on_the_ball():
+    for f in ball(8):
+        check_factorization(f)
+
+
+@given(st.lists(st.sampled_from([1, 2, 3]), max_size=2560))
+def test_factorization_on_long_words(word):
+    check_factorization(from_word(word))
 
 
 def test_conjugation_fixtures():

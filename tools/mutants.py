@@ -12,9 +12,11 @@ tracks, plus new ones it does not ignore) into a temporary directory,
 applies the replacement there and runs tier-1 in a child process under a
 wall-clock timeout and an address-space limit.  It prints one line per
 mutant: killed, with the first failing test (every one with
---all-failures), or survived, timed out or out of memory.  The acceptance
-tests run last, so the first failing test named is a unit test where one
-fails.  It exits 1 if any live mutant is not killed.
+--all-failures), or survived, timed out or out of memory.  The mutated
+module's own test file runs first and the acceptance tests last, so the
+first failing test named is a unit test where one fails, and a mutant that
+its module's tests kill is killed in seconds.  It exits 1 if any live
+mutant is not killed.
 
 Before any tier-1 run it reads every record against the repository: the
 old text of a live or equivalent record must occur in its file exactly
@@ -112,11 +114,14 @@ def apply(root: Path, record: dict) -> None:
     target.write_text(text.replace(record["old"], record["new"]))
 
 
-def test_modules(root: Path) -> list[str]:
-    """tier-1's test modules, tests/test_acceptance.py last: an acceptance
+def test_modules(root: Path, record: dict | None) -> list[str]:
+    """tier-1's test modules: first tests/test_<stem>.py of the file the
+    record mutates, where there is one, since its own tests are likely to
+    fail first and fast; tests/test_acceptance.py last, since an acceptance
     test runs many functions at once, so naming it says little."""
+    own = f"test_{Path(record['file']).stem}.py" if record is not None else None
     names = sorted(p.name for p in (root / "tests").glob("test_*.py"))
-    names.sort(key=lambda name: name == "test_acceptance.py")
+    names.sort(key=lambda name: (name != own, name == "test_acceptance.py"))
     return [f"tests/{name}" for name in names]
 
 
@@ -146,7 +151,7 @@ def replay(repo: Path, record: dict | None, all_failures: bool) -> tuple[str, li
         except ValueError as exc:
             return f"not applied: {exc}", []
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, *TIER1, *([] if all_failures else ["-x"]), *test_modules(root)]
+        command = [sys.executable, *TIER1, *([] if all_failures else ["-x"]), *test_modules(root, record)]
         proc = subprocess.Popen(
             command, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, preexec_fn=limit_memory, start_new_session=True,
