@@ -259,6 +259,7 @@ def geometric_coords(t: Triangle) -> TriangleCoords:
 
 
 def _geometric_coords(p: int, q: int, up: bool) -> tuple[int, int, int]:
+    """geometric_coords of the triangle (p, q), up, as a plain tuple."""
     d = not up
     return -(2 * p + q), p + 2 * q - d, p - q + d
 

@@ -146,7 +146,8 @@ def test_triangle_maps_on_long_words(word):
     check_triangle_maps(from_word(word))
 
 
-# perm_of read None as down and 1 as up, and indexed a list by a float
+# unchecked, an orientation of None or 1 would be read by its truth, and a
+# float root would reach list indexing
 @pytest.mark.parametrize(
     "t", [Triangle((0, 0), None), Triangle((0, 0), 1), Triangle((0.5, 0), True)], ids=repr
 )
