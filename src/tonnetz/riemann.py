@@ -63,17 +63,25 @@ SEITENWECHSEL = RElement(True, 0, 0)
 
 P_IDENTITY = PElement(0, 0, False)
 
+# builds named tuples without their Python-level __new__, as core's
+# _make_element does; RElement and PElement check nothing there
+_make = tuple.__new__
+
 
 def r_compose(x: RElement, y: RElement) -> RElement:
     """Product xy; a leading Wechsel inverts the following Schritt part."""
-    sign = -1 if x.wechsel else 1
-    return RElement(x.wechsel ^ y.wechsel, x.quint + sign * y.quint, x.terz + sign * y.terz)
+    wechsel, quint, terz = x
+    y_wechsel, y_quint, y_terz = y
+    if wechsel:
+        return _make(RElement, (wechsel ^ y_wechsel, quint - y_quint, terz - y_terz))
+    return _make(RElement, (wechsel ^ y_wechsel, quint + y_quint, terz + y_terz))
 
 
 def r_inverse(x: RElement) -> RElement:
-    if x.wechsel:
+    wechsel, quint, terz = x
+    if wechsel:
         return x
-    return RElement(False, -x.quint, -x.terz)
+    return _make(RElement, (False, -quint, -terz))
 
 
 def r_order(x: RElement) -> int | None:
@@ -101,14 +109,18 @@ def p_generator(i: int) -> PElement:
 
 def p_compose(x: PElement, y: PElement) -> PElement:
     """Product xy in normal form; a flip inverts the translation part."""
-    sign = -1 if x.flip else 1
-    return PElement(x.a + sign * y.a, x.b + sign * y.b, x.flip ^ y.flip)
+    a, b, flip = x
+    y_a, y_b, y_flip = y
+    if flip:
+        return _make(PElement, (a - y_a, b - y_b, flip ^ y_flip))
+    return _make(PElement, (a + y_a, b + y_b, flip ^ y_flip))
 
 
 def p_inverse(x: PElement) -> PElement:
-    if x.flip:
+    a, b, flip = x
+    if flip:
         return x
-    return PElement(-x.a, -x.b, False)
+    return _make(PElement, (-a, -b, False))
 
 
 def p_isometry(x: PElement) -> Isometry:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import tonnetz
 from tonnetz import cli, lattice, verify
 from tonnetz.cli import main
-from tonnetz.core import format_window, generator, parse_window
+from tonnetz.core import AffinePermutation, format_window, generator, parse_window
 from tonnetz.lattice import BASE_TRIANGLE, Triangle, parse_triangle, perm_of
 from tonnetz.pitch import MAX_ACCIDENTALS, parse_chord
 from tonnetz.progressions import StripeKind, apply_plr, triangle_distance
@@ -309,6 +309,53 @@ def test_verify_checks_do_not_only_reread_their_subject(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(riemann, "r_compose", compose_mod_3)
         assert "no order 3 in R, unlike the triangle group" in failed("riemann-r")
+
+    # a sweep that reads each reused value once still sees a fault in it,
+    # with the failure count and first label of a sweep that reads it per case
+    def check(suite, name):
+        return next((r.detail, r.cases) for r in verify.run_suite(suite, 3) if r.name == name)
+
+    def subtracting_compose(x, y):
+        return riemann.RElement(x.wechsel ^ y.wechsel, x.quint - y.quint, x.terz - y.terz)
+
+    translation_perm = verify.translation_perm
+
+    def s1_for_e1(v):
+        return generator(1) if tuple(v) == (1, 0) else translation_perm(v)
+
+    perm_to_iso = lattice.perm_to_iso
+
+    def shifted_for_s1(f):
+        iso = perm_to_iso(f)
+        if f == generator(1):
+            return lattice.Isometry(iso.m, (iso.v[0] + 1, iso.v[1]))
+        return iso
+
+    mul = AffinePermutation.__mul__
+
+    with monkeypatch.context() as m:
+        m.setattr(riemann, "r_compose", subtracting_compose)
+        assert check("riemann-r", "associativity") == ("5184 failures, first: assoc", 5832)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "translation_perm", s1_for_e1)
+        # the translation part of s1 rather than a refusal, so the suite runs on
+        m.setattr(subgroups, "translation_coords", lambda f: subgroups.decompose(f)[0])
+        assert check("translations", "translations commute") == (
+            "90 failures, first: commute (-3, -3) (1, 0)",
+            2401,
+        )
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "perm_to_iso", shifted_for_s1)
+        assert check("isometries", "isometry map preserves products") == (
+            "47 failures, first: homomorphism (2, -2, 0) (0, -1, 1)",
+            361,
+        )
+    with monkeypatch.context() as m:
+        m.setattr(AffinePermutation, "__mul__", lambda f, g: mul(g, f))
+        assert check("windows", "composition matches function composition") == (
+            "294 failures, first: compose (2, -2, 0) (1, -3, 2)",
+            361,
+        )
 
 
 def test_verify_reports_a_suite_that_raises(monkeypatch, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tonnetz.lattice import BASE_TRIANGLE, Triangle
+from tonnetz.lattice import BASE_TRIANGLE, Edge, Triangle, wall_flip
 from tonnetz.riemann import (
     D12_REFLECTION,
     D12_ROTATION,
@@ -106,6 +106,63 @@ def test_p_left_action_on_base():
     pi1 = p_isometry(p_generator(1))
     assert pi1.apply_triangle(BASE_TRIANGLE) == Triangle((0, 0), up=False)
     assert pi1.apply_triangle(Triangle((0, 0), up=False)) == BASE_TRIANGLE
+
+
+# the edge of the base triangle that is the wall of s_i
+BASE_EDGES = {1: Edge.FIFTH, 2: Edge.MAJOR_THIRD, 3: Edge.MINOR_THIRD}
+
+
+def test_point_reflection_swaps_the_ends_of_its_edge():
+    for i, edge in BASE_EDGES.items():
+        iso = p_isometry(p_generator(i))
+        u, v = BASE_TRIANGLE.edge_vertices(edge)
+        assert (iso.apply(u), iso.apply(v)) == (v, u), i
+        assert iso.m == (-1, 0, 0, -1), i
+        assert iso.apply_triangle(BASE_TRIANGLE) == wall_flip(BASE_TRIANGLE, i), i
+
+
+def test_p_to_r_reverses_products():
+    for x in P_BOX:
+        for y in P_BOX:
+            assert p_to_r(p_compose(x, y)) == r_compose(p_to_r(y), p_to_r(x)), (x, y)
+
+
+# the products and inverses as signed formulas, the reference for the
+# unpacked ones in riemann
+def signed_r_compose(x, y):
+    sign = -1 if x.wechsel else 1
+    return RElement(x.wechsel ^ y.wechsel, x.quint + sign * y.quint, x.terz + sign * y.terz)
+
+
+def signed_r_inverse(x):
+    return x if x.wechsel else RElement(False, -x.quint, -x.terz)
+
+
+def signed_p_compose(x, y):
+    sign = -1 if x.flip else 1
+    return PElement(x.a + sign * y.a, x.b + sign * y.b, x.flip ^ y.flip)
+
+
+def signed_p_inverse(x):
+    return x if x.flip else PElement(-x.a, -x.b, False)
+
+
+def test_r_products_and_inverses_match_the_signed_formulas():
+    for x in BOX:
+        inv = r_inverse(x)
+        assert type(inv) is RElement and inv == signed_r_inverse(x), x
+        for y in BOX:
+            xy = r_compose(x, y)
+            assert type(xy) is RElement and xy == signed_r_compose(x, y), (x, y)
+
+
+def test_p_products_and_inverses_match_the_signed_formulas():
+    for x in P_BOX:
+        inv = p_inverse(x)
+        assert type(inv) is PElement and inv == signed_p_inverse(x), x
+        for y in P_BOX:
+            xy = p_compose(x, y)
+            assert type(xy) is PElement and xy == signed_p_compose(x, y), (x, y)
 
 
 def test_p_to_r_fixtures():
