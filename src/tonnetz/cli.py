@@ -13,6 +13,10 @@ a usage error.
 Element arguments are disambiguated by their first character: '[' opens
 a window, 's' or 'e' starts a generator word, anything else parses as a
 chord symbol; TONNETZ_DEFAULT_COMMA sets the comma band of unannotated ones.
+Every chord symbol is read by _chord.  The library takes integers of any
+size, but the CLI refuses a comma level (also TONNETZ_DEFAULT_COMMA's), a
+window entry or a riemann exponent of 2**63 or more in magnitude, the
+integer_bits row of LIMITS.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .core import (
     parse_window,
     parse_word,
 )
-from .lattice import format_triangle, perm_of, triangle_of
+from .lattice import Triangle, format_triangle, perm_of, triangle_of
 from .pitch import MAX_ACCIDENTALS, ChordName, format_chord, format_note, name_triangle, parse_chord
 
 # The cap on every input whose output or work grows with its size, checked from an
@@ -80,6 +84,13 @@ LIMITS = {
     "analyze_chords": (1_000,
         "{n} chords given; analyze places at most {cap}",
         "analyze places at most {cap} chords"),
+    # the bits of a comma level, window entry or riemann exponent, the bound of pitch's
+    # memo keys: the work and output grow with the digits, so a comma level of 4000
+    # digits made render at the radius cap run for a minute and write 800 MB
+    "integer_bits": (63,
+        "{what} has {n} bits; the CLI reads integers of at most {cap} bits",
+        "comma levels (also TONNETZ_DEFAULT_COMMA), window entries and riemann exponents "
+        "have at most {cap} bits, magnitude below 2**{cap}"),
 }
 
 # Each cmd_* imports the modules beyond these three that it runs, so a
@@ -107,14 +118,22 @@ SUITE_NAMES = (
 )
 
 
-def _default_comma() -> int | None:
+def _chord(text: str) -> tuple[ChordName, Triangle]:
+    """The chord symbol text, unannotated at TONNETZ_DEFAULT_COMMA's level.
+
+    The one place the CLI parses a chord symbol and reads the variable.
+    """
     raw = os.environ.get("TONNETZ_DEFAULT_COMMA")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"TONNETZ_DEFAULT_COMMA must be an integer, got {raw!r}") from None
+    comma = None
+    if raw is not None:
+        try:
+            comma = int(raw)
+        except ValueError:
+            raise ValueError(f"TONNETZ_DEFAULT_COMMA must be an integer, got {raw!r}") from None
+        _within_bits("TONNETZ_DEFAULT_COMMA", comma)
+    chord, t = parse_chord(text, comma)
+    _within_bits("a comma level", chord.root.comma)
+    return chord, t
 
 
 def parse_element(text: str) -> AffinePermutation:
@@ -123,10 +142,12 @@ def parse_element(text: str) -> AffinePermutation:
     if not s:
         raise ValueError("empty element")
     if s[0] == "[":
-        return parse_window(s)
+        f = parse_window(s)
+        _within_bits("a window entry", *f.window)
+        return f
     if s[0] in "se":
         return from_word(parse_word(s))
-    return perm_of(parse_chord(s, _default_comma())[1])
+    return perm_of(_chord(s)[1])
 
 
 def _within(name: str, n: int, **fields: object) -> None:
@@ -134,6 +155,12 @@ def _within(name: str, n: int, **fields: object) -> None:
     cap, message, _ = LIMITS[name]
     if n > cap:
         raise ValueError(message.format(n=n, cap=cap, **fields))
+
+
+def _within_bits(what: str, *values: int) -> None:
+    """Refuse an integer read from the input beyond the integer_bits row."""
+    for v in values:
+        _within("integer_bits", abs(v).bit_length(), what=what)
 
 
 def _within_spelled(command: str, chord: ChordName, count: int, names: str, origin: str) -> None:
@@ -206,7 +233,7 @@ def cmd_chord(args: argparse.Namespace) -> tuple:
 
 
 def cmd_locate(args: argparse.Namespace) -> tuple:
-    _, t = parse_chord(args.chord, _default_comma())
+    _, t = _chord(args.chord)
     f = perm_of(t)
     payload = {"window": list(f.window), "triangle": format_triangle(t)}
     if args.json:
@@ -218,9 +245,8 @@ def cmd_locate(args: argparse.Namespace) -> tuple:
 def cmd_path(args: argparse.Namespace) -> tuple:
     from .progressions import plr_path, triangle_distance
 
-    comma = _default_comma()
-    _, start = parse_chord(args.start, comma)
-    _, goal = parse_chord(args.goal, comma)
+    _, start = _chord(args.start)
+    _, goal = _chord(args.goal)
     _within("path_flips", triangle_distance(start, goal), start=args.start, goal=args.goal)
     word = plr_path(start, goal)
     g = perm_of(start).inverse() * perm_of(goal)
@@ -240,7 +266,7 @@ def cmd_hexagon(args: argparse.Namespace) -> tuple:
     from .progressions import hexagon_cycle
     from .subgroups import format_translation_vector, hexagon_of
 
-    _, t = parse_chord(args.chord, _default_comma())
+    _, t = _chord(args.chord)
     cyc = hexagon_cycle(t)
     coset = hexagon_of(perm_of(t))
     chords = [format_chord(c) for c in cyc.chords]
@@ -260,7 +286,7 @@ def cmd_stripe(args: argparse.Namespace) -> tuple:
     from .progressions import StripeKind, stripe
 
     _within("stripe_count", args.count)
-    seed, t = parse_chord(args.chord, _default_comma())
+    seed, t = _chord(args.chord)
     _within_spelled("stripe", seed, 2 * args.count + 1, "chords", "seed")
     kind = StripeKind(args.kind)
     chain = stripe(t, kind, args.count)
@@ -288,7 +314,9 @@ def cmd_riemann(args: argparse.Namespace) -> tuple:
     )
 
     if args.riemann_cmd == "mult":
-        x = r_compose(parse_r(args.left), parse_r(args.right))
+        left, right = parse_r(args.left), parse_r(args.right)
+        _within_bits("an exponent", left.quint, left.terz, right.quint, right.terz)
+        x = r_compose(left, right)
         order = r_order(x)
         payload = {
             "element": format_r(x),
@@ -301,15 +329,15 @@ def cmd_riemann(args: argparse.Namespace) -> tuple:
             f"element: {payload['element']}",
             f"order: {order if order is not None else 'infinite'}",
         ]
+    x = parse_p(args.element)
+    _within_bits("an exponent", x.a, x.b)
     if args.riemann_cmd == "quotient":
-        x = parse_p(args.element)
         coset = project_d12(x)
         payload = {
             "coset": format_p(coset),
             "order": d12_order(coset),
         }
         return payload, lambda: [f"coset: {payload['coset']}", f"order: {payload['order']}"]
-    x = parse_p(args.element)
     member = in_comma_subgroup(x)
     payload = {"element": format_p(x), "in_comma_subgroup": member}
     return payload, lambda: [f"in-comma-subgroup: {'yes' if member else 'no'}"]
@@ -346,7 +374,7 @@ def cmd_render(args: argparse.Namespace) -> tuple:
 
     _within("render_radius", args.radius)
     _within("render_path_letters", len(args.path))
-    chord, center = parse_chord(args.center, _default_comma())
+    chord, center = _chord(args.center)
     triangles = 1 + 3 * args.radius * (args.radius + 1) // 2  # in the ball of that radius
     _within_spelled("render", chord, triangles, "triangles", "center")
     spec = RenderSpec(
@@ -367,7 +395,10 @@ def cmd_analyze(args: argparse.Namespace) -> tuple:
     _within("analyze_chords", len(args.chords))
     from .progressions import analyze
 
-    report = analyze(args.chords, _default_comma())
+    # analyze places the first chord at the default level and each later one near the
+    # chord before, so the first chord's level as _chord reads it is that default
+    levels = [_chord(symbol)[0].root.comma for symbol in args.chords]
+    report = analyze(args.chords, levels[0])
     steps = [
         {
             "symbol": s.symbol,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from conftest import BUDGET_S, within_budget
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tonnetz
 from tonnetz import cli, lattice, verify
@@ -572,6 +572,9 @@ WORD_REFUSED = (
     "reduce, mult and locate --json print at most 2000000\n"
 )
 VERIFY_REFUSED = "error: --radius 41 is too large; verify checks balls of radius at most 40\n"
+# the largest magnitude of an integer the CLI reads
+TOP = 2**63 - 1
+INTEGER_REFUSED = "error: a comma level has 64 bits; the CLI reads integers of at most 63 bits\n"
 
 # For each row of cli.LIMITS, a case per command or spelling it covers: the largest
 # input it accepts (None where another case of the row runs it), a piece of that
@@ -626,6 +629,17 @@ LIMIT_CASES = {
     "analyze-chords": ("analyze_chords", ("analyze", *["C", "G"] * 500), "total distance: 1998\n",
                        ("analyze", *["C", "G"] * 500, "C"),
                        "error: 1001 chords given; analyze places at most 1000\n"),
+    # a comma level of 2**63 - 1 at the stripe and radius caps, and one past it; the work
+    # grows with the level's digits, and 4000 of them would run for seconds to a minute
+    "integer-stripe": ("integer_bits",
+                       ("stripe", f"C[q={TOP}]", "--count", "5000", "--json"),
+                       f'"U({-4 * TOP},{TOP})"',
+                       ("stripe", f"C[q={TOP + 1}]", "--count", "5000"), INTEGER_REFUSED),
+    "integer-render": ("integer_bits", ("render", "--center", f"C[q={TOP}]", "--radius", "128",
+                                        "--out", "ok.svg"),
+                       "wrote ok.svg (9022269 bytes)",
+                       ("render", "--center", f"C[q={TOP + 1}]", "--radius", "128",
+                        "--out", "out.svg"), INTEGER_REFUSED),
     "name-sharps": ("name_accidentals", ("chord", _major(7 * MAX_ACCIDENTALS + 5)),
                     "chord: B" + "x" * (MAX_ACCIDENTALS // 2) + "\n",
                     ("chord", _major(7 * MAX_ACCIDENTALS + 6), "--json"),
@@ -676,6 +690,42 @@ def test_words_stop_at_the_letter_cap(capsys, argv):
     assert run_refused(capsys, *argv) == WORD_REFUSED
 
 
+# each integer the CLI reads, beside the comma levels of LIMIT_CASES: the largest
+# magnitude accepted, TOP, and the first refused, TOP + 1
+BIT_CAP_CASES = {
+    "default-comma": ({"TONNETZ_DEFAULT_COMMA": str(TOP)}, ("locate", "C"),
+                      {"TONNETZ_DEFAULT_COMMA": str(TOP + 1)}, ("locate", "C[q=0]"),
+                      "TONNETZ_DEFAULT_COMMA"),
+    # each window sums to zero and meets each residue class once
+    "window-entry": ({}, ("classify", f"[{TOP - 1},{-TOP},1]"),
+                     {}, ("classify", f"[{TOP + 2},{-TOP - 1},-1]"), "a window entry"),
+    "riemann-mult": ({}, ("riemann", "mult", f"Q^{TOP} Z^{-TOP}", f"Z^{TOP} W"),
+                     {}, ("riemann", "mult", "Q^0", f"Z^{-TOP - 1}"), "an exponent"),
+    "riemann-quotient": ({}, ("riemann", "quotient", f"({-TOP},{TOP},1)"),
+                         {}, ("riemann", "comma", f"({TOP + 1},0,0)"), "an exponent"),
+    "analyze-symbol": ({}, ("analyze", "C", f"G[q={-TOP}]", "D"),
+                       {}, ("analyze", "C", f"G[q={-TOP - 1}]", "D"), "a comma level"),
+}
+
+
+@pytest.mark.parametrize(
+    "accepted_env, accepted, refused_env, refused, what", BIT_CAP_CASES.values(),
+    ids=BIT_CAP_CASES,
+)
+def test_integers_at_and_past_the_bit_cap(
+    monkeypatch, capsys, accepted_env, accepted, refused_env, refused, what
+):
+    for name, value in accepted_env.items():
+        monkeypatch.setenv(name, value)
+    with within_budget():
+        code, _, _ = run(capsys, *accepted)
+    assert code == 0
+    for name, value in refused_env.items():
+        monkeypatch.setenv(name, value)
+    message = f"error: {what} has 64 bits; the CLI reads integers of at most 63 bits\n"
+    assert run_refused(capsys, *refused) == message
+
+
 def test_every_limit_has_cases_and_is_in_help(capsys):
     assert {case[0] for case in LIMIT_CASES.values()} == set(cli.LIMITS)
     _, out, _ = run(capsys, "--help")
@@ -699,15 +749,24 @@ def _valid_window(x, y, order):
     return "[%d,%d,%d]" % tuple(entries[i] for i in order)
 
 
-_huge = st.integers(-(10**15), 10**15)
-_third = st.integers(-(10**15) // 3, 10**15 // 3)
+# magnitudes from 2**63, past the integer_bits cap, up to about 10**4000
+_past_the_bit_cap = st.builds(
+    lambda bits, low, sign: sign * (2**bits + low),
+    st.integers(63, 13287), st.integers(0, 2**63), st.sampled_from([1, -1]),
+)
+_huge = st.integers(-(10**15), 10**15) | _past_the_bit_cap
+_third = st.integers(-(10**15) // 3, 10**15 // 3) | _past_the_bit_cap
 # few windows drawn at random are valid, so half of them are built to be
 _windows = st.builds(_valid_window, _third, _third, st.permutations(range(3))) | st.builds(
     "[{},{},{}]".format, _huge, _huge, _huge
 )
 _words = st.lists(st.sampled_from(["s1", "s2", "s3"]), min_size=1, max_size=12).map(" ".join)
 # the comma levels at which path and locate --json reach their caps, and far ones
-_commas = st.sampled_from([12500, -12500, 250000, -250000]) | st.integers(-(10**12), 10**12)
+_commas = (
+    st.sampled_from([12500, -12500, 250000, -250000])
+    | st.integers(-(10**12), 10**12)
+    | _past_the_bit_cap
+)
 _chords = st.builds(
     "{}{}{}{}".format,
     st.sampled_from("ABCDEFG"),
@@ -728,9 +787,12 @@ HOSTILE_ARGV = st.one_of(
               *[st.builds("Q^{} Z^{}{}".format, _huge, _huge, st.sampled_from(["", " W"]))] * 2),
     st.tuples(st.just("riemann"), st.sampled_from(["quotient", "comma"]),
               st.builds("({},{},{})".format, _huge, _huge, st.sampled_from([0, 1]))),
-    # every suite at once takes longer than BUDGET_S at the radius cap
+    # radii below the cap and one past it: test_verify_suite_at_the_radius_cap runs each
+    # suite at the cap, which on a slow host can run past BUDGET_S here, where a replayed
+    # example reruns it
     st.tuples(st.just("verify"), st.just("--suite"), st.sampled_from(cli.SUITE_NAMES),
-              st.just("--radius"), _near("verify_radius")),
+              st.just("--radius"),
+              st.sampled_from([-1, 0, 1, 2, 6, cli.LIMITS["verify_radius"][0] + 1]).map(str)),
     st.tuples(st.just("render"), st.just("--center"), _chords, st.just("--radius"),
               _near("render_radius"), st.just("--labels"), st.sampled_from(cli.LABEL_MODES),
               st.just("--path"), st.text("PLR", max_size=8), st.just("--out"), st.just("out.svg")),
@@ -744,6 +806,11 @@ HOSTILE_ARGV = st.one_of(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(argv=HOSTILE_ARGV, as_json=st.booleans())
+# a comma level of 4000 digits at the stripe and render caps, whose work grows with
+# the digits, so the integer_bits row must refuse it at once
+@example(argv=("stripe", f"C[q={'9' * 4000}]", "--count", "5000"), as_json=False)
+@example(argv=("render", "--center", f"C[q={'9' * 4000}]", "--radius", "128", "--out", "out.svg"),
+         as_json=False)
 def test_generated_argv_exits_0_1_or_2_within_budget(tmp_path, monkeypatch, capsys, argv, as_json):
     # every value drawn is refused before work or finishes well within BUDGET_S;
     # an exception that main lets through, MemoryError included, fails the test

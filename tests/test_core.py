@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tonnetz.core import (
     FINITE_WORDS,
@@ -141,11 +141,28 @@ def test_reduced_word_fixtures():
 
 
 @given(words)
+# far translations, whose walk takes whole rounds of one path; short words never do
+@example([2, 3, 2, 1] * 50)
+@example([3, 1, 3, 2] * 50)
+@example([2, 3, 2, 1, 3, 1, 3, 2] * 50)
+@example([2, 3, 2, 1, 2, 3, 1, 3] * 50)
 def test_reduced_word_round_trip(word):
     f = from_word(word)
     assert from_word(f.reduced_word()) == f
     assert f.length() == len(f.reduced_word())
     assert f.length() <= len(word)
+
+
+def test_reduced_word_strips_the_smallest_descent_first():
+    # the canonical word, against a strip that tries s1, s2, s3 by length()
+    for f in ball(6):
+        letters = []
+        g = f
+        while g.length():
+            i = next(i for i in (1, 2, 3) if (g * generator(i)).length() < g.length())
+            letters.append(i)
+            g = g * generator(i)
+        assert f.reduced_word() == tuple(reversed(letters))
 
 
 @given(words)

@@ -1,5 +1,7 @@
 """Lattice geometry: triangles, flips, isometries, the window bijection."""
 
+import itertools
+
 import pytest
 from conftest import within_budget
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from tonnetz.lattice import (
     BASE_TRIANGLE,
     Edge,
     Triangle,
+    class_vertex,
     flip,
     format_triangle,
     gallery_distance_bfs,
@@ -19,6 +22,7 @@ from tonnetz.lattice import (
     perm_of,
     perm_to_iso,
     triangle_ball,
+    triangle_from_coords,
     triangle_from_vertices,
     triangle_of,
     vertex_class,
@@ -208,6 +212,47 @@ def test_vertex_classes():
     assert vertex_class((0, 0)) == 0
     assert vertex_class((1, 0)) == 1
     assert vertex_class((0, 1)) == 2
+
+
+def test_class_vertex_is_the_vertex_of_that_class():
+    for p in range(-3, 4):
+        for q in range(-3, 4):
+            for up in (True, False):
+                t = Triangle((p, q), up)
+                for cls in (0, 1, 2):
+                    v = class_vertex(t, cls)
+                    assert v in t.vertices() and vertex_class(v) == cls
+    for cls in (-1, 3):
+        with pytest.raises(ValueError, match=f"has no class-{cls} vertex"):
+            class_vertex(BASE_TRIANGLE, cls)
+
+
+def test_triangle_from_coords_inverts_geometric_coords_and_nothing_else():
+    # every center with entries in -4..4 is the center of a triangle in this box
+    centers = {
+        geometric_coords(Triangle((p, q), up)): Triangle((p, q), up)
+        for p in range(-6, 7)
+        for q in range(-6, 7)
+        for up in (True, False)
+    }
+    for c in itertools.product(range(-4, 5), repeat=3):
+        if c in centers:
+            assert triangle_from_coords(c) == centers[c]
+        else:
+            with pytest.raises(ValueError, match="is not a triangle center"):
+                triangle_from_coords(c)
+
+
+@pytest.mark.parametrize(
+    "center", [BASE_TRIANGLE, Triangle((2, -1), up=False)], ids=format_triangle
+)
+def test_triangle_ball_against_the_pairwise_search(center):
+    # the layer loop against the bitmask search from the center, triangle by
+    # triangle, and the ball's size, 1 + 3r(r + 1) / 2
+    for r in range(6):
+        got = triangle_ball(center, r)
+        assert len(got) == 1 + 3 * r * (r + 1) // 2
+        assert all(gallery_distance_bfs(center, t) == d for t, d in got.items())
 
 
 def test_translation_windows_move_the_base():
