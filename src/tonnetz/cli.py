@@ -62,7 +62,7 @@ LIMITS = {
     # every name repeats about as many accidentals as the seed or center: without this
     # a seed with 200000 sharps prints about 1 GB at the count cap; at it about 5 MB
     "spelled_accidentals": (5_000_000,
-        "the {command}'s {names} would carry {n} accidentals ({each} on the {origin}); "
+        "the {command}'s {count} {names} would carry {n} accidentals ({each} on the {origin}); "
         "{command} prints at most {cap}",
         "stripe and render spell at most {cap} accidentals in all (the seed's or center's "
         "times the 2 * count + 1 chords or the 1 + 3r(r+1)/2 triangles)"),
@@ -79,7 +79,7 @@ LIMITS = {
     "render_path_letters": (40_000,
         "--path has {n} letters; render draws paths of at most {cap}",
         "render draws --path of at most {cap} letters"),
-    # each chord takes about 30 us and prints about 120 bytes of JSON; argparse itself
+    # each chord takes about 10 us in process and prints about 120 bytes of JSON; argparse itself
     # holds about 80 bytes per argument, so a refused list stays under 200 kB
     "analyze_chords": (1_000,
         "{n} chords given; analyze places at most {cap}",
@@ -164,9 +164,12 @@ def _within_bits(what: str, *values: int) -> None:
 
 
 def _within_spelled(command: str, chord: ChordName, count: int, names: str, origin: str) -> None:
-    """Refuse count names that would each repeat about as many accidentals as chord."""
+    """Refuse count names that would each repeat about as many accidentals as chord.
+
+    The message is formatted only on a refusal, whose count is below a count cap.
+    """
     each = abs(chord.root.accidentals)
-    fields = dict(command=command, names=f"{count} {names}", each=each, origin=origin)
+    fields = dict(command=command, count=count, names=names, each=each, origin=origin)
     _within("spelled_accidentals", each * count, **fields)
 
 
@@ -375,8 +378,10 @@ def cmd_render(args: argparse.Namespace) -> tuple:
     _within("render_radius", args.radius)
     _within("render_path_letters", len(args.path))
     chord, center = _chord(args.center)
-    triangles = 1 + 3 * args.radius * (args.radius + 1) // 2  # in the ball of that radius
-    _within_spelled("render", chord, triangles, "triangles", "center")
+    # a negative radius has no ball; RenderSpec refuses it below, whatever the center
+    if args.radius >= 0:
+        triangles = 1 + 3 * args.radius * (args.radius + 1) // 2  # in the ball of that radius
+        _within_spelled("render", chord, triangles, "triangles", "center")
     spec = RenderSpec(
         center=center,
         radius=args.radius,

@@ -334,6 +334,39 @@ _NEAREST = tuple(
 )
 
 
+def _shared_at(up: bool, prev_up: bool, dp: int, dq: int) -> tuple[tuple, tuple[bool, ...]]:
+    """What a triangle t of orientation up shares with prev, whose root lies (dp, dq) past t's.
+
+    Returns the shared vertices' names less t's root's, in the order of the
+    names, and for each class (p - q) % 3 of t's root (p, q) whether one of
+    them is a class-2 vertex.  Spelling is linear and translation moves
+    every name alike, so neither depends on where the pair lies.
+    """
+    around = Triangle((dp, dq), prev_up).vertices()
+    shared = [v for v in Triangle((0, 0), up).vertices() if v in around]
+    # t's root is the origin, which spells (0, 0), so each name is its offset
+    offsets = tuple(sorted(tuple(spell_vertex(v)) for v in shared))
+    # a root of class cls moves each vertex's class as the shift (cls, 0) does
+    flags = tuple(any(vertex_class((p + cls, q)) == 2 for p, q in shared) for cls in range(3))
+    return offsets, flags
+
+
+# two triangles that share a vertex have roots at most this far apart in p and in q
+_SHARE_REACH = 2
+
+# (t.up, prev.up, dp, dq) -> _shared_at(...) for the relative positions that
+# share a vertex, with (dp, dq) prev's root less t's; any other shares nothing
+_SHARED = {
+    (up, prev_up, dp, dq): entry
+    for up in (True, False)
+    for prev_up in (True, False)
+    for dp in range(-_SHARE_REACH, _SHARE_REACH + 1)
+    for dq in range(-_SHARE_REACH, _SHARE_REACH + 1)
+    if (entry := _shared_at(up, prev_up, dp, dq))[0]
+}
+_NOTHING_SHARED = ((), (False, False, False))
+
+
 def _resolve(
     symbol: str, prev: Triangle, default_comma: int | None
 ) -> tuple[ChordName, Triangle, int]:
@@ -387,10 +420,14 @@ def analyze(symbols: list[str], default_comma: int | None = None) -> Progression
             shares = False
         else:
             chord, t, distance = _resolve(symbol, prev_triangle, default_comma)
-            around = prev_triangle.vertices()
-            shared = [v for v in t.vertices() if v in around]
-            common = tuple(sorted([spell_vertex(v) for v in shared]))
-            shares = any(vertex_class(v) == 2 for v in shared)
+            # what t shares with prev moves with the pair, so it is read off
+            # their relative position and t's root class
+            (p, q), up = t
+            (prev_p, prev_q), prev_up = prev_triangle
+            offsets, flags = _SHARED.get((up, prev_up, prev_p - p, prev_q - q), _NOTHING_SHARED)
+            f = p + 4 * q
+            common = tuple([_make(NoteName, (f + df, q + dc)) for df, dc in offsets])
+            shares = flags[(p - q) % 3]
         steps.append(_make(ProgressionStep, (symbol.strip(), chord, t, distance, common, shares)))
         total += distance
         prev_triangle = t

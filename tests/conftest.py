@@ -1,12 +1,20 @@
-"""The time budget of a hostile input, shared by the test modules."""
+"""What the test modules share: the time budget of a hostile input, and long words."""
 
 import signal
 import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import strategies as st
 
 BUDGET_S = 2.0
+
+# generator words of 0 to 2560 letters: the length is drawn first, since a
+# list drawn letter by letter is hardly ever long, then the letters as one
+# string of bytes, each byte b the letter b % 3 + 1
+long_words = st.integers(0, 2560).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n).map(lambda data: [b % 3 + 1 for b in data])
+)
 
 
 @contextmanager

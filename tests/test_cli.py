@@ -260,6 +260,20 @@ def test_negative_count_and_radius_exit_1(tmp_path, capsys, json_flag):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("center", ["C", "C#", "Cbbbbbbb", "C" + "x" * 200])
+@pytest.mark.parametrize("size", [-1, -2, -(10**4000 - 1)], ids=["-1", "-2", "-4000-nines"])
+def test_negative_count_and_radius_of_any_size_exit_1(tmp_path, capsys, center, size):
+    # the library's refusal, whatever the accidentals: neither the spelled
+    # cap's check nor its message (whose count would be squared, past the
+    # 4300 digits Python formats) sees a negative count or radius
+    code, out, err = run(capsys, "stripe", center, "--count", str(size))
+    assert (code, out, err) == (1, "", "error: count must be non-negative\n")
+    svg = tmp_path / "out.svg"
+    code, out, err = run(capsys, "render", "--center", center, "--radius", str(size), "--out", str(svg))
+    assert (code, out, err) == (1, "", "error: radius must be non-negative\n")
+    assert not svg.exists()
+
+
 def test_verify_checks_do_not_only_reread_their_subject(monkeypatch):
     # each fault below leaves the value a check used to compare with
     # unchanged, so only an independent oracle in the check can see it

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import long_words
 from hypothesis import example, given, strategies as st
 
 from tonnetz.core import (
@@ -31,8 +32,6 @@ from tonnetz.lattice import (
 )
 
 words = st.lists(st.sampled_from([1, 2, 3]), max_size=8)
-
-long_words = st.lists(st.sampled_from([1, 2, 3]), max_size=2560)
 
 
 def test_identity_window():
@@ -234,8 +233,8 @@ def test_center_coords_sum_zero():
 
 
 def check_window_maps(f):
-    """translation_factor, inverse and center_coords of f against oracles
-    that form products or evaluate f pointwise."""
+    """translation_factor, inverse, center_coords and reduced_word of f
+    against oracles that form products or evaluate f pointwise."""
     # the explicit read-off: f * sigma^-1 is the translation t1^e1 * t2^e2
     e1, e2, word = translation_factor(f)
     assert word in FINITE_WORDS
@@ -247,6 +246,9 @@ def check_window_maps(f):
     c = f.center_coords()
     assert type(c) is TriangleCoords
     assert triangle_to_perm(c) == f
+    # greedy_walk's word, multiplied out, is f at Shi's length
+    word = f.reduced_word()
+    assert len(word) == f.length() and from_word(word) == f
 
 
 def test_window_maps_on_the_ball():

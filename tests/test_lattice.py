@@ -3,8 +3,8 @@
 import itertools
 
 import pytest
-from conftest import within_budget
-from hypothesis import given, strategies as st
+from conftest import long_words, within_budget
+from hypothesis import given
 
 from tonnetz.core import AffinePermutation, TriangleCoords, ball, from_word, generator, parse_window
 from tonnetz.lattice import (
@@ -145,7 +145,7 @@ def test_triangle_maps_on_the_ball():
         check_triangle_maps(f)
 
 
-@given(st.lists(st.sampled_from([1, 2, 3]), max_size=2560))
+@given(long_words)
 def test_triangle_maps_on_long_words(word):
     check_triangle_maps(from_word(word))
 

@@ -7,9 +7,10 @@ import tracemalloc
 import pytest
 from conftest import within_budget
 
-from tonnetz.lattice import BASE_TRIANGLE, Triangle, triangle_ball
-from tonnetz.pitch import format_chord, format_note, name_triangle
+from tonnetz.lattice import BASE_TRIANGLE, Triangle, class_vertex, triangle_ball
+from tonnetz.pitch import ChordName, NoteName, format_chord, format_note, name_triangle, spell_vertex
 from tonnetz.progressions import (
+    _SHARED,
     StripeKind,
     _hexagon_cycle,
     _plr_word,
@@ -305,6 +306,47 @@ def test_analyze_empty_rejected():
 def test_analyze_first_chord_honors_default_comma():
     report = analyze(["E"], default_comma=0)
     assert report.steps[0].triangle == Triangle((4, 0), up=True)
+
+
+def shared_tones(prev, t):
+    """The names of the vertices t shares with prev, sorted; t's vertices spell them."""
+    around = prev.vertices()
+    return tuple(sorted(spell_vertex(v) for v in t.vertices() if v in around))
+
+
+@pytest.mark.parametrize("comma", [0, 10**12, True], ids=["0", "1e12", "True"])
+@pytest.mark.parametrize("minor", [False, True])
+@pytest.mark.parametrize("cls", [0, 1, 2])
+def test_analyze_common_tones_at_every_relative_position(comma, minor, cls):
+    # prev of root class cls is placed at the default comma level, each t of
+    # the radius-4 ball around it by [q=n]: every position of t relative to
+    # prev that shares a vertex, from each root class (p - q) % 3 of t
+    fifth_index = (cls + 5 * comma) % 3  # root (fifth_index - 4 * comma, comma)
+    first = format_chord(ChordName(NoteName(fifth_index, 0), minor))
+    # a [q=n] symbol, like every later step, puts t at a root of plain ints
+    center = Triangle((fifth_index - 4 * comma, int(comma)), not minor)
+    for t in sorted(triangle_ball(center, 4)):
+        symbol = format_chord(name_triangle(t), with_comma=True)
+        before, step = analyze([first, symbol], comma).steps
+        prev = before.triangle
+        assert (prev.root[0] - prev.root[1]) % 3 == cls and prev.up != minor
+        assert type(prev.root[1]) is type(comma)
+        assert step.triangle == t, symbol
+        assert repr(step.common_tones) == repr(shared_tones(prev, t)), (prev, t)
+        assert step.shares_hexagon == (class_vertex(prev, 2) == class_vertex(t, 2)), (prev, t)
+
+
+def test_analyze_shares_nothing_off_the_table():
+    # a relative position the table leaves out shares no vertex, as far out
+    # as twice the table's reach
+    reach = max(max(abs(dp), abs(dq)) for _, _, dp, dq in _SHARED)
+    for up in (True, False):
+        for prev_up in (True, False):
+            for dp in range(-2 * reach, 2 * reach + 1):
+                for dq in range(-2 * reach, 2 * reach + 1):
+                    if (up, prev_up, dp, dq) not in _SHARED:
+                        prev = Triangle((dp, dq), prev_up)
+                        assert shared_tones(prev, Triangle((0, 0), up)) == (), prev
 
 
 def test_plr_path_memo_keeps_words_of_at_most_64_flips():

@@ -203,6 +203,39 @@ def test_projection_kernel_is_k():
         assert (project_d12(x) == D12Coset(0, 0, False)) == in_comma_subgroup(x)
 
 
+def triad(t):
+    """The consonant triad a triangle names: its root's pitch class 7p + 4q mod 12, and up."""
+    (p, q), up = t
+    return (7 * p + 4 * q) % 12, up
+
+
+# each of the 24 triads three times over: roots p in -6..5, q in -1..1
+TRIAD_TRIANGLES = [
+    Triangle((p, q), up) for p in range(-6, 6) for q in range(-1, 2) for up in (False, True)
+]
+
+
+def test_p_acts_on_the_24_triads_through_its_quotient():
+    # P/K is the T/I group (Crans, Fiore and Satyendra 2009): p_isometry's
+    # action on triangles induces one on the 24 triads, trivial exactly on
+    # the comma subgroup K, and alike for two elements exactly when they
+    # project to one coset; so the 24 cosets act in 24 distinct ways
+    identity = {triad(t): triad(t) for t in TRIAD_TRIANGLES}
+    assert len(identity) == 24
+    actions = {}
+    for x in (PElement(a, b, fl) for a in range(-8, 9) for b in range(-8, 9) for fl in (False, True)):
+        iso = p_isometry(x)
+        action = {}
+        for t in TRIAD_TRIANGLES:
+            image = triad(iso.apply_triangle(t))
+            assert action.setdefault(triad(t), image) == image, (x, t)
+        assert (action == identity) == in_comma_subgroup(x), x
+        actions.setdefault(project_d12(x), set()).add(tuple(sorted(action.items())))
+    assert len(actions) == 24
+    assert all(len(alike) == 1 for alike in actions.values())
+    assert len(set().union(*actions.values())) == 24
+
+
 def test_rotation_order_twelve():
     assert D12_ROTATION == PElement(1, -1, False)
     h = project_d12(D12_ROTATION)

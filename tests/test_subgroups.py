@@ -1,7 +1,8 @@
 """The translation lattice, the finite quotient, and coset hexagons."""
 
 import pytest
-from hypothesis import given, strategies as st
+from conftest import long_words
+from hypothesis import given
 
 from tonnetz.core import IDENTITY, ball, from_word, generator
 from tonnetz.subgroups import (
@@ -107,7 +108,7 @@ def test_factorization_on_the_ball():
         check_factorization(f)
 
 
-@given(st.lists(st.sampled_from([1, 2, 3]), max_size=2560))
+@given(long_words)
 def test_factorization_on_long_words(word):
     check_factorization(from_word(word))
 
