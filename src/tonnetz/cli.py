@@ -15,8 +15,8 @@ a window, 's' or 'e' starts a generator word, anything else parses as a
 chord symbol; TONNETZ_DEFAULT_COMMA sets the comma band of unannotated ones.
 Every chord symbol is read by _chord.  The library takes integers of any
 size, but the CLI refuses a comma level (also TONNETZ_DEFAULT_COMMA's), a
-window entry or a riemann exponent of 2**63 or more in magnitude, the
-integer_bits row of LIMITS.
+window entry or a riemann exponent of 2**63 or more in magnitude, and a
+--count or --radius of 2**63 or more, the integer_bits row of LIMITS.
 """
 
 from __future__ import annotations
@@ -86,11 +86,12 @@ LIMITS = {
         "analyze places at most {cap} chords"),
     # the bits of a comma level, window entry or riemann exponent, the bound of pitch's
     # memo keys: the work and output grow with the digits, so a comma level of 4000
-    # digits made render at the radius cap run for a minute and write 800 MB
+    # digits made render at the radius cap run for a minute and write 800 MB; and of a
+    # positive --count or --radius, whose own row's refusal would echo every digit
     "integer_bits": (63,
         "{what} has {n} bits; the CLI reads integers of at most {cap} bits",
-        "comma levels (also TONNETZ_DEFAULT_COMMA), window entries and riemann exponents "
-        "have at most {cap} bits, magnitude below 2**{cap}"),
+        "comma levels (also TONNETZ_DEFAULT_COMMA), window entries, riemann exponents, "
+        "--count and --radius have at most {cap} bits, magnitude below 2**{cap}"),
 }
 
 # Each cmd_* imports the modules beyond these three that it runs, so a
@@ -161,6 +162,17 @@ def _within_bits(what: str, *values: int) -> None:
     """Refuse an integer read from the input beyond the integer_bits row."""
     for v in values:
         _within("integer_bits", abs(v).bit_length(), what=what)
+
+
+def _within_size(name: str, flag: str, n: int) -> None:
+    """Refuse a --count or --radius beyond the LIMITS row called name.
+
+    One of 2**63 or more is refused by its bits, so no message echoes its
+    digits; a negative one of any size is the library's to refuse.
+    """
+    if n > 0:
+        _within_bits(flag, n)
+    _within(name, n)
 
 
 def _within_spelled(command: str, chord: ChordName, count: int, names: str, origin: str) -> None:
@@ -288,7 +300,7 @@ def cmd_hexagon(args: argparse.Namespace) -> tuple:
 def cmd_stripe(args: argparse.Namespace) -> tuple:
     from .progressions import StripeKind, stripe
 
-    _within("stripe_count", args.count)
+    _within_size("stripe_count", "--count", args.count)
     seed, t = _chord(args.chord)
     _within_spelled("stripe", seed, 2 * args.count + 1, "chords", "seed")
     kind = StripeKind(args.kind)
@@ -347,7 +359,7 @@ def cmd_riemann(args: argparse.Namespace) -> tuple:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple:
-    _within("verify_radius", args.radius)
+    _within_size("verify_radius", "--radius", args.radius)
     from .verify import run_all, run_suite
 
     if args.suite == "all":
@@ -375,7 +387,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 def cmd_render(args: argparse.Namespace) -> tuple:
     from .render import LabelMode, RenderSpec, render_svg
 
-    _within("render_radius", args.radius)
+    _within_size("render_radius", "--radius", args.radius)
     _within("render_path_letters", len(args.path))
     chord, center = _chord(args.center)
     # a negative radius has no ball; RenderSpec refuses it below, whatever the center

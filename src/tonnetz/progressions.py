@@ -55,6 +55,7 @@ def apply_plr(t: Triangle, word: str) -> Triangle:
     >>> format_triangle(apply_plr(BASE_TRIANGLE, "RL"))
     'U(1,0)'
     """
+    _check_lattice_triangle(t)
     for letter in reversed(word):
         t = apply_move(t, letter)
     return t
@@ -160,6 +161,7 @@ def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
     >>> [format_chord(c) for c in cyc.chords]
     ['C', 'Em', 'E', 'C#m', 'A', 'Am']
     """
+    _check_lattice_triangle(t)
     x, y = v
     ring = [Triangle((x + dx, y + dy), up) for (dx, dy), up in _RING]
     try:
@@ -210,6 +212,7 @@ def rotation_cycle(t: Triangle) -> list[Triangle]:
 
     The rotation is s3*s2, acting on the whole lattice by left multiplication.
     """
+    _check_lattice_triangle(t)
     iso = perm_to_iso(from_word((3, 2)))
     second = iso.apply_triangle(t)
     return [t, second, iso.apply_triangle(second)]
@@ -221,6 +224,7 @@ def translation_cycle(t: Triangle) -> list[Triangle]:
     The three translation generators multiply to the identity, so the
     third chord is the seed again.
     """
+    _check_lattice_triangle(t)
     first = _shift(t, *translation_shift(1, 0))
     second = _shift(first, *translation_shift(0, 1))
     third = _shift(second, *translation_shift(-1, -1))
@@ -266,6 +270,7 @@ def stripe(seed: Triangle, kind: StripeKind | str, count: int = 3) -> list[Trian
     >>> [format_chord(name_triangle(t)) for t in stripe(BASE_TRIANGLE, StripeKind.FIFTHS, 2)]
     ['F', 'Am', 'C', 'Em', 'G']
     """
+    _check_lattice_triangle(seed)
     if count < 0:
         raise ValueError("count must be non-negative")
     (dp, dq), offsets = _STRIPES[StripeKind(kind)]

@@ -6,9 +6,12 @@ the flip graph, subgroup laws on exponent boxes, and so on.  SUITES is
 the one home of ball and box sweeps and backs the `verify` subcommand;
 the tests run each suite at radius 6 with its check count and its case
 count, the sum of `CheckResult.cases`, pinned, so a new sweep invariant
-goes into a suite, not a test.  A sweep builds each value it reuses, such
-as a translation, an isometry or a product, once, and still evaluates and
-labels every one of its cases.
+goes into a suite, not a test.  The one exception is
+tests/test_riemann.py's check of P, P/K and R by what they act on
+(lattice isometries and the 24 triads), kept in tier-1 so the verify
+output and its pinned digests stay as they are.  A sweep builds each
+value it reuses, such as a translation, an isometry or a product, once,
+and still evaluates and labels every one of its cases.
 
 The radius bounds the search: the ball of reduced words of that length,
 exponents in [-radius, radius], or both, depending on the suite.

@@ -740,6 +740,20 @@ def test_integers_at_and_past_the_bit_cap(
     assert run_refused(capsys, *refused) == message
 
 
+# a positive --count or --radius past the cap is refused by its bits before its own
+# row, whose message would echo every digit: 4 kB at 4000 nines
+@pytest.mark.parametrize("size, bits", [(2**63, 64), (10**4000 - 1, 13288)],
+                         ids=["2**63", "4000-nines"])
+@pytest.mark.parametrize("argv", [("stripe", "C", "--count"), ("verify", "--radius"),
+                                  ("render", "--center", "C", "--out", "out.svg", "--radius")],
+                         ids=["stripe", "verify", "render"])
+def test_a_count_or_radius_past_the_bit_cap(tmp_path, monkeypatch, capsys, argv, size, bits):
+    monkeypatch.chdir(tmp_path)
+    message = f"error: {argv[-1]} has {bits} bits; the CLI reads integers of at most 63 bits\n"
+    assert run_refused(capsys, *argv, str(size)) == message
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_every_limit_has_cases_and_is_in_help(capsys):
     assert {case[0] for case in LIMIT_CASES.values()} == set(cli.LIMITS)
     _, out, _ = run(capsys, "--help")

@@ -19,19 +19,16 @@ takes the first of P, L, R one flip closer to the goal.  Past the ball
 the oracle is construction: an element built by D ascents puts the
 triangles of g and g * f D flips apart, for D = 160 and 2560, and
 reduced_word's walk offsets are the strip offsets of f's triangle, each
-side computed on its own.  Wall flips and
-the hexagon cycles read off the six-triangle ring are compared with
-right multiplication of windows, class_vertex with the class of each
-vertex, the strip-offset walk of plr_path also with the greedy rule over
-apply_move, and the progression analyzer's ranking with the loop over
-nine chord names, near the origin and at roots up to 10^12 or comma
-levels up to 10^6.  Its table of nearest comma levels is also checked
-against the nine candidates ranked by breadth-first search, for every
-step of up to 20 fifths.  The D12 quotient's product, inverse and order
-are still compared with their own mod arithmetic, a second home of P's
-law until an action on the 24 triads replaces it.  Coxeter length is
-also counted as the map's inversions, pair by pair, on ball(12) and on
-long words.
+side computed on its own.  Wall flips and the hexagon cycles read off
+the six-triangle ring are compared with right multiplication of
+windows, class_vertex with the class of each vertex, the strip-offset
+walk of plr_path also with the greedy rule over apply_move, and the
+progression analyzer's ranking with the loop over nine chord names, near
+the origin and at roots up to 10^12 or comma levels up to 10^6.  Its
+table of nearest comma levels is also checked against the nine
+candidates ranked by breadth-first search, for every step of up to 20
+fifths.  Coxeter length is also counted as the map's inversions, pair by
+pair, on ball(12) and on long words.
 Whole balls are checked exhaustively; hypothesis covers long random
 words, distant triangle pairs and chord progressions.
 """
@@ -95,7 +92,7 @@ from tonnetz.progressions import (
     vertex_cycle,
 )
 from tonnetz.render import RenderSpec
-from tonnetz.riemann import D12Coset, d12_compose, d12_inverse, d12_order
+from tonnetz.riemann import D12Coset
 from tonnetz.subgroups import (
     FiniteS3Element,
     coset_mod_T,
@@ -293,28 +290,6 @@ def ref_distance(t1, t2):
     return len((perm_of(t1).inverse() * perm_of(t2)).reduced_word())
 
 
-def ref_d12_compose(x, y):
-    """The coset product with its own sign rule, reduced mod 3 and mod 4."""
-    sign = -1 if x.flip else 1
-    return D12Coset((x.a + sign * y.a) % 3, (x.b + sign * y.b) % 4, x.flip ^ y.flip)
-
-
-def ref_d12_inverse(x):
-    if x.flip:
-        return x
-    return D12Coset(-x.a % 3, -x.b % 4, False)
-
-
-def ref_d12_order(x):
-    """The least k <= 24 with x^k = e, multiplying up."""
-    g = x
-    for k in range(1, 25):
-        if g == D12Coset(0, 0, False):
-            return k
-        g = ref_d12_compose(g, x)
-    raise AssertionError("the quotient has 24 elements")
-
-
 # the number of elements of each length 0, 1, 2, ...: 1, then 3k at length k
 LAYERS = [1] + [3 * k for k in range(1, 31)]
 
@@ -408,16 +383,6 @@ def test_triangle_ball_layers_are_1_then_3k():
 def test_ball_layers_are_1_then_3k():
     for r in range(31):
         assert ref_length_layers(r) == LAYERS[: r + 1]
-
-
-def test_d12_is_the_mod_arithmetic():
-    cosets = [D12Coset(a, b, fl) for a in range(3) for b in range(4) for fl in (False, True)]
-    assert len(cosets) == 24
-    for x in cosets:
-        assert d12_inverse(x) == ref_d12_inverse(x)
-        assert d12_order(x) == ref_d12_order(x)
-        for y in cosets:
-            assert d12_compose(x, y) == ref_d12_compose(x, y)
 
 
 def test_perm_to_iso_is_the_generator_product():

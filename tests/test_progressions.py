@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -383,6 +384,26 @@ def test_plr_path_refuses_a_value_of_another_shape(value):
     for pair in ((BASE_TRIANGLE, value), (value, BASE_TRIANGLE)):
         with pytest.raises(ValueError, match="is not a lattice triangle"):
             plr_path(*pair)
+
+
+# every entry point refuses what plr_path refuses, with its ValueError, rather
+# than answer with roots or orientations off the lattice or fail on an index
+OFF_LATTICE = {
+    "stripe-half-root": (stripe, Triangle((0.5, 0), True), "fifths", 1),
+    "stripe-up-2": (stripe, Triangle((0, 0), 2), "fifths", 1),
+    "apply-plr-up-2": (apply_plr, Triangle((0, 0), 2), "P"),
+    "vertex-cycle-half-root": (vertex_cycle, Triangle((0.5, 0), True), (0, 0)),
+    "hexagon-cycle-up-2": (hexagon_cycle, Triangle((0, 0), 2)),
+    "rotation-cycle-up-none": (rotation_cycle, Triangle((0, 0), None)),
+    "translation-cycle-up-none": (translation_cycle, Triangle((0, 0), None)),
+}
+
+
+@pytest.mark.parametrize("case", OFF_LATTICE.values(), ids=OFF_LATTICE)
+def test_entry_points_refuse_off_lattice_triangles(case):
+    fn, t, *args = case
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(t))} is not a lattice triangle"):
+        fn(t, *args)
 
 
 def test_progression_output_is_pinned():
