@@ -27,7 +27,9 @@ progression analyzer's ranking with the loop over nine chord names, near
 the origin and at roots up to 10^12 or comma levels up to 10^6.  Its
 table of nearest comma levels is also checked against the nine
 candidates ranked by breadth-first search, for every step of up to 20
-fifths.  Coxeter length is also counted as the map's inversions, pair by
+fifths.  The D12 quotient's product, inverse and order are P's on lifts
+of each coset shifted by K, the order being the least power of a lift
+in K.  Coxeter length is also counted as the map's inversions, pair by
 pair, on ball(12) and on long words.
 Whole balls are checked exhaustively; hypothesis covers long random
 words, distant triangle pairs and chord progressions.
@@ -92,7 +94,17 @@ from tonnetz.progressions import (
     vertex_cycle,
 )
 from tonnetz.render import RenderSpec
-from tonnetz.riemann import D12Coset
+from tonnetz.riemann import (
+    D12Coset,
+    PElement,
+    d12_compose,
+    d12_inverse,
+    d12_order,
+    in_comma_subgroup,
+    p_compose,
+    p_inverse,
+    project_d12,
+)
 from tonnetz.subgroups import (
     FiniteS3Element,
     coset_mod_T,
@@ -383,6 +395,26 @@ def test_triangle_ball_layers_are_1_then_3k():
 def test_ball_layers_are_1_then_3k():
     for r in range(31):
         assert ref_length_layers(r) == LAYERS[: r + 1]
+
+
+def test_d12_is_the_mod_arithmetic():
+    # P/K is P read with a mod 3 and b mod 4: every lift of a coset, shifted
+    # by K, has the coset's product, inverse and order, the order being the
+    # least power of the lift that lies in K
+    cosets = [D12Coset(a, b, fl) for a in range(3) for b in range(4) for fl in (False, True)]
+    shifts = [(i, j) for i in (-1, 0, 2) for j in (-2, 0, 1)]
+    lifts = {x: [PElement(x.a + 3 * i, x.b + 4 * j, x.flip) for i, j in shifts] for x in cosets}
+    for x in cosets:
+        for lift in lifts[x]:
+            assert project_d12(lift) == x
+            assert project_d12(p_inverse(lift)) == d12_inverse(x), lift
+            power, k = lift, 1
+            while not in_comma_subgroup(power):
+                power, k = p_compose(power, lift), k + 1
+            assert d12_order(x) == k, lift
+        for y in cosets:
+            for xl, yl in zip(lifts[x], reversed(lifts[y])):
+                assert project_d12(p_compose(xl, yl)) == d12_compose(x, y), (xl, yl)
 
 
 def test_perm_to_iso_is_the_generator_product():

@@ -153,11 +153,15 @@ def test_p_acts_faithfully_by_lattice_isometries():
 
 def test_p_to_r_reverses_products():
     for x in P_BOX:
+        for y in P_BOX:
+            assert p_to_r(p_compose(x, y)) == r_compose(p_to_r(y), p_to_r(x)), (x, y)
+
+
+def test_r_products_and_inverses_are_p_s_through_p_to_r():
+    for x in P_BOX:
         inv = r_inverse(p_to_r(x))
         assert type(inv) is RElement and inv == p_to_r(p_inverse(x)), x
-        for y in P_BOX:
-            yx = r_compose(p_to_r(y), p_to_r(x))
-            assert type(yx) is RElement and p_to_r(p_compose(x, y)) == yx, (x, y)
+    assert all(type(r_compose(x, y)) is RElement for x in BOX for y in BOX)
 
 
 def test_p_to_r_fixtures():
@@ -184,6 +188,11 @@ def test_comma_subgroup_membership():
     assert not in_comma_subgroup(PElement(1, 0, False))
     assert not in_comma_subgroup(PElement(3, 2, False))
     assert not in_comma_subgroup(PElement(3, 4, True))
+
+
+def test_projection_kernel_is_k():
+    for x in P_BOX:
+        assert (project_d12(x) == D12Coset(0, 0, False)) == in_comma_subgroup(x)
 
 
 def triad(t):
@@ -266,13 +275,34 @@ def test_quotient_laws_are_the_triad_permutations(coset_perms):
             assert coset_perms[d12_compose(x, y)] == after(s, t), (x, y)
 
 
-def test_quotient_is_dihedral_on_the_triads(coset_perms):
+def test_projection_homomorphism(coset_perms):
+    # the coset of a product acts on the triads as the product's factors do
+    small = [PElement(a, b, fl) for a in (-2, 0, 1) for b in (-1, 0, 2) for fl in (False, True)]
+    for x in small:
+        for y in small:
+            xy = project_d12(p_compose(x, y))
+            assert xy == d12_compose(project_d12(x), project_d12(y)), (x, y)
+            s, t = coset_perms[project_d12(x)], coset_perms[project_d12(y)]
+            assert coset_perms[xy] == after(s, t), (x, y)
+
+
+# the dihedral structure of the quotient, read on its triad permutations
+def test_rotation_order_twelve(coset_perms):
     assert D12_ROTATION == PElement(1, -1, False)
+    assert order(coset_perms[project_d12(D12_ROTATION)]) == 12
+
+
+def test_dihedral_relation(coset_perms):
     h = coset_perms[project_d12(D12_ROTATION)]
     rho = coset_perms[project_d12(D12_REFLECTION)]
-    assert (order(h), order(rho)) == (12, 2)
-    assert generated([h, rho]) == set(coset_perms.values())
+    assert order(rho) == 2
     assert after(after(rho, h), inverse(rho)) == inverse(h)
+
+
+def test_quotient_is_generated_by_h_and_rho(coset_perms):
+    h = coset_perms[project_d12(D12_ROTATION)]
+    rho = coset_perms[project_d12(D12_REFLECTION)]
+    assert generated([h, rho]) == set(coset_perms.values())
 
 
 def test_plr_is_dual_to_the_quotient(coset_perms):
