@@ -55,8 +55,8 @@ class Triangle(NamedTuple):
     up: bool
 
     def vertices(self) -> tuple[Vertex, Vertex, Vertex]:
-        p, q = self.root
-        if self.up:
+        (p, q), up = self
+        if up:
             return ((p, q), (p + 1, q), (p, q + 1))
         return ((p, q), (p + 1, q), (p + 1, q - 1))
 
@@ -316,7 +316,7 @@ def class_vertex(t: Triangle, cls: int) -> Vertex:
     if cls not in (0, 1, 2):
         raise ValueError(f"triangle {t} has no class-{cls} vertex")
     (p, q), _ = t
-    return t.vertices()[(cls - p + q) % 3]
+    return Triangle.vertices(t)[(cls - p + q) % 3]
 
 
 # --- BFS over the flip graph -------------------------------------------------
@@ -470,7 +470,8 @@ def triangle_ball(center: Triangle, radius: int) -> dict[Triangle, int]:
 
 
 def format_triangle(t: Triangle) -> str:
-    return "%s(%d,%d)" % ("U" if t.up else "D", t.root[0], t.root[1])
+    (p, q), up = t
+    return "%s(%d,%d)" % ("U" if up else "D", p, q)
 
 
 def parse_triangle(text: str) -> Triangle:

@@ -106,7 +106,8 @@ def format_chord(chord: ChordName, with_comma: bool = False) -> str:
 
 def name_triangle(t: Triangle) -> ChordName:
     """Upward triangles are major triads, downward ones minor, root at the root vertex."""
-    return ChordName(spell_vertex(t.root), minor=not t.up)
+    root, up = t
+    return ChordName(spell_vertex(root), minor=not up)
 
 
 def chord_triangle(chord: ChordName) -> Triangle:
@@ -115,7 +116,7 @@ def chord_triangle(chord: ChordName) -> Triangle:
 
 def chord_tones(t: Triangle) -> tuple[NoteName, NoteName, NoteName]:
     """The three spelled tones, root first, then by interval above the root; README API."""
-    root, fifth, third = t.vertices()
+    root, fifth, third = Triangle.vertices(t)
     return (spell_vertex(root), spell_vertex(third), spell_vertex(fifth))
 
 

@@ -26,9 +26,11 @@ from .lattice import (
     _check_lattice_triangle,
     class_vertex,
     flip,
-    perm_to_iso,
+    perm_of,
     translation_shift,
+    triangle_of,
     vertex_class,
+    wall_flip,
 )
 from .pitch import _MEMO_INT_BOUND, ChordName, NoteName, name_triangle, parse_chord, spell_vertex
 
@@ -85,12 +87,11 @@ def plr_path(start: Triangle, goal: Triangle) -> str:
     >>> plr_path(BASE_TRIANGLE, Triangle((1, 0), up=True))
     'RL'
     """
-    _check_lattice_triangle(start)
-    _check_lattice_triangle(goal)
     offsets = _strip_offsets(start, goal)
+    _, up = start
     if abs(offsets[0]) + abs(offsets[1]) + abs(offsets[2]) > 64:
-        return _plr_word.__wrapped__(offsets, start.up)
-    return _plr_word(offsets, start.up)
+        return _plr_word.__wrapped__(offsets, up)
+    return _plr_word(offsets, up)
 
 
 # a progression repeats its chord pairs, so plr_path keeps 256 short words
@@ -114,7 +115,9 @@ def triangle_distance(t1: Triangle, t2: Triangle) -> int:
 
 
 def _strip_offsets(t1: Triangle, t2: Triangle) -> tuple[int, int, int]:
-    """t1's strips p, q' and p + q minus t2's, as triangle_distance defines them."""
+    """t1's strips p, q' and p + q minus t2's (see triangle_distance), both checked first."""
+    _check_lattice_triangle(t1)
+    _check_lattice_triangle(t2)
     (p1, q1), up1 = t1
     (p2, q2), up2 = t2
     return p1 - p2, (q1 - (not up1)) - (q2 - (not up2)), p1 + q1 - p2 - q2
@@ -122,16 +125,9 @@ def _strip_offsets(t1: Triangle, t2: Triangle) -> tuple[int, int, int]:
 
 # --- hexagon cycles ----------------------------------------------------------
 
-# the six triangles around a vertex v, as root offsets from v and
-# orientations, in ring order: consecutive ones share an edge through v
-_RING = (
-    ((0, 0), True),
-    ((0, 0), False),
-    ((0, -1), True),
-    ((-1, 0), False),
-    ((-1, 0), True),
-    ((-1, 1), False),
-)
+# the walls through a class-c vertex, as generator indices in the order crossed:
+# those opposite its class c + 1 and c + 2 vertices, s_i's being opposite 3 - i
+_VERTEX_WALLS = ((2, 1), (1, 3), (3, 2))
 
 # builds named tuples without their Python-level __new__, as core's
 # _make_element does
@@ -152,8 +148,8 @@ def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
 
     These are the triangles of f, f*s_i, f*s_i*s_j, ... for the element f
     of t, where s_i and s_j are the two reflections in walls through v.
-    The walk runs backwards through the ring from an up triangle and
-    forwards from a down one.
+    The walk turns counterclockwise round v from an up triangle and
+    clockwise from a down one.
 
     >>> from .lattice import BASE_TRIANGLE
     >>> from .pitch import format_chord
@@ -163,18 +159,17 @@ def vertex_cycle(t: Triangle, v: Vertex) -> HexagonCycle:
     """
     _check_lattice_triangle(t)
     x, y = v
-    ring = [Triangle((x + dx, y + dy), up) for (dx, dy), up in _RING]
-    try:
-        i = ring.index(t)
-    except ValueError:
-        raise ValueError(f"{v} is not a vertex of {t}") from None
-    # up triangles sit at even places in the ring, down ones at odd places
-    walk = ring[i:] + ring[:i] if i % 2 else ring[i::-1] + ring[:i:-1]
+    if not (isinstance(x, int) and isinstance(y, int)) or (x, y) not in Triangle.vertices(t):
+        raise ValueError(f"{v} is not a vertex of {t}")
+    i, j = _VERTEX_WALLS[vertex_class(v)]
+    cycle = [t]
+    for wall in (i, j, i, j, i):
+        cycle.append(wall_flip(cycle[-1], wall))
     return HexagonCycle(
         center=v,
         common_tone=spell_vertex(v),
-        triangles=tuple(walk),
-        chords=tuple(map(name_triangle, walk)),
+        triangles=tuple(cycle),
+        chords=tuple(map(name_triangle, cycle)),
     )
 
 
@@ -184,38 +179,37 @@ def hexagon_cycle(t: Triangle) -> HexagonCycle:
     Repeated calls with a root below 2**63 in magnitude share one answer, an
     immutable named tuple.
     """
-    (p, q), _ = t
-    # anything but an int goes to the memo, whose body refuses it
-    if (isinstance(p, int) and not -_MEMO_INT_BOUND < p < _MEMO_INT_BOUND) or (
-        isinstance(q, int) and not -_MEMO_INT_BOUND < q < _MEMO_INT_BOUND
-    ):
-        return _hexagon_cycle.__wrapped__(t, p, q)
-    return _hexagon_cycle(t, p, q)
+    _check_lattice_triangle(t)
+    (p, q), up = t
+    if -_MEMO_INT_BOUND < p < _MEMO_INT_BOUND and -_MEMO_INT_BOUND < q < _MEMO_INT_BOUND:
+        return _hexagon_cycle(p, q, up)
+    return _hexagon_cycle.__wrapped__(p, q, up)
 
 
 # a progression repeats its chords, so hexagon_cycle keeps its last 256
 # answers, each about 2.2 kB.  The answer depends on the types of p and q as
-# well as their values (a root of (0, True) spells comma True), but typed=True
-# sees only the types of the arguments themselves, so p and q are passed flat
-# beside t.  A refused triangle, such as a plain tuple, is not kept, nor is
-# one whose root reaches 2**63 in magnitude, which the memo would keep alive.
+# well as their values (a root of (0, True) spells comma True), so typed=True.
+# Only lattice triangles get here, and none whose root reaches 2**63 in
+# magnitude, which the memo would keep alive.
 @lru_cache(maxsize=256, typed=True)
-def _hexagon_cycle(t: Triangle, p: int, q: int) -> HexagonCycle:
+def _hexagon_cycle(p: int, q: int, up: bool) -> HexagonCycle:
+    t = Triangle((p, q), up)
     return vertex_cycle(t, class_vertex(t, 2))
 
 
 # --- rotation and translation orbits -----------------------------------------
 
+_ROTATION = from_word((3, 2))  # s3*s2, rotation_cycle's g
+
 
 def rotation_cycle(t: Triangle) -> list[Triangle]:
     """Orbit of t under the order-3 rotation about the base hexagon center.
 
-    The rotation is s3*s2, acting on the whole lattice by left multiplication.
+    The rotation is g = s3*s2, acting on the whole lattice by left
+    multiplication: the orbit is the triangles of f, g*f and g*g*f for t's f.
     """
-    _check_lattice_triangle(t)
-    iso = perm_to_iso(from_word((3, 2)))
-    second = iso.apply_triangle(t)
-    return [t, second, iso.apply_triangle(second)]
+    f = perm_of(t)
+    return [t, triangle_of(_ROTATION * f), triangle_of(_ROTATION * _ROTATION * f)]
 
 
 def translation_cycle(t: Triangle) -> list[Triangle]:
@@ -225,14 +219,13 @@ def translation_cycle(t: Triangle) -> list[Triangle]:
     third chord is the seed again.
     """
     _check_lattice_triangle(t)
-    first = _shift(t, *translation_shift(1, 0))
-    second = _shift(first, *translation_shift(0, 1))
-    third = _shift(second, *translation_shift(-1, -1))
-    return [first, second, third]
-
-
-def _shift(t: Triangle, dp: int, dq: int) -> Triangle:
-    return Triangle((t.root[0] + dp, t.root[1] + dq), t.up)
+    (p, q), up = t
+    cycle = []
+    for e1, e2 in ((1, 0), (0, 1), (-1, -1)):
+        dp, dq = translation_shift(e1, e2)
+        p, q = p + dp, q + dq
+        cycle.append(Triangle((p, q), up))
+    return cycle
 
 
 # --- stripes ------------------------------------------------------------------

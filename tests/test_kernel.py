@@ -19,18 +19,19 @@ takes the first of P, L, R one flip closer to the goal.  Past the ball
 the oracle is construction: an element built by D ascents puts the
 triangles of g and g * f D flips apart, for D = 160 and 2560, and
 reduced_word's walk offsets are the strip offsets of f's triangle, each
-side computed on its own.  Wall flips and the hexagon cycles read off
-the six-triangle ring are compared with right multiplication of
-windows, class_vertex with the class of each vertex, the strip-offset
-walk of plr_path also with the greedy rule over apply_move, and the
-progression analyzer's ranking with the loop over nine chord names, near
-the origin and at roots up to 10^12 or comma levels up to 10^6.  Its
-table of nearest comma levels is also checked against the nine
-candidates ranked by breadth-first search, for every step of up to 20
-fifths.  The D12 quotient's product, inverse and order are P's on lifts
-of each coset shifted by K, the order being the least power of a lift
-in K.  Coxeter length is also counted as the map's inversions, pair by
-pair, on ball(12) and on long words.
+side computed on its own.  Wall flips are compared with right
+multiplication of windows; the hexagon cycles with the six triangles
+round their vertex, ordered by the cross product of centroids;
+rotation_cycle with the isometry of s3*s2; class_vertex with the class
+of each vertex, the strip-offset walk of plr_path also with the greedy
+rule over apply_move, and the progression analyzer's ranking with the
+loop over nine chord names, near the origin and at roots up to 10^12
+or comma levels up to 10^6.  Its table of nearest comma levels is also
+checked against the nine candidates ranked by breadth-first search, for
+every step of up to 20 fifths.  The D12 quotient's product, inverse and
+order are P's on lifts of each coset shifted by K, the order being the
+least power of a lift in K.  Coxeter length is also counted as the map's
+inversions, pair by pair, on ball(12) and on long words.
 Whole balls are checked exhaustively; hypothesis covers long random
 words, distant triangle pairs and chord progressions.
 """
@@ -90,6 +91,7 @@ from tonnetz.progressions import (
     apply_move,
     apply_plr,
     plr_path,
+    rotation_cycle,
     triangle_distance,
     vertex_cycle,
 )
@@ -220,16 +222,51 @@ def ref_inversions(f):
 
 
 def ref_vertex_cycle(t, v):
-    """Right-multiply t's element by the pair of v's class; map each back.
+    """The six triangles with vertex v, walked round v from t by the geometry.
 
-    Walking a triangle's coset of the parabolic subgroup fixing its class-c
-    vertex circles that vertex; the pair gives the alternating generators.
+    Counterclockwise from an up triangle, clockwise from a down one.  Each
+    step goes to the unvisited triangle that shares an edge through v with
+    the last, on the side picked by the integer cross product of the two
+    centroids seen from v, in coordinates (2p + q, q): the plane's
+    coordinates of a vertex, stretched by positive factors, so the sign of
+    a turn is the plane's.
     """
-    i, j = {0: (2, 1), 1: (1, 3), 2: (3, 2)}[vertex_class(v)]
-    elems = [perm_of(t)]
-    for k in range(5):
-        elems.append(right_mult_generator(elems[-1], i if k % 2 == 0 else j))
-    return tuple(triangle_of(g) for g in elems)
+    x, y = v
+    around = [
+        u
+        for dp in range(-2, 3)
+        for dq in range(-2, 3)
+        for up in (True, False)
+        if v in (u := Triangle((x + dp, y + dq), up)).vertices()
+    ]
+    assert len(around) == 6
+
+    def centroid(u):  # three times u's centroid less v
+        vertices = u.vertices()
+        return sum(2 * (p - x) + q - y for p, q in vertices), sum(q - y for _, q in vertices)
+
+    turn = 1 if t.up else -1
+    walk = [t]
+    while len(walk) < 6:
+        (x0, y0), last = centroid(walk[-1]), set(walk[-1].vertices())
+        (step,) = [
+            u
+            for u in around
+            if u not in walk
+            and len(last & set(u.vertices())) == 2
+            and turn * (x0 * centroid(u)[1] - y0 * centroid(u)[0]) > 0
+        ]
+        walk.append(step)
+    return tuple(walk)
+
+
+ROTATION_ISOMETRY = perm_to_iso(from_word((3, 2)))
+
+
+def ref_rotation_cycle(t):
+    """t and its images under the isometry of s3*s2, applied once and twice."""
+    second = ROTATION_ISOMETRY.apply_triangle(t)
+    return [t, second, ROTATION_ISOMETRY.apply_triangle(second)]
 
 
 def ref_steps(symbols, default_comma):
@@ -633,6 +670,11 @@ def test_vertex_cycle_is_the_window_walk():
             assert cyc.center == v and cyc.common_tone == spell_vertex(v)
 
 
+def test_rotation_cycle_is_the_isometry_orbit():
+    for t in triangle_ball(BASE_TRIANGLE, 8):
+        assert rotation_cycle(t) == ref_rotation_cycle(t)
+
+
 def test_triangle_distance_is_bfs_distance():
     for a, b in PAIRS:
         assert triangle_distance(a, b) == gallery_distance_bfs(a, b)
@@ -818,6 +860,12 @@ far_triangles = st.builds(
 def test_far_vertex_cycle_is_the_window_walk(t, k):
     v = t.vertices()[k]
     assert vertex_cycle(t, v).triangles == ref_vertex_cycle(t, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(far_triangles)
+def test_far_rotation_cycle_is_the_isometry_orbit(t):
+    assert rotation_cycle(t) == ref_rotation_cycle(t)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,8 +8,16 @@ import tracemalloc
 import pytest
 from conftest import within_budget
 
-from tonnetz.lattice import BASE_TRIANGLE, Triangle, class_vertex, triangle_ball
-from tonnetz.pitch import ChordName, NoteName, format_chord, format_note, name_triangle, spell_vertex
+from tonnetz.lattice import BASE_TRIANGLE, Triangle, class_vertex, format_triangle, triangle_ball
+from tonnetz.pitch import (
+    ChordName,
+    NoteName,
+    chord_tones,
+    format_chord,
+    format_note,
+    name_triangle,
+    spell_vertex,
+)
 from tonnetz.progressions import (
     _SHARED,
     StripeKind,
@@ -99,19 +107,19 @@ def test_hexagon_cycle_around_e():
 def test_hexagon_cycle_memo_keeps_nested_types_apart(roots):
     triangles = [Triangle(root, True) for root in roots]
     # the two are equal and hash alike, but the bool root spells comma True
-    assert len({repr(_hexagon_cycle.__wrapped__(t, *t.root)) for t in triangles}) == 2
+    assert len({repr(_hexagon_cycle.__wrapped__(*t.root, t.up)) for t in triangles}) == 2
     _hexagon_cycle.cache_clear()
     for t in triangles:
-        assert repr(hexagon_cycle(t)) == repr(_hexagon_cycle.__wrapped__(t, *t.root))
+        assert repr(hexagon_cycle(t)) == repr(_hexagon_cycle.__wrapped__(*t.root, t.up))
 
 
 def test_hexagon_cycle_memo_keeps_no_refusal():
-    size = _hexagon_cycle.cache_info().currsize
-    for _ in range(2):
-        # a plain tuple is no Triangle: it has no vertices()
-        with pytest.raises(AttributeError):
-            hexagon_cycle(((0, 0), True))
-        assert _hexagon_cycle.cache_info().currsize == size
+    _hexagon_cycle.cache_clear()
+    for t in (Triangle((0, 0), 1), Triangle((0.5, 0), True), None):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is not a lattice triangle"):
+                hexagon_cycle(t)
+    assert _hexagon_cycle.cache_info().currsize == 0
 
 
 def test_hexagon_cycle_memo_is_bounded():
@@ -167,8 +175,9 @@ def test_vertex_cycle_members_share_the_tone():
 
 
 def test_vertex_cycle_rejects_far_vertex():
-    with pytest.raises(ValueError):
-        vertex_cycle(BASE_TRIANGLE, (5, 5))
+    for v in ((5, 5), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="is not a vertex of"):
+            vertex_cycle(BASE_TRIANGLE, v)
 
 
 def test_rotation_cycles():
@@ -394,6 +403,10 @@ OFF_LATTICE = {
     "apply-plr-up-2": (apply_plr, Triangle((0, 0), 2), "P"),
     "vertex-cycle-half-root": (vertex_cycle, Triangle((0.5, 0), True), (0, 0)),
     "hexagon-cycle-up-2": (hexagon_cycle, Triangle((0, 0), 2)),
+    "hexagon-cycle-up-1": (hexagon_cycle, Triangle((0, 0), 1)),
+    "hexagon-cycle-half-root": (hexagon_cycle, Triangle((0.5, 0), True)),
+    "hexagon-cycle-none": (hexagon_cycle, None),
+    "hexagon-cycle-name": (hexagon_cycle, "C"),
     "rotation-cycle-up-none": (rotation_cycle, Triangle((0, 0), None)),
     "translation-cycle-up-none": (translation_cycle, Triangle((0, 0), None)),
 }
@@ -402,8 +415,47 @@ OFF_LATTICE = {
 @pytest.mark.parametrize("case", OFF_LATTICE.values(), ids=OFF_LATTICE)
 def test_entry_points_refuse_off_lattice_triangles(case):
     fn, t, *args = case
-    with pytest.raises(ValueError, match=rf"^{re.escape(repr(t))} is not a lattice triangle"):
+    _hexagon_cycle.cache_clear()
+    refusal = rf"^{re.escape(repr(t))} is not a lattice triangle"
+    with pytest.raises(ValueError, match=refusal):
         fn(t, *args)
+    # and still after the base triangle, which Triangle((0, 0), 1) equals, is answered
+    fn(BASE_TRIANGLE, *args)
+    with pytest.raises(ValueError, match=refusal):
+        fn(t, *args)
+
+
+@pytest.mark.parametrize("t", [Triangle((0.5, 0), True), Triangle((0, 0), 2)], ids=repr)
+def test_triangle_distance_refuses_off_lattice_triangles(t):
+    for pair in ((t, BASE_TRIANGLE), (BASE_TRIANGLE, t)):
+        with pytest.raises(ValueError, match="is not a lattice triangle"):
+            triangle_distance(*pair)
+
+
+# the progressions entry points, and the lattice and pitch functions they
+# read triangles with, given a triangle as the plain tuple ((p, q), up) it equals
+PLAIN_TUPLE_CALLS = {
+    "apply-plr": lambda t: apply_plr(t, "RPL"),
+    "plr-path-from": lambda t: plr_path(t, BASE_TRIANGLE),
+    "plr-path-to": lambda t: plr_path(BASE_TRIANGLE, t),
+    "triangle-distance": lambda t: triangle_distance(t, BASE_TRIANGLE),
+    "vertex-cycle": lambda t: vertex_cycle(t, t[0]),
+    "hexagon-cycle": hexagon_cycle,
+    "rotation-cycle": rotation_cycle,
+    "translation-cycle": translation_cycle,
+    "stripe": lambda t: stripe(t, "octatonic", 2),
+    "class-vertex": lambda t: class_vertex(t, 2),
+    "name-triangle": name_triangle,
+    "chord-tones": chord_tones,
+    "format-triangle": format_triangle,
+}
+
+
+@pytest.mark.parametrize("call", PLAIN_TUPLE_CALLS.values(), ids=PLAIN_TUPLE_CALLS)
+def test_plain_tuples_get_the_triangles_answer(call):
+    _hexagon_cycle.cache_clear()
+    for t in (Triangle((2, -3), False), Triangle((-1, 4), True)):
+        assert call(tuple(t)) == call(t)
 
 
 def test_progression_output_is_pinned():
