@@ -157,14 +157,16 @@ def parse_chord(
     """Parse a chord symbol like "C", "F#m", "Ebm[q=-1]" or "Amin".
 
     Returns the chord name and its triangle.  Unannotated symbols get the
-    comma level from default_comma if given, else from default_comma_level;
-    a default_comma that is neither an int nor None raises TypeError.
-    Repeated calls with a symbol of at most 64 characters and a level below
-    2**63 in magnitude share one answer, whose parts are immutable named tuples.
+    comma level from default_comma if given, else from default_comma_level.
+    A symbol that is not a str, or a default_comma that is neither an int
+    nor None, raises TypeError.  Repeated calls with a symbol of at most 64
+    characters and a level below 2**63 in magnitude share one answer, whose
+    parts are immutable named tuples.
     """
-    # anything but a string, or a level but an int, goes to the memo, whose
-    # key or body refuses it
-    if (isinstance(text, str) and len(text) > _MEMO_SYMBOL_LENGTH) or (
+    if not isinstance(text, str):
+        raise TypeError(f"chord symbol must be a str, got {text!r}")
+    # a level but an int goes to the memo, whose key or body refuses it
+    if len(text) > _MEMO_SYMBOL_LENGTH or (
         isinstance(default_comma, int) and not -_MEMO_INT_BOUND < default_comma < _MEMO_INT_BOUND
     ):
         return _parse_chord.__wrapped__(text, default_comma)

@@ -32,7 +32,15 @@ from .lattice import (
     vertex_class,
     wall_flip,
 )
-from .pitch import _MEMO_INT_BOUND, ChordName, NoteName, name_triangle, parse_chord, spell_vertex
+from .pitch import (
+    _MEMO_INT_BOUND,
+    _MEMO_SYMBOL_LENGTH,
+    ChordName,
+    NoteName,
+    name_triangle,
+    parse_chord,
+    spell_vertex,
+)
 
 PLR_EDGES = {
     "P": Edge.FIFTH,
@@ -116,10 +124,20 @@ def triangle_distance(t1: Triangle, t2: Triangle) -> int:
 
 def _strip_offsets(t1: Triangle, t2: Triangle) -> tuple[int, int, int]:
     """t1's strips p, q' and p + q minus t2's (see triangle_distance), both checked first."""
-    _check_lattice_triangle(t1)
-    _check_lattice_triangle(t2)
-    (p1, q1), up1 = t1
-    (p2, q2), up2 = t2
+    # each triangle is unpacked once and its parts tested here; the lattice
+    # check runs only to refuse one, t1 first, in its own words
+    try:
+        (p1, q1), up1 = t1
+        (p2, q2), up2 = t2
+        on_lattice = (
+            isinstance(p1, int) and isinstance(q1, int) and isinstance(up1, bool)
+            and isinstance(p2, int) and isinstance(q2, int) and isinstance(up2, bool)
+        )
+    except (TypeError, ValueError):
+        on_lattice = False
+    if not on_lattice:
+        _check_lattice_triangle(t1)
+        _check_lattice_triangle(t2)
     return p1 - p2, (q1 - (not up1)) - (q2 - (not up2)), p1 + q1 - p2 - q2
 
 
@@ -179,8 +197,14 @@ def hexagon_cycle(t: Triangle) -> HexagonCycle:
     Repeated calls with a root below 2**63 in magnitude share one answer, an
     immutable named tuple.
     """
-    _check_lattice_triangle(t)
-    (p, q), up = t
+    # t is unpacked once and its parts tested here, as in _strip_offsets
+    try:
+        (p, q), up = t
+        on_lattice = isinstance(p, int) and isinstance(q, int) and isinstance(up, bool)
+    except (TypeError, ValueError):
+        on_lattice = False
+    if not on_lattice:
+        _check_lattice_triangle(t)
     if -_MEMO_INT_BOUND < p < _MEMO_INT_BOUND and -_MEMO_INT_BOUND < q < _MEMO_INT_BOUND:
         return _hexagon_cycle(p, q, up)
     return _hexagon_cycle.__wrapped__(p, q, up)
@@ -308,7 +332,7 @@ def _flips_at(u: int, fifths: int, delta: int) -> int:
 
 
 # the table of nearest levels holds |fifths| <= _TABLE_REACH, the steps a
-# progression takes; _resolve ranks the band itself for a farther step
+# progression takes; _step ranks the band itself for a farther step
 _TABLE_REACH = 16
 
 
@@ -365,35 +389,48 @@ _SHARED = {
 _NOTHING_SHARED = ((), (False, False, False))
 
 
-def _resolve(
-    symbol: str, prev: Triangle, default_comma: int | None
-) -> tuple[ChordName, Triangle, int]:
-    """Pick the instance of the chord nearest to the previous triangle.
+# a progression repeats its (chord, previous chord) pairs, so analyze keeps
+# its last 1024 later steps, each about 0.6 kB.  A step depends on its symbol
+# and the previous triangle only: default_comma places the first chord alone,
+# and parsing the first chord has already refused any default_comma that
+# parse_chord refuses.  typed=True keeps a previous root of (0, True) apart
+# from (0, 1), as in _hexagon_cycle; a refused symbol is not kept, and neither
+# is a symbol of more than 64 characters or a root that reaches 2**63 in
+# magnitude.
+@lru_cache(maxsize=1024, typed=True)
+def _step(symbol: str, prev_p: int, prev_q: int, prev_up: bool) -> ProgressionStep:
+    """The step to the instance of symbol nearest the triangle ((prev_p, prev_q), prev_up).
 
     Explicit [q=n] annotations are honored; otherwise comma levels within
     four of the previous root's level compete, ranked by gallery distance,
-    then by |q|, then by q.  Returns the chord, its triangle and their
-    distance from prev.
+    then by |q|, then by q.
     """
-    chord, t = parse_chord(symbol, default_comma)
+    chord, t = parse_chord(symbol)
     if "[q=" in symbol:
-        return chord, t, triangle_distance(prev, t)
-    # the nearest offsets from prev's level depend only on fifths and delta
-    # (see _flips_at); of their levels, the one of least |q|, then least q,
-    # is 0 clamped into the run
-    (p, q), up = prev
-    fifth_index = chord.root.fifth_index
-    fifths = fifth_index - p - 4 * q
-    delta = up - t.up
-    if -_TABLE_REACH <= fifths <= _TABLE_REACH:
-        lo, hi, distance = _NEAREST[3 * (fifths + _TABLE_REACH) + 1 + delta]
+        distance = triangle_distance(_make(Triangle, ((prev_p, prev_q), prev_up)), t)
     else:
-        lo, hi, distance = _nearest_offsets(fifths, delta)
-    lo += q
-    hi += q
-    comma = lo if lo > 0 else hi if hi < 0 else 0
-    winner = _make(ChordName, (_make(NoteName, (fifth_index, comma)), chord.minor))
-    return winner, _make(Triangle, ((fifth_index - 4 * comma, comma), t.up)), distance
+        # the nearest offsets from prev's level depend only on fifths and
+        # delta (see _flips_at); of their levels, the one of least |q|, then
+        # least q, is 0 clamped into the run
+        fifth_index = chord.root.fifth_index
+        fifths = fifth_index - prev_p - 4 * prev_q
+        delta = prev_up - t.up
+        if -_TABLE_REACH <= fifths <= _TABLE_REACH:
+            lo, hi, distance = _NEAREST[3 * (fifths + _TABLE_REACH) + 1 + delta]
+        else:
+            lo, hi, distance = _nearest_offsets(fifths, delta)
+        lo += prev_q
+        hi += prev_q
+        comma = lo if lo > 0 else hi if hi < 0 else 0
+        chord = _make(ChordName, (_make(NoteName, (fifth_index, comma)), chord.minor))
+        t = _make(Triangle, ((fifth_index - 4 * comma, comma), t.up))
+    # what t shares with prev moves with the pair, so it is read off their
+    # relative position and t's root class
+    (p, q), up = t
+    offsets, flags = _SHARED.get((up, prev_up, prev_p - p, prev_q - q), _NOTHING_SHARED)
+    f = p + 4 * q
+    common = tuple([_make(NoteName, (f + df, q + dc)) for df, dc in offsets])
+    return _make(ProgressionStep, (symbol.strip(), chord, t, distance, common, flags[(p - q) % 3]))
 
 
 def analyze(symbols: list[str], default_comma: int | None = None) -> ProgressionReport:
@@ -403,7 +440,9 @@ def analyze(symbols: list[str], default_comma: int | None = None) -> Progression
     takes the nearest instance in the contextual comma band.  Every step
     reports the flip distance from the previous chord, their common
     tones, and whether the two chords sit in the same tiling hexagon
-    (share a class-2 vertex).
+    (share a class-2 vertex).  Repeated later steps of a symbol of at most
+    64 characters from a root below 2**63 in magnitude share one
+    immutable named tuple.
     """
     if not symbols:
         raise ValueError("progression needs at least one chord")
@@ -413,21 +452,20 @@ def analyze(symbols: list[str], default_comma: int | None = None) -> Progression
     for symbol in symbols:
         if prev_triangle is None:
             chord, t = parse_chord(symbol, default_comma)
-            distance = 0
-            common: tuple[NoteName, ...] = ()
-            shares = False
+            step = _make(ProgressionStep, (symbol.strip(), chord, t, 0, (), False))
         else:
-            chord, t, distance = _resolve(symbol, prev_triangle, default_comma)
-            # what t shares with prev moves with the pair, so it is read off
-            # their relative position and t's root class
-            (p, q), up = t
-            (prev_p, prev_q), prev_up = prev_triangle
-            offsets, flags = _SHARED.get((up, prev_up, prev_p - p, prev_q - q), _NOTHING_SHARED)
-            f = p + 4 * q
-            common = tuple([_make(NoteName, (f + df, q + dc)) for df, dc in offsets])
-            shares = flags[(p - q) % 3]
-        steps.append(_make(ProgressionStep, (symbol.strip(), chord, t, distance, common, shares)))
-        total += distance
-        prev_triangle = t
+            (p, q), up = prev_triangle
+            # anything but a string goes round the memo to parse_chord's refusal
+            if (
+                isinstance(symbol, str)
+                and len(symbol) <= _MEMO_SYMBOL_LENGTH
+                and -_MEMO_INT_BOUND < p < _MEMO_INT_BOUND
+                and -_MEMO_INT_BOUND < q < _MEMO_INT_BOUND
+            ):
+                step = _step(symbol, p, q, up)
+            else:
+                step = _step.__wrapped__(symbol, p, q, up)
+        steps.append(step)
+        total += step.distance
+        prev_triangle = step.triangle
     return _make(ProgressionReport, (tuple(steps), total))
-

@@ -11,6 +11,7 @@ from conftest import within_budget
 from tonnetz.lattice import BASE_TRIANGLE, Triangle, class_vertex, format_triangle, triangle_ball
 from tonnetz.pitch import (
     ChordName,
+    ChordParseError,
     NoteName,
     chord_tones,
     format_chord,
@@ -23,6 +24,7 @@ from tonnetz.progressions import (
     StripeKind,
     _hexagon_cycle,
     _plr_word,
+    _step,
     analyze,
     apply_move,
     apply_plr,
@@ -359,6 +361,88 @@ def test_analyze_shares_nothing_off_the_table():
                         assert shared_tones(prev, Triangle((0, 0), up)) == (), prev
 
 
+def wrapped_steps(symbols, default_comma=None):
+    """analyze's steps with each later one computed afresh by the memo's body."""
+    steps = list(analyze(symbols[:1], default_comma).steps)
+    for symbol in symbols[1:]:
+        (p, q), up = steps[-1].triangle
+        steps.append(_step.__wrapped__(symbol, p, q, up))
+    return steps
+
+
+@pytest.mark.parametrize("levels", [(1, True), (True, 1)])
+def test_analyze_memo_keeps_equal_keys_of_other_types_apart(levels):
+    # C at level True has the root (-4, True), equal to (-4, 1) and hashing
+    # alike, so G after it keeps an entry of its own; Am after G shares one
+    _step.cache_clear()
+    for kept, level in zip((2, 3), levels):
+        symbols = ["C", "G", "Am"]
+        report = analyze(symbols, level)
+        assert type(report.steps[0].triangle.root[1]) is type(level)
+        assert repr(list(report.steps)) == repr(wrapped_steps(symbols, level))
+        assert _step.cache_info().currsize == kept
+
+
+def test_analyze_memo_keeps_no_refusal():
+    _step.cache_clear()
+    analyze(["C", "G"])
+    for symbol, error in (("H", ChordParseError), ("Cm7", ChordParseError), (5, TypeError)):
+        # refused every time, also from the previous triangle G was answered from
+        for _ in range(2):
+            with pytest.raises(error):
+                analyze(["C", symbol])
+    assert _step.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("symbol", [5, None, b"C", ["C"]], ids=repr)
+@pytest.mark.parametrize("at", [0, 1])
+def test_analyze_refuses_what_is_not_a_string(symbol, at):
+    symbols = ["C", "G"]
+    symbols[at] = symbol
+    with pytest.raises(TypeError, match=rf"^chord symbol must be a str, got {re.escape(repr(symbol))}$"):
+        analyze(symbols)
+
+
+def test_analyze_memo_keeps_no_long_symbol_or_huge_root():
+    _step.cache_clear()
+    # a symbol of 65 characters; a previous root from a [q=n] chord and from a
+    # default comma at 2**63 and past it, and from level 2**61, root -2**63
+    analyze(["C", "C" + "#" * 64])
+    analyze(["Cm[q=99999999999999999999999]", "G"])
+    for level in (2**63, -(2**63), 2**61):
+        analyze(["C", "G"], level)
+    assert _step.cache_info().currsize == 0
+    # a symbol of 64 characters and a root below 2**63 in magnitude are kept
+    analyze(["C", "C" + "#" * 63])
+    analyze(["C", "G"], 2**61 - 1)
+    assert _step.cache_info().currsize == 2
+
+
+def test_analyze_memo_keeps_no_huge_default_comma():
+    # 256 first chords at levels of 100,000 digits, dropped once used
+    huge = 10**100_000
+    _step.cache_clear()
+    tracemalloc.start()
+    try:
+        for extra in range(256):
+            level = (huge + extra) * (-1) ** extra
+            first, step = analyze(["Am", "C"], level).steps
+            assert step.distance == 1 and abs(step.triangle.root[1] - level) <= 4
+        del first, step, level
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert _step.cache_info().currsize == 0
+
+
+def test_analyze_memo_is_bounded():
+    _step.cache_clear()
+    for q in range(2 * 1024):
+        analyze([f"C[q={q}]", "G"])
+    assert _step.cache_info().currsize == 1024
+
+
 def test_plr_path_memo_keeps_words_of_at_most_64_flips():
     # a progression's short paths repeat and share a word; a longer path is
     # walked afresh and not kept
@@ -430,6 +514,23 @@ def test_triangle_distance_refuses_off_lattice_triangles(t):
     for pair in ((t, BASE_TRIANGLE), (BASE_TRIANGLE, t)):
         with pytest.raises(ValueError, match="is not a lattice triangle"):
             triangle_distance(*pair)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (Triangle((0.5, 0), True), None),
+        (None, Triangle((0, 0), 2)),
+        (((0, 0),), "C"),
+        (Triangle((0, 0), 1), Triangle((0.5, 0), 1)),
+    ],
+    ids=repr,
+)
+def test_two_triangle_entry_points_refuse_the_first_off_lattice(pair):
+    refusal = rf"^{re.escape(repr(pair[0]))} is not a lattice triangle"
+    for fn in (triangle_distance, plr_path):
+        with pytest.raises(ValueError, match=refusal):
+            fn(*pair)
 
 
 # the progressions entry points, and the lattice and pitch functions they
