@@ -33,6 +33,7 @@ from .core import (
     from_word,
     parse_window,
     parse_word,
+    quote,
 )
 from .lattice import Triangle, format_triangle, perm_of, triangle_of
 from .pitch import MAX_ACCIDENTALS, ChordName, format_chord, format_note, name_triangle, parse_chord
@@ -130,7 +131,7 @@ def _chord(text: str) -> tuple[ChordName, Triangle]:
         try:
             comma = int(raw)
         except ValueError:
-            raise ValueError(f"TONNETZ_DEFAULT_COMMA must be an integer, got {raw!r}") from None
+            raise ValueError(f"TONNETZ_DEFAULT_COMMA must be an integer, got {quote(raw)}") from None
         _within_bits("TONNETZ_DEFAULT_COMMA", comma)
     chord, t = parse_chord(text, comma)
     _within_bits("a comma level", chord.root.comma)

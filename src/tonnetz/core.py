@@ -65,9 +65,9 @@ class AffinePermutation(_Window):
 
     def __new__(cls, a: int, b: int, c: int) -> AffinePermutation:
         if a + b + c != 0:
-            raise ValueError(f"window {(a, b, c)} does not sum to zero")
+            raise ValueError(f"window {quote((a, b, c))} does not sum to zero")
         if {a % 3, b % 3, c % 3} != {0, 1, 2}:
-            raise ValueError(f"window {(a, b, c)} must meet each residue class mod 3 once")
+            raise ValueError(f"window {quote((a, b, c))} must meet each residue class mod 3 once")
         return tuple.__new__(cls, (a, b, c))
 
     @property
@@ -454,19 +454,40 @@ def ball(radius: int) -> list[AffinePermutation]:
 # --- text formats ---------------------------------------------------------
 
 
+# A refusal quotes its input whole up to this many characters, and a longer
+# one by its first QUOTE_CHARS and its length, so the message stays one short
+# line however long the input is.
+QUOTE_CHARS = 40
+
+
+def quote(value: str | tuple) -> str:
+    """repr(value), or for a long one the repr of its first QUOTE_CHARS characters, "..." and its length.
+
+    Every refusal that quotes a text it parses, or a window read from one,
+    quotes it here.  A str is cut before its repr is built, so a long one
+    is never copied whole, and a window's repr after; a short value costs
+    one length test.
+    """
+    shown = value if isinstance(value, str) else repr(value)
+    if len(shown) <= QUOTE_CHARS:
+        return repr(value)
+    return f"{shown[:QUOTE_CHARS]!r}... ({len(shown)} characters)"
+
+
 def parse_window(text: str) -> AffinePermutation:
     """Parse "[a,b,c]" (spaces allowed, unicode minus accepted)."""
     s = text.strip().replace("−", "-")
     if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"window must look like [a,b,c], got {text!r}")
-    parts = s[1:-1].split(",")
-    if len(parts) != 3:
-        raise ValueError(f"window needs exactly three entries, got {text!r}")
+        raise ValueError(f"window must look like [a,b,c], got {quote(text)}")
+    if s.count(",") != 2:
+        raise ValueError(f"window needs exactly three entries, got {quote(text)}")
+    # int() skips the spaces round each entry; the entries' text is dropped
+    # before the window is built, so a refusal of a long one holds it once
     try:
-        vals = [int(p.strip()) for p in parts]
+        a, b, c = map(int, s[1:-1].split(","))
     except ValueError:
-        raise ValueError(f"window entries must be integers, got {text!r}") from None
-    return AffinePermutation(*vals)
+        raise ValueError(f"window entries must be integers, got {quote(text)}") from None
+    return AffinePermutation(a, b, c)
 
 
 def format_window(f: AffinePermutation) -> str:
@@ -487,7 +508,7 @@ def parse_word(text: str) -> tuple[int, ...]:
         if len(t) == 2 and t[0] == "s" and t[1] in "123":
             word.append(int(t[1]))
         else:
-            raise ValueError(f"bad generator token {t!r} in word {text!r}")
+            raise ValueError(f"bad generator token {quote(t)} in word {quote(text)}")
     return tuple(word)
 
 

@@ -23,6 +23,7 @@ from .core import (
     _center_coords,
     _not_a_sequence,
     _window_at,
+    quote,
     translation_factor,
 )
 
@@ -478,12 +479,12 @@ def parse_triangle(text: str) -> Triangle:
     """Parse "U(p,q)" or "D(p,q)"; the tests read --json triangles with it."""
     s = text.strip().replace("−", "-")
     if len(s) < 6 or s[0] not in "UD" or s[1] != "(" or not s.endswith(")"):
-        raise ValueError(f"triangle must look like U(p,q) or D(p,q), got {text!r}")
+        raise ValueError(f"triangle must look like U(p,q) or D(p,q), got {quote(text)}")
     parts = s[2:-1].split(",")
     if len(parts) != 2:
-        raise ValueError(f"triangle needs two coordinates, got {text!r}")
+        raise ValueError(f"triangle needs two coordinates, got {quote(text)}")
     try:
         p, q = (int(x.strip()) for x in parts)
     except ValueError:
-        raise ValueError(f"triangle coordinates must be integers, got {text!r}") from None
+        raise ValueError(f"triangle coordinates must be integers, got {quote(text)}") from None
     return Triangle((p, q), up=s[0] == "U")

@@ -12,6 +12,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
+from .core import quote
 from .lattice import Triangle, Vertex, translation_shift
 
 LETTERS = "FCGDAEB"
@@ -54,7 +55,7 @@ class ChordName(NamedTuple):
 
 class ChordParseError(ValueError):
     def __init__(self, message: str, text: str, position: int):
-        super().__init__(f"{message} in {text!r} at position {position}")
+        super().__init__(f"{message} in {quote(text)} at position {position}")
         self.text = text
         self.position = position
 
@@ -191,13 +192,19 @@ def _parse_chord(text: str, default_comma: int | None) -> tuple[ChordName, Trian
     m = _CHORD_RE.match(s)
     assert m is not None  # first character already checked
     if m.end() != len(s):
-        raise ChordParseError(f"unexpected {s[m.end():]!r}", text, m.end())
+        raise ChordParseError(f"unexpected {quote(s[m.end():])}", text, m.end())
     # the pattern admits only all flats or sharps mixed with double sharps
     acc = m.group("accidentals")
     sharps = len(acc) + acc.count("x") if acc[:1] != "b" else -len(acc)
     fifth_index = LETTERS.index(m.group("letter")) - 1 + 7 * sharps
-    if m.group("comma") is not None:
-        comma = int(m.group("comma"))
+    digits = m.group("comma")
+    if digits is not None:
+        # int() refuses a level of more digits than sys.get_int_max_str_digits()
+        try:
+            comma = int(digits)
+        except ValueError:
+            message = f"comma level of {len(digits)} characters is too long to read"
+            raise ChordParseError(message, text, m.start("comma")) from None
     elif default_comma is not None:
         comma = default_comma
     else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
+from .core import quote
 from .lattice import Isometry
 
 
@@ -206,13 +207,13 @@ def parse_r(text: str) -> RElement:
     seen = set()
     for tok in tokens:
         if len(tok) < 3 or tok[0] not in "QZ" or tok[1] != "^":
-            raise ValueError(f"bad Schritt token {tok!r} in {text!r}")
+            raise ValueError(f"bad Schritt token {quote(tok)} in {quote(text)}")
         try:
             value = int(tok[2:])
         except ValueError:
-            raise ValueError(f"bad exponent in token {tok!r}") from None
+            raise ValueError(f"bad exponent in token {quote(tok)}") from None
         if tok[0] in seen:
-            raise ValueError(f"duplicate {tok[0]} token in {text!r}")
+            raise ValueError(f"duplicate {tok[0]} token in {quote(text)}")
         seen.add(tok[0])
         if tok[0] == "Q":
             quint = value
@@ -229,14 +230,14 @@ def parse_p(text: str) -> PElement:
     """Parse "(a,b,flip)" with flip given as 0 or 1."""
     s = text.strip().replace("−", "-")
     if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError(f"point-reflection element must look like (a,b,flip), got {text!r}")
+        raise ValueError(f"point-reflection element must look like (a,b,flip), got {quote(text)}")
     parts = [p.strip() for p in s[1:-1].split(",")]
     if len(parts) != 3:
-        raise ValueError(f"need (a,b,flip), got {text!r}")
+        raise ValueError(f"need (a,b,flip), got {quote(text)}")
     try:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError(f"exponents must be integers in {text!r}") from None
+        raise ValueError(f"exponents must be integers in {quote(text)}") from None
     if parts[2] not in ("0", "1"):
-        raise ValueError(f"flip must be 0 or 1 in {text!r}")
+        raise ValueError(f"flip must be 0 or 1 in {quote(text)}")
     return PElement(a, b, parts[2] == "1")

@@ -1,11 +1,21 @@
-"""What the test modules share: the time budget of a hostile input, and long words."""
+"""What the test modules share: the time budget of a hostile input, long words,
+and the tables of the two input contracts README states once."""
 
+import re
 import signal
+import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
+from typing import Callable, NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
+
+from tonnetz.lattice import BASE_TRIANGLE, Triangle
+from tonnetz.pitch import _parse_chord, parse_chord
+from tonnetz.progressions import _hexagon_cycle, _plr_word, _step, analyze, hexagon_cycle, plr_path
 
 BUDGET_S = 2.0
 
@@ -38,3 +48,127 @@ def within_budget():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < BUDGET_S
+
+
+# --- every entry point that takes a triangle refuses what is not one ----------
+
+# values that are not ((int, int), bool), the old (triangle, "center") highlight among them;
+# unchecked, a float root never ends a search, and up = 1, 2 or None is misread
+NOT_TRIANGLES = [
+    None, "C", 5, ("junk", 5, None), ((0, 0, 0), True), (BASE_TRIANGLE, "center"), ((0, 0),),
+    Triangle((0.5, 0), True), Triangle((0, 0), 2), Triangle((0, 0), 1), Triangle((0, 0), None),
+]
+
+
+def refuses_by_name(call, value):
+    """call(value) refuses value by name within the budget, also after call(BASE_TRIANGLE) answers."""
+    message = f"{value!r} is not a lattice triangle: its root must be integers and up a bool"
+    for _ in range(2):
+        with within_budget(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+        call(BASE_TRIANGLE)
+
+
+# --- every memo keeps README's one policy --------------------------------------
+
+
+class Memo(NamedTuple):
+    """A functools.lru_cache and calls that reach it through its public function."""
+
+    cache: Callable
+    maxsize: int
+    fill: Callable[[int], object]  # the call of the k-th of distinct keys
+    refused: tuple  # calls the function refuses
+    bounds: tuple  # (call, call) pairs: a key at the memo's bound, one just past it
+    huge: Callable[[int], object]  # the call of the k-th of 256 huge keys
+    typed: tuple = ()  # calls whose keys are equal but of different types
+
+
+HUGE = 10**100_000
+
+MEMOS = {
+    "parse_chord": Memo(
+        _parse_chord, 256, lambda k: parse_chord("C", k),
+        (lambda: parse_chord("C#b"), lambda: parse_chord("C", 1.0)),
+        ((lambda: parse_chord("C" + "#" * 63), lambda: parse_chord("C" + "#" * 64)),
+         (lambda: parse_chord("C", 2**63 - 1), lambda: parse_chord("C", 2**63)),
+         (lambda: parse_chord("C", 1 - 2**63), lambda: parse_chord("C", -(2**63)))),
+        lambda k: parse_chord("C" + "#" * (100_000 + k)) if k % 2 else parse_chord("C", HUGE + k),
+        (lambda: parse_chord("G", 1), lambda: parse_chord("G", True)),
+    ),
+    "hexagon_cycle": Memo(
+        _hexagon_cycle, 256, lambda k: hexagon_cycle(Triangle((k, 0), True)),
+        (lambda: hexagon_cycle(Triangle((0, 0), 1)), lambda: hexagon_cycle(None)),
+        ((lambda: hexagon_cycle(Triangle((2**63 - 1, 0), True)),
+          lambda: hexagon_cycle(Triangle((2**63, 0), True))),
+         (lambda: hexagon_cycle(Triangle((0, 1 - 2**63), False)),
+          lambda: hexagon_cycle(Triangle((0, -(2**63)), False)))),
+        lambda k: hexagon_cycle(Triangle((HUGE + k, 0) if k % 2 else (0, -HUGE - k), k % 3 == 0)),
+        (lambda: hexagon_cycle(Triangle((0, True), True)), lambda: hexagon_cycle(Triangle((0, 1), True))),
+    ),
+    # F and C at level -2**61 have roots of p = 2**63 - 1 and 2**63, G and C at 2**61 their negatives
+    "analyze": Memo(
+        _step, 1024, lambda k: analyze([f"C[q={k}]", "G"]),
+        (lambda: analyze(["C", "H"]), lambda: analyze(["C", "Cm7"]), lambda: analyze(["C", 5])),
+        ((lambda: analyze(["C", "C" + "#" * 63]), lambda: analyze(["C", "C" + "#" * 64])),
+         (lambda: analyze(["F", "G"], -(2**61)), lambda: analyze(["C", "G"], -(2**61))),
+         (lambda: analyze(["G", "C"], 2**61), lambda: analyze(["C", "G"], 2**61))),
+        lambda k: analyze(["Am", "C"], (HUGE + k) * (-1) ** k),
+        (lambda: analyze(["Cm", "G"], 1), lambda: analyze(["Cm", "G"], True)),
+    ),
+    # paths of at most 64 flips: U(32,0) is 64 from the base, D(32,0) 65; a huge one is 5,000
+    "plr_path": Memo(
+        _plr_word, 256, lambda k: plr_path(BASE_TRIANGLE, Triangle((k // 23 - 11, k % 23 - 11), True)),
+        (lambda: plr_path(BASE_TRIANGLE, Triangle((0, 0), 1)),),
+        ((lambda: plr_path(BASE_TRIANGLE, Triangle((32, 0), True)),
+          lambda: plr_path(BASE_TRIANGLE, Triangle((32, 0), False))),),
+        lambda k: plr_path(BASE_TRIANGLE, Triangle((2500 + k, 0), True)),
+    ),
+}
+
+
+def answers_are_the_bodys(memo):
+    """Each call misses, then hits, typed keys too, and answers as the body patched in does."""
+    calls = [lambda k=k: memo.fill(k) for k in range(3)] + list(memo.typed)
+    memo.cache.cache_clear()
+    answers = [repr(call()) for call in calls + calls]
+    assert memo.cache.cache_info()[:2] == (len(calls), len(calls))
+    module = sys.modules[memo.cache.__module__]
+    with mock.patch.object(module, memo.cache.__name__, memo.cache.__wrapped__):
+        assert [repr(call()) for call in calls + calls] == answers
+
+
+def keeps_no_refusal(memo):
+    memo.cache.cache_clear()
+    for k in range(3):
+        for call in memo.refused:
+            with pytest.raises((TypeError, ValueError)):
+                call()
+        memo.fill(k)
+    assert memo.cache.cache_info().currsize == 3
+
+
+def is_bounded(memo):
+    memo.cache.cache_clear()
+    for k in range(2 * memo.maxsize):
+        memo.fill(k)
+    assert memo.cache.cache_info().currsize == memo.maxsize
+
+
+def keeps_no_key_past_its_bound(memo):
+    for at, past in memo.bounds:
+        memo.cache.cache_clear()
+        at(), past()
+        assert memo.cache.cache_info().currsize == 1
+    memo.cache.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(256):
+            memo.huge(k)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20 and memo.cache.cache_info().currsize == 0
+
+
+MEMO_POLICY = [answers_are_the_bodys, keeps_no_refusal, is_bounded, keeps_no_key_past_its_bound]

@@ -754,6 +754,34 @@ def test_a_count_or_radius_past_the_bit_cap(tmp_path, monkeypatch, capsys, argv,
     assert not (tmp_path / "out.svg").exists()
 
 
+# a refusal quotes a long argument by its first 40 characters and its length;
+# each of these used to echo it whole, 5 to 100 kB of stderr, and the level
+# raised int()'s own ValueError
+NINES = "9" * 5000
+LONG_ARGUMENTS = {
+    "window-entries": (("reduce", f"[{NINES},-{NINES},0]"),
+                       f"window entries must be integers, got '[{NINES[:39]}'... (10006 characters)"),
+    # the residue check echoed the window before the bit check ran
+    "window-residues": (("reduce", f"[{NINES[:4001]},-{NINES[:4001]},0]"),
+                        f"window '({NINES[:39]}'... (8010 characters) must meet each residue class mod 3 once"),
+    "riemann-quotient": (("riemann", "quotient", f"({NINES},0,0)"),
+                         f"exponents must be integers in '({NINES[:39]}'... (5006 characters)"),
+    "riemann-mult": (("riemann", "mult", f"Q^{NINES}", "W"),
+                     f"bad exponent in token 'Q^{NINES[:38]}'... (5002 characters)"),
+    "chord-letter": (("chord", "H" + "#" * 100_000),
+                     f"unknown note letter 'H' in 'H{'#' * 39}'... (100001 characters) at position 0"),
+    "chord-level": (("chord", f"C[q={NINES}]"), "comma level of 5000 characters is too long to read "
+                    f"in 'C[q={NINES[:36]}'... (5005 characters) at position 4"),
+}
+
+
+@pytest.mark.parametrize("argv, message", LONG_ARGUMENTS.values(), ids=LONG_ARGUMENTS)
+def test_a_refusal_quotes_a_long_argument_by_its_prefix(capsys, argv, message):
+    err = run_refused(capsys, *argv)
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) <= 300 and max(argv, key=len) not in err
+
+
 def test_every_limit_has_cases_and_is_in_help(capsys):
     assert {case[0] for case in LIMIT_CASES.values()} == set(cli.LIMITS)
     _, out, _ = run(capsys, "--help")

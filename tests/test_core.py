@@ -19,6 +19,7 @@ from tonnetz.core import (
     generator,
     parse_window,
     parse_word,
+    quote,
     right_mult_generator,
     translation_factor,
     triangle_to_perm,
@@ -340,6 +341,13 @@ def test_window_parse_format():
         parse_window("-3,2,1")
     with pytest.raises(ValueError):
         parse_window("[1,2]")
+
+
+def test_quote_shows_a_long_value_by_its_prefix_and_length():
+    # a value of 40 characters is its repr, as every refusal of a short input was
+    assert quote("C" * 40) == repr("C" * 40) and quote((1, -1, 0)) == "(1, -1, 0)"
+    assert quote("C" * 41) == f"'{'C' * 40}'... (41 characters)"
+    assert quote((10**40, 0, 0)) == f"'(1{'0' * 38}'... (49 characters)"
 
 
 def test_word_parse_format():

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from conftest import long_words, within_budget
+from conftest import NOT_TRIANGLES, long_words, refuses_by_name
 from hypothesis import given
 
 from tonnetz.core import AffinePermutation, TriangleCoords, ball, from_word, generator, parse_window
@@ -150,53 +150,19 @@ def test_triangle_maps_on_long_words(word):
     check_triangle_maps(from_word(word))
 
 
-# unchecked, an orientation of None or 1 would be read by its truth, and a
-# float root would reach list indexing
-@pytest.mark.parametrize(
-    "t", [Triangle((0, 0), None), Triangle((0, 0), 1), Triangle((0.5, 0), True)], ids=repr
-)
-def test_perm_of_refuses_a_triangle_off_the_lattice(t):
-    with pytest.raises(ValueError, match=r"is not a lattice triangle: its root must be"):
-        perm_of(t)
-
-
-def test_gallery_distance_bfs_rejects_off_lattice_triangles():
-    # no flip reaches a triangle whose root is not integral, so a search
-    # for one would never end; the alarm fails the test if it hangs
-    off = Triangle((0.5, 0), True)
-    for pair in ((BASE_TRIANGLE, off), (off, BASE_TRIANGLE)):
-        with within_budget(), pytest.raises(ValueError, match="not a lattice triangle"):
-            gallery_distance_bfs(*pair)
-
-
-def test_bfs_rejects_non_bool_orientation():
-    # the flip table is keyed by orientation; 2 used to surface as KeyError
-    odd = Triangle((3, 0), 2)
-    for pair in ((BASE_TRIANGLE, odd), (odd, BASE_TRIANGLE)):
-        with pytest.raises(ValueError, match="not a lattice triangle"):
-            gallery_distance_bfs(*pair)
-    with pytest.raises(ValueError, match="not a lattice triangle"):
-        triangle_ball(odd, 2)
-    with pytest.raises(ValueError, match="not a lattice triangle"):
-        triangle_ball(Triangle((0.5, 0), True), 2)
-
-
-# values of other shapes than ((int, int), bool); the last is the old
-# (triangle, "center") highlight pair
-NOT_TRIANGLES = [None, "C", 5, ("junk", 5, None), ((0, 0, 0), True), (BASE_TRIANGLE, "center")]
+# perm_of and both searches, either side of gallery_distance_bfs
+TRIANGLE_ENTRY_POINTS = {
+    "perm-of": perm_of,
+    "triangle-ball": lambda t: triangle_ball(t, 1),
+    "bfs-from": lambda t: gallery_distance_bfs(t, BASE_TRIANGLE),
+    "bfs-to": lambda t: gallery_distance_bfs(BASE_TRIANGLE, t),
+}
 
 
 @pytest.mark.parametrize("value", NOT_TRIANGLES, ids=repr)
-def test_searches_refuse_a_value_of_another_shape(value):
-    # unpacking used to raise its own error: TypeError for None and 5, a
-    # bare ValueError for "C"
-    for search in (
-        lambda: triangle_ball(value, 1),
-        lambda: gallery_distance_bfs(BASE_TRIANGLE, value),
-        lambda: gallery_distance_bfs(value, BASE_TRIANGLE),
-    ):
-        with pytest.raises(ValueError, match=r"is not a lattice triangle: its root must be"):
-            search()
+@pytest.mark.parametrize("call", TRIANGLE_ENTRY_POINTS.values(), ids=TRIANGLE_ENTRY_POINTS)
+def test_entry_points_refuse_what_is_not_a_triangle(call, value):
+    refuses_by_name(call, value)
 
 
 def test_right_multiplication_is_a_flip():

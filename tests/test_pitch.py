@@ -1,10 +1,9 @@
 """Note spelling on the lattice, chord symbols, hexagon common tones."""
 
 import re
-import tracemalloc
 
 import pytest
-from conftest import within_budget
+from conftest import MEMO_POLICY, MEMOS, within_budget
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,7 +13,6 @@ from tonnetz.pitch import (
     ChordName,
     ChordParseError,
     NoteName,
-    _parse_chord,
     accidental_string,
     chord_tones,
     chord_triangle,
@@ -186,6 +184,19 @@ def test_parse_chord_errors():
         assert exc.value.position == 2
 
 
+def test_parse_chord_refuses_a_level_int_cannot_read():
+    # int() reads at most 4300 digits; past them it raised its own ValueError,
+    # which echoed no symbol and no position
+    symbol = f"C[q={'9' * 5000}]"
+    with pytest.raises(ChordParseError) as exc:
+        parse_chord(symbol)
+    assert str(exc.value) == (
+        f"comma level of 5000 characters is too long to read in 'C[q={'9' * 36}'... "
+        "(5005 characters) at position 4"
+    )
+    assert (exc.value.text, exc.value.position) == (symbol, 4)
+
+
 def test_chord_symbol_round_trip():
     for symbol in ("C", "C#m", "Ebm", "Fx", "Gbb", "Am"):
         chord, _ = parse_chord(symbol)
@@ -256,78 +267,9 @@ def test_parse_chord_counts_accidentals_in_closed_form():
         assert chord.root.fifth_index == fifth_index
 
 
-@pytest.mark.parametrize("commas", [(1, True, 1.0), (1.0, True, 1)])
-def test_parse_chord_memo_keeps_equal_keys_of_other_types_apart(commas):
-    # 1, True and 1.0 are equal and hash alike: 1 and True give two different
-    # answers, and 1.0 is refused whether or not 1 is in the memo
-    answers = {repr(_parse_chord.__wrapped__("C", c)) for c in commas if not isinstance(c, float)}
-    assert len(answers) == 2
-    _parse_chord.cache_clear()
-    for c in commas:
-        if isinstance(c, float):
-            size = _parse_chord.cache_info().currsize
-            refusal = r"^default_comma must be an int or None, got 1\.0$"
-            with pytest.raises(TypeError, match=refusal):
-                parse_chord("C", c)
-            assert _parse_chord.cache_info().currsize == size
-        else:
-            assert repr(parse_chord("C", c)) == repr(_parse_chord.__wrapped__("C", c))
-
-
-def test_parse_chord_memo_keeps_no_refusal():
-    size = _parse_chord.cache_info().currsize
-    for _ in range(2):
-        with pytest.raises(ChordParseError):
-            parse_chord("C#b")
-        assert _parse_chord.cache_info().currsize == size
-
-
-def test_parse_chord_memo_is_bounded():
-    _parse_chord.cache_clear()
-    for comma in range(2 * 256):
-        parse_chord("C", comma)
-    assert _parse_chord.cache_info().currsize == 256
-
-
-def test_parse_chord_memo_keeps_no_long_symbol():
-    # 256 distinct symbols of 100,000 sharps each, dropped once parsed
-    _parse_chord.cache_clear()
-    tracemalloc.start()
-    try:
-        for extra in range(256):
-            chord, _ = parse_chord("C" + "#" * (100_000 + extra))
-            assert chord.root.fifth_index == 7 * (100_000 + extra)
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert kept < 2**20
-    assert _parse_chord.cache_info().currsize == 0
-    # a symbol at the memo's length is kept, one longer is not
-    parse_chord("C" + "#" * 63)
-    parse_chord("C" + "#" * 64)
-    assert _parse_chord.cache_info().currsize == 1
-
-
-def test_parse_chord_memo_keeps_no_huge_comma_level():
-    # 256 distinct levels of 100,000 digits each, dropped once parsed
-    huge = 10**100_000
-    _parse_chord.cache_clear()
-    tracemalloc.start()
-    try:
-        for extra in range(256):
-            level = (huge + extra) * (-1) ** extra
-            chord, _ = parse_chord("C", level)
-            assert chord.root.comma == level
-        del chord, level
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert kept < 2**20
-    assert _parse_chord.cache_info().currsize == 0
-    # a level below 2**63 in magnitude is kept, one at 2**63 is not
-    for level in (2**63 - 1, -(2**63 - 1), 2**63, -(2**63)):
-        parse_chord("C", level)
-    assert _parse_chord.cache_info().currsize == 2
+@pytest.mark.parametrize("check", MEMO_POLICY, ids=lambda check: check.__name__)
+def test_parse_chord_memo_keeps_the_policy(check):
+    check(MEMOS["parse_chord"])
 
 
 # hashable or not, long or short, each is refused before the memo, by name;

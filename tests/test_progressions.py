@@ -1,17 +1,18 @@
 """Parsimonious moves, hexagon and rotation cycles, stripes, analysis."""
 
 import hashlib
+import importlib
+import pkgutil
 import random
 import re
-import tracemalloc
 
 import pytest
-from conftest import within_budget
+from conftest import MEMO_POLICY, MEMOS, NOT_TRIANGLES, refuses_by_name
 
+import tonnetz
 from tonnetz.lattice import BASE_TRIANGLE, Triangle, class_vertex, format_triangle, triangle_ball
 from tonnetz.pitch import (
     ChordName,
-    ChordParseError,
     NoteName,
     chord_tones,
     format_chord,
@@ -23,8 +24,6 @@ from tonnetz.progressions import (
     _SHARED,
     StripeKind,
     _hexagon_cycle,
-    _plr_word,
-    _step,
     analyze,
     apply_move,
     apply_plr,
@@ -103,54 +102,6 @@ def test_hexagon_cycle_around_e():
     assert format_note(cyc.common_tone) == "E"
     assert [format_chord(c) for c in cyc.chords] == ["C", "Em", "E", "C#m", "A", "Am"]
     assert len(set(cyc.triangles)) == 6
-
-
-@pytest.mark.parametrize("roots", [((0, True), (0, 1)), ((0, 1), (0, True))])
-def test_hexagon_cycle_memo_keeps_nested_types_apart(roots):
-    triangles = [Triangle(root, True) for root in roots]
-    # the two are equal and hash alike, but the bool root spells comma True
-    assert len({repr(_hexagon_cycle.__wrapped__(*t.root, t.up)) for t in triangles}) == 2
-    _hexagon_cycle.cache_clear()
-    for t in triangles:
-        assert repr(hexagon_cycle(t)) == repr(_hexagon_cycle.__wrapped__(*t.root, t.up))
-
-
-def test_hexagon_cycle_memo_keeps_no_refusal():
-    _hexagon_cycle.cache_clear()
-    for t in (Triangle((0, 0), 1), Triangle((0.5, 0), True), None):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="is not a lattice triangle"):
-                hexagon_cycle(t)
-    assert _hexagon_cycle.cache_info().currsize == 0
-
-
-def test_hexagon_cycle_memo_is_bounded():
-    _hexagon_cycle.cache_clear()
-    for p in range(2 * 256):
-        hexagon_cycle(Triangle((p, 0), True))
-    assert _hexagon_cycle.cache_info().currsize == 256
-
-
-def test_hexagon_cycle_memo_keeps_no_huge_root():
-    # 256 distinct triangles with a coordinate of 100,000 digits, dropped once used
-    huge = 10**100_000
-    _hexagon_cycle.cache_clear()
-    tracemalloc.start()
-    try:
-        for extra in range(256):
-            n = (huge + extra) * (-1) ** extra
-            t = Triangle((n, 0) if extra % 4 < 2 else (0, n), up=extra % 3 == 0)
-            assert hexagon_cycle(t).triangles[0] == t
-        del n, t
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert kept < 2**20
-    assert _hexagon_cycle.cache_info().currsize == 0
-    # a root below 2**63 in magnitude is kept, one that reaches it is not
-    for root in ((2**63 - 1, -(2**63 - 1)), (2**63, 0), (0, -(2**63))):
-        hexagon_cycle(Triangle(root, True))
-    assert _hexagon_cycle.cache_info().currsize == 1
 
 
 def test_vertex_cycle_around_g():
@@ -361,39 +312,6 @@ def test_analyze_shares_nothing_off_the_table():
                         assert shared_tones(prev, Triangle((0, 0), up)) == (), prev
 
 
-def wrapped_steps(symbols, default_comma=None):
-    """analyze's steps with each later one computed afresh by the memo's body."""
-    steps = list(analyze(symbols[:1], default_comma).steps)
-    for symbol in symbols[1:]:
-        (p, q), up = steps[-1].triangle
-        steps.append(_step.__wrapped__(symbol, p, q, up))
-    return steps
-
-
-@pytest.mark.parametrize("levels", [(1, True), (True, 1)])
-def test_analyze_memo_keeps_equal_keys_of_other_types_apart(levels):
-    # C at level True has the root (-4, True), equal to (-4, 1) and hashing
-    # alike, so G after it keeps an entry of its own; Am after G shares one
-    _step.cache_clear()
-    for kept, level in zip((2, 3), levels):
-        symbols = ["C", "G", "Am"]
-        report = analyze(symbols, level)
-        assert type(report.steps[0].triangle.root[1]) is type(level)
-        assert repr(list(report.steps)) == repr(wrapped_steps(symbols, level))
-        assert _step.cache_info().currsize == kept
-
-
-def test_analyze_memo_keeps_no_refusal():
-    _step.cache_clear()
-    analyze(["C", "G"])
-    for symbol, error in (("H", ChordParseError), ("Cm7", ChordParseError), (5, TypeError)):
-        # refused every time, also from the previous triangle G was answered from
-        for _ in range(2):
-            with pytest.raises(error):
-                analyze(["C", symbol])
-    assert _step.cache_info().currsize == 1
-
-
 @pytest.mark.parametrize("symbol", [5, None, b"C", ["C"]], ids=repr)
 @pytest.mark.parametrize("at", [0, 1])
 def test_analyze_refuses_what_is_not_a_string(symbol, at):
@@ -403,134 +321,42 @@ def test_analyze_refuses_what_is_not_a_string(symbol, at):
         analyze(symbols)
 
 
-def test_analyze_memo_keeps_no_long_symbol_or_huge_root():
-    _step.cache_clear()
-    # a symbol of 65 characters; a previous root from a [q=n] chord and from a
-    # default comma at 2**63 and past it, and from level 2**61, root -2**63
-    analyze(["C", "C" + "#" * 64])
-    analyze(["Cm[q=99999999999999999999999]", "G"])
-    for level in (2**63, -(2**63), 2**61):
-        analyze(["C", "G"], level)
-    assert _step.cache_info().currsize == 0
-    # a symbol of 64 characters and a root below 2**63 in magnitude are kept
-    analyze(["C", "C" + "#" * 63])
-    analyze(["C", "G"], 2**61 - 1)
-    assert _step.cache_info().currsize == 2
-
-
-def test_analyze_memo_keeps_no_huge_default_comma():
-    # 256 first chords at levels of 100,000 digits, dropped once used
-    huge = 10**100_000
-    _step.cache_clear()
-    tracemalloc.start()
-    try:
-        for extra in range(256):
-            level = (huge + extra) * (-1) ** extra
-            first, step = analyze(["Am", "C"], level).steps
-            assert step.distance == 1 and abs(step.triangle.root[1] - level) <= 4
-        del first, step, level
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert kept < 2**20
-    assert _step.cache_info().currsize == 0
-
-
-def test_analyze_memo_is_bounded():
-    _step.cache_clear()
-    for q in range(2 * 1024):
-        analyze([f"C[q={q}]", "G"])
-    assert _step.cache_info().currsize == 1024
-
-
-def test_plr_path_memo_keeps_words_of_at_most_64_flips():
-    # a progression's short paths repeat and share a word; a longer path is
-    # walked afresh and not kept
-    _plr_word.cache_clear()
-    for goal, kept in ((Triangle((32, 0), up=False), 0), (Triangle((32, 0), up=True), 1)):
-        word = plr_path(BASE_TRIANGLE, goal)
-        assert apply_plr(BASE_TRIANGLE, word) == goal
-        assert _plr_word.cache_info().currsize == kept
-    assert plr_path(BASE_TRIANGLE, goal) is word
-    assert len(word) == 64 and _plr_word.cache_info().hits == 1
-
-
-def test_plr_path_rejects_off_lattice_triangles():
-    # off the lattice no flip brings the walk closer to the goal, so it
-    # never ended; the alarm fails the test if it hangs
-    off = Triangle((0.5, 0), True)
-    for pair in ((BASE_TRIANGLE, off), (off, BASE_TRIANGLE)):
-        with within_budget(), pytest.raises(ValueError, match="not a lattice triangle"):
-            plr_path(*pair)
-
-
-def test_plr_path_rejects_non_bool_orientation():
-    # up=2 used to walk as an up triangle and return the wrong word RLRLRL
-    odd = Triangle((3, 0), 2)
-    for pair in ((BASE_TRIANGLE, odd), (odd, BASE_TRIANGLE)):
-        with pytest.raises(ValueError, match="not a lattice triangle"):
-            plr_path(*pair)
-
-
-@pytest.mark.parametrize("value", [None, "C", ("junk", 5, None)], ids=repr)
-def test_plr_path_refuses_a_value_of_another_shape(value):
-    for pair in ((BASE_TRIANGLE, value), (value, BASE_TRIANGLE)):
-        with pytest.raises(ValueError, match="is not a lattice triangle"):
-            plr_path(*pair)
-
-
-# every entry point refuses what plr_path refuses, with its ValueError, rather
-# than answer with roots or orientations off the lattice or fail on an index
-OFF_LATTICE = {
-    "stripe-half-root": (stripe, Triangle((0.5, 0), True), "fifths", 1),
-    "stripe-up-2": (stripe, Triangle((0, 0), 2), "fifths", 1),
-    "apply-plr-up-2": (apply_plr, Triangle((0, 0), 2), "P"),
-    "vertex-cycle-half-root": (vertex_cycle, Triangle((0.5, 0), True), (0, 0)),
-    "hexagon-cycle-up-2": (hexagon_cycle, Triangle((0, 0), 2)),
-    "hexagon-cycle-up-1": (hexagon_cycle, Triangle((0, 0), 1)),
-    "hexagon-cycle-half-root": (hexagon_cycle, Triangle((0.5, 0), True)),
-    "hexagon-cycle-none": (hexagon_cycle, None),
-    "hexagon-cycle-name": (hexagon_cycle, "C"),
-    "rotation-cycle-up-none": (rotation_cycle, Triangle((0, 0), None)),
-    "translation-cycle-up-none": (translation_cycle, Triangle((0, 0), None)),
+# plr_path and triangle_distance on either side, and before None, so the first
+# value off the lattice is named; beside the base triangle the second is it too
+TRIANGLE_ENTRY_POINTS = {
+    "plr-path-from": lambda t: plr_path(t, BASE_TRIANGLE),
+    "plr-path-to": lambda t: plr_path(BASE_TRIANGLE, t),
+    "plr-path-first": lambda t: plr_path(t, t if t is BASE_TRIANGLE else None),
+    "triangle-distance-from": lambda t: triangle_distance(t, BASE_TRIANGLE),
+    "triangle-distance-to": lambda t: triangle_distance(BASE_TRIANGLE, t),
+    "triangle-distance-first": lambda t: triangle_distance(t, t if t is BASE_TRIANGLE else None),
+    "apply-plr": lambda t: apply_plr(t, "P"),
+    "apply-plr-empty": lambda t: apply_plr(t, ""),
+    "stripe": lambda t: stripe(t, "fifths", 1),
+    "vertex-cycle": lambda t: vertex_cycle(t, (0, 0)),
+    "hexagon-cycle": hexagon_cycle,
+    "rotation-cycle": rotation_cycle,
+    "translation-cycle": translation_cycle,
 }
 
 
-@pytest.mark.parametrize("case", OFF_LATTICE.values(), ids=OFF_LATTICE)
-def test_entry_points_refuse_off_lattice_triangles(case):
-    fn, t, *args = case
-    _hexagon_cycle.cache_clear()
-    refusal = rf"^{re.escape(repr(t))} is not a lattice triangle"
-    with pytest.raises(ValueError, match=refusal):
-        fn(t, *args)
-    # and still after the base triangle, which Triangle((0, 0), 1) equals, is answered
-    fn(BASE_TRIANGLE, *args)
-    with pytest.raises(ValueError, match=refusal):
-        fn(t, *args)
+@pytest.mark.parametrize("value", NOT_TRIANGLES, ids=repr)
+@pytest.mark.parametrize("call", TRIANGLE_ENTRY_POINTS.values(), ids=TRIANGLE_ENTRY_POINTS)
+def test_entry_points_refuse_what_is_not_a_triangle(call, value):
+    refuses_by_name(call, value)
 
 
-@pytest.mark.parametrize("t", [Triangle((0.5, 0), True), Triangle((0, 0), 2)], ids=repr)
-def test_triangle_distance_refuses_off_lattice_triangles(t):
-    for pair in ((t, BASE_TRIANGLE), (BASE_TRIANGLE, t)):
-        with pytest.raises(ValueError, match="is not a lattice triangle"):
-            triangle_distance(*pair)
+@pytest.mark.parametrize("check", MEMO_POLICY, ids=lambda check: check.__name__)
+@pytest.mark.parametrize("memo", ["hexagon_cycle", "analyze", "plr_path"])
+def test_memos_keep_the_policy(memo, check):
+    check(MEMOS[memo])
 
 
-@pytest.mark.parametrize(
-    "pair",
-    [
-        (Triangle((0.5, 0), True), None),
-        (None, Triangle((0, 0), 2)),
-        (((0, 0),), "C"),
-        (Triangle((0, 0), 1), Triangle((0.5, 0), 1)),
-    ],
-    ids=repr,
-)
-def test_two_triangle_entry_points_refuse_the_first_off_lattice(pair):
-    refusal = rf"^{re.escape(repr(pair[0]))} is not a lattice triangle"
-    for fn in (triangle_distance, plr_path):
-        with pytest.raises(ValueError, match=refusal):
-            fn(*pair)
+def test_the_memo_table_is_every_memo():
+    # a memo is a function with lru_cache's cache_info, in a module of the package
+    modules = [importlib.import_module(f"tonnetz.{m.name}") for m in pkgutil.iter_modules(tonnetz.__path__)]
+    found = {value for module in modules for value in vars(module).values() if hasattr(value, "cache_info")}
+    assert found == {memo.cache for memo in MEMOS.values()}
 
 
 # the progressions entry points, and the lattice and pitch functions they

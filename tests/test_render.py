@@ -4,6 +4,7 @@ import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
+from conftest import NOT_TRIANGLES, refuses_by_name
 
 from tonnetz.core import format_window
 from tonnetz.lattice import BASE_TRIANGLE, Triangle, perm_of, triangle_ball
@@ -127,21 +128,17 @@ def test_spec_validation():
         render_svg(RenderSpec(Triangle((0, 0), 1), 1))
 
 
-# the old (triangle, "center") pair among them
-@pytest.mark.parametrize(
-    "highlights",
-    [
-        ("junk", 5, None),
-        (BASE_TRIANGLE, "center"),
-        (Triangle((0.5, 0), True),),
-        (Triangle((0, 0), 1),),
-    ],
-    ids=repr,
-)
-def test_spec_refuses_highlights_off_the_lattice(highlights):
-    # each used to draw the same bytes as no highlights at all
-    with pytest.raises(ValueError, match="is not a lattice triangle"):
-        RenderSpec(BASE_TRIANGLE, 1, highlights=highlights)
+# the centre, and each highlight, which used to draw nothing if bad
+SPEC_TRIANGLES = {
+    "center": lambda t: RenderSpec(t, 1),
+    "highlights": lambda t: RenderSpec(BASE_TRIANGLE, 1, highlights=(BASE_TRIANGLE, t)),
+}
+
+
+@pytest.mark.parametrize("value", NOT_TRIANGLES, ids=repr)
+@pytest.mark.parametrize("call", SPEC_TRIANGLES.values(), ids=SPEC_TRIANGLES)
+def test_spec_refuses_what_is_not_a_triangle(call, value):
+    refuses_by_name(call, value)
 
 
 def test_spec_checks_a_replaced_field():
