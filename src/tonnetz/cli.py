@@ -34,6 +34,7 @@ from .core import (
     parse_window,
     parse_word,
     quote,
+    too_long_to_read,
 )
 from .lattice import Triangle, format_triangle, perm_of, triangle_of
 from .pitch import MAX_ACCIDENTALS, ChordName, format_chord, format_note, name_triangle, parse_chord
@@ -131,7 +132,8 @@ def _chord(text: str) -> tuple[ChordName, Triangle]:
         try:
             comma = int(raw)
         except ValueError:
-            raise ValueError(f"TONNETZ_DEFAULT_COMMA must be an integer, got {quote(raw)}") from None
+            why = too_long_to_read([raw], "TONNETZ_DEFAULT_COMMA") or "TONNETZ_DEFAULT_COMMA must be an integer"
+            raise ValueError(f"{why}, got {quote(raw)}") from None
         _within_bits("TONNETZ_DEFAULT_COMMA", comma)
     chord, t = parse_chord(text, comma)
     _within_bits("a comma level", chord.root.comma)

@@ -11,6 +11,7 @@ that correspondence lives in :mod:`tonnetz.lattice`.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from itertools import product
 from typing import Hashable, Iterable, Iterator, NamedTuple
@@ -474,6 +475,29 @@ def quote(value: str | tuple) -> str:
     return f"{shown[:QUOTE_CHARS]!r}... ({len(shown)} characters)"
 
 
+# the text of an integer as int() reads it: a sign, then digits grouped by
+# single underscores, with spaces round them
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def too_long_to_read(texts: Iterable[str], what: str) -> str | None:
+    """Why int() refused the first of texts it cannot read, if that text is an integer.
+
+    int() raises one ValueError both for a text that is no integer and for
+    one of more digits than sys.get_int_max_str_digits(); a refusal that
+    said "must be integers" of the latter would be wrong.  So this names
+    what and its length, or returns None for the caller's own refusal.
+    """
+    for text in texts:
+        try:
+            int(text)
+        except ValueError:
+            if _INTEGER_TEXT.fullmatch(text):
+                return f"{what} of {len(text.strip())} characters is too long to read"
+            return None
+    return None
+
+
 def parse_window(text: str) -> AffinePermutation:
     """Parse "[a,b,c]" (spaces allowed, unicode minus accepted)."""
     s = text.strip().replace("−", "-")
@@ -486,7 +510,8 @@ def parse_window(text: str) -> AffinePermutation:
     try:
         a, b, c = map(int, s[1:-1].split(","))
     except ValueError:
-        raise ValueError(f"window entries must be integers, got {quote(text)}") from None
+        why = too_long_to_read(s[1:-1].split(","), "window entry") or "window entries must be integers"
+        raise ValueError(f"{why}, got {quote(text)}") from None
     return AffinePermutation(a, b, c)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .core import quote
+from .core import quote, too_long_to_read
 from .lattice import Isometry
 
 
@@ -211,7 +211,8 @@ def parse_r(text: str) -> RElement:
         try:
             value = int(tok[2:])
         except ValueError:
-            raise ValueError(f"bad exponent in token {quote(tok)}") from None
+            why = too_long_to_read([tok[2:]], "exponent") or "bad exponent"
+            raise ValueError(f"{why} in token {quote(tok)}") from None
         if tok[0] in seen:
             raise ValueError(f"duplicate {tok[0]} token in {quote(text)}")
         seen.add(tok[0])
@@ -237,7 +238,8 @@ def parse_p(text: str) -> PElement:
     try:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError(f"exponents must be integers in {quote(text)}") from None
+        why = too_long_to_read(parts[:2], "exponent") or "exponents must be integers"
+        raise ValueError(f"{why} in {quote(text)}") from None
     if parts[2] not in ("0", "1"):
         raise ValueError(f"flip must be 0 or 1 in {quote(text)}")
     return PElement(a, b, parts[2] == "1")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tonnetz.lattice import BASE_TRIANGLE, Triangle
-from tonnetz.pitch import _parse_chord, parse_chord
+from tonnetz.pitch import ChordParseError, _parse_chord, parse_chord
 from tonnetz.progressions import _hexagon_cycle, _plr_word, _step, analyze, hexagon_cycle, plr_path
 
 BUDGET_S = 2.0
@@ -78,51 +78,102 @@ class Memo(NamedTuple):
     cache: Callable
     maxsize: int
     fill: Callable[[int], object]  # the call of the k-th of distinct keys
-    refused: tuple  # calls the function refuses
-    bounds: tuple  # (call, call) pairs: a key at the memo's bound, one just past it
-    huge: Callable[[int], object]  # the call of the k-th of 256 huge keys
-    typed: tuple = ()  # calls whose keys are equal but of different types
+    refused: list  # (exception, call) pairs: calls the function refuses, and with what
+    bounds: list  # (call, call) pairs: a key at the memo's bound, one just past it
+    huge: Callable[[int], bool]  # the call of the k-th of 256 huge keys, true if it answers right
+    typed: list = []  # calls whose keys are equal but of different types
 
 
 HUGE = 10**100_000
 
+
+def huge_level(k):
+    return (HUGE + k) * (-1) ** k
+
+
+def huge_triangle(k):
+    return Triangle((HUGE + k, 0) if k % 2 else (0, -HUGE - k), k % 3 == 0)
+
+
+def huge_chord(k):
+    """Sharps past the symbol bound for odd k, else a level past the int bound."""
+    if k % 2:
+        return parse_chord("C" + "#" * (100_000 + k))[0].root.fifth_index == 7 * (100_000 + k)
+    return parse_chord("C", huge_level(k))[0].root.comma == huge_level(k)
+
+
+def huge_step(k):
+    """Am then C at a huge level: C is one flip on, near the level."""
+    step = analyze(["Am", "C"], huge_level(k)).steps[1]
+    return step.distance == 1 and abs(step.triangle.root[1] - huge_level(k)) <= 4
+
+
 MEMOS = {
     "parse_chord": Memo(
-        _parse_chord, 256, lambda k: parse_chord("C", k),
-        (lambda: parse_chord("C#b"), lambda: parse_chord("C", 1.0)),
-        ((lambda: parse_chord("C" + "#" * 63), lambda: parse_chord("C" + "#" * 64)),
-         (lambda: parse_chord("C", 2**63 - 1), lambda: parse_chord("C", 2**63)),
-         (lambda: parse_chord("C", 1 - 2**63), lambda: parse_chord("C", -(2**63)))),
-        lambda k: parse_chord("C" + "#" * (100_000 + k)) if k % 2 else parse_chord("C", HUGE + k),
-        (lambda: parse_chord("G", 1), lambda: parse_chord("G", True)),
+        cache=_parse_chord,
+        maxsize=256,
+        fill=lambda k: parse_chord("C", k),
+        refused=[
+            (ChordParseError, lambda: parse_chord("C#b")),
+            (TypeError, lambda: parse_chord("C", 1.0)),
+        ],
+        bounds=[
+            (lambda: parse_chord("C" + "#" * 63), lambda: parse_chord("C" + "#" * 64)),
+            (lambda: parse_chord("C", 2**63 - 1), lambda: parse_chord("C", 2**63)),
+            (lambda: parse_chord("C", 1 - 2**63), lambda: parse_chord("C", -(2**63))),
+        ],
+        huge=huge_chord,
+        typed=[lambda: parse_chord("G", 1), lambda: parse_chord("G", True)],
     ),
     "hexagon_cycle": Memo(
-        _hexagon_cycle, 256, lambda k: hexagon_cycle(Triangle((k, 0), True)),
-        (lambda: hexagon_cycle(Triangle((0, 0), 1)), lambda: hexagon_cycle(None)),
-        ((lambda: hexagon_cycle(Triangle((2**63 - 1, 0), True)),
-          lambda: hexagon_cycle(Triangle((2**63, 0), True))),
-         (lambda: hexagon_cycle(Triangle((0, 1 - 2**63), False)),
-          lambda: hexagon_cycle(Triangle((0, -(2**63)), False)))),
-        lambda k: hexagon_cycle(Triangle((HUGE + k, 0) if k % 2 else (0, -HUGE - k), k % 3 == 0)),
-        (lambda: hexagon_cycle(Triangle((0, True), True)), lambda: hexagon_cycle(Triangle((0, 1), True))),
+        cache=_hexagon_cycle,
+        maxsize=256,
+        fill=lambda k: hexagon_cycle(Triangle((k, 0), True)),
+        refused=[
+            (ValueError, lambda: hexagon_cycle(Triangle((0, 0), 1))),
+            (ValueError, lambda: hexagon_cycle(None)),
+        ],
+        bounds=[
+            (lambda: hexagon_cycle(Triangle((2**63 - 1, 0), True)),
+             lambda: hexagon_cycle(Triangle((2**63, 0), True))),
+            (lambda: hexagon_cycle(Triangle((0, 1 - 2**63), False)),
+             lambda: hexagon_cycle(Triangle((0, -(2**63)), False))),
+        ],
+        huge=lambda k: hexagon_cycle(huge_triangle(k)).triangles[0] == huge_triangle(k),
+        typed=[
+            lambda: hexagon_cycle(Triangle((0, True), True)),
+            lambda: hexagon_cycle(Triangle((0, 1), True)),
+        ],
     ),
     # F and C at level -2**61 have roots of p = 2**63 - 1 and 2**63, G and C at 2**61 their negatives
     "analyze": Memo(
-        _step, 1024, lambda k: analyze([f"C[q={k}]", "G"]),
-        (lambda: analyze(["C", "H"]), lambda: analyze(["C", "Cm7"]), lambda: analyze(["C", 5])),
-        ((lambda: analyze(["C", "C" + "#" * 63]), lambda: analyze(["C", "C" + "#" * 64])),
-         (lambda: analyze(["F", "G"], -(2**61)), lambda: analyze(["C", "G"], -(2**61))),
-         (lambda: analyze(["G", "C"], 2**61), lambda: analyze(["C", "G"], 2**61))),
-        lambda k: analyze(["Am", "C"], (HUGE + k) * (-1) ** k),
-        (lambda: analyze(["Cm", "G"], 1), lambda: analyze(["Cm", "G"], True)),
+        cache=_step,
+        maxsize=1024,
+        fill=lambda k: analyze([f"C[q={k}]", "G"]),
+        refused=[
+            (ChordParseError, lambda: analyze(["C", "H"])),
+            (ChordParseError, lambda: analyze(["C", "Cm7"])),
+            (TypeError, lambda: analyze(["C", 5])),
+        ],
+        bounds=[
+            (lambda: analyze(["C", "C" + "#" * 63]), lambda: analyze(["C", "C" + "#" * 64])),
+            (lambda: analyze(["F", "G"], -(2**61)), lambda: analyze(["C", "G"], -(2**61))),
+            (lambda: analyze(["G", "C"], 2**61), lambda: analyze(["C", "G"], 2**61)),
+        ],
+        huge=huge_step,
+        typed=[lambda: analyze(["Cm", "G"], 1), lambda: analyze(["Cm", "G"], True)],
     ),
-    # paths of at most 64 flips: U(32,0) is 64 from the base, D(32,0) 65; a huge one is 5,000
+    # paths of at most 64 flips: U(32,0) is 64 from the base, D(32,0) 65; U(n,0) is (RL)^n
     "plr_path": Memo(
-        _plr_word, 256, lambda k: plr_path(BASE_TRIANGLE, Triangle((k // 23 - 11, k % 23 - 11), True)),
-        (lambda: plr_path(BASE_TRIANGLE, Triangle((0, 0), 1)),),
-        ((lambda: plr_path(BASE_TRIANGLE, Triangle((32, 0), True)),
-          lambda: plr_path(BASE_TRIANGLE, Triangle((32, 0), False))),),
-        lambda k: plr_path(BASE_TRIANGLE, Triangle((2500 + k, 0), True)),
+        cache=_plr_word,
+        maxsize=256,
+        fill=lambda k: plr_path(BASE_TRIANGLE, Triangle((k // 23 - 11, k % 23 - 11), True)),
+        refused=[(ValueError, lambda: plr_path(BASE_TRIANGLE, Triangle((0, 0), 1)))],
+        bounds=[
+            (lambda: plr_path(BASE_TRIANGLE, Triangle((32, 0), True)),
+             lambda: plr_path(BASE_TRIANGLE, Triangle((32, 0), False))),
+        ],
+        huge=lambda k: plr_path(BASE_TRIANGLE, Triangle((2500 + k, 0), True)) == "RL" * (2500 + k),
     ),
 }
 
@@ -141,8 +192,8 @@ def answers_are_the_bodys(memo):
 def keeps_no_refusal(memo):
     memo.cache.cache_clear()
     for k in range(3):
-        for call in memo.refused:
-            with pytest.raises((TypeError, ValueError)):
+        for refusal, call in memo.refused:
+            with pytest.raises(refusal):
                 call()
         memo.fill(k)
     assert memo.cache.cache_info().currsize == 3
@@ -164,7 +215,7 @@ def keeps_no_key_past_its_bound(memo):
     tracemalloc.start()
     try:
         for k in range(256):
-            memo.huge(k)
+            assert memo.huge(k)
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

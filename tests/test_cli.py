@@ -481,6 +481,12 @@ def test_default_comma_env_invalid(monkeypatch, capsys):
     assert "TONNETZ_DEFAULT_COMMA" in err
 
 
+def test_default_comma_env_past_the_digit_limit(monkeypatch, capsys):
+    monkeypatch.setenv("TONNETZ_DEFAULT_COMMA", "9" * 5000)
+    message = f"TONNETZ_DEFAULT_COMMA of 5000 characters is too long to read, got '{'9' * 40}'... (5000 characters)"
+    assert run_refused(capsys, "locate", "C") == f"error: {message}\n"
+
+
 # --- hostile inputs: huge windows and far chords finish quickly ----------------
 
 HUGE_WINDOWS = ["[-3000001,3000000,1]", "[2999999,-999999,-2000000]"]
@@ -755,19 +761,20 @@ def test_a_count_or_radius_past_the_bit_cap(tmp_path, monkeypatch, capsys, argv,
 
 
 # a refusal quotes a long argument by its first 40 characters and its length;
-# each of these used to echo it whole, 5 to 100 kB of stderr, and the level
-# raised int()'s own ValueError
+# each of these used to echo it whole, 5 to 100 kB of stderr; the level raised
+# int()'s own ValueError, and the other integers past int()'s digit limit were
+# refused as not integers
 NINES = "9" * 5000
 LONG_ARGUMENTS = {
-    "window-entries": (("reduce", f"[{NINES},-{NINES},0]"),
-                       f"window entries must be integers, got '[{NINES[:39]}'... (10006 characters)"),
+    "window-entries": (("reduce", f"[{NINES},-{NINES},0]"), "window entry of 5000 characters is too long "
+                       f"to read, got '[{NINES[:39]}'... (10006 characters)"),
     # the residue check echoed the window before the bit check ran
     "window-residues": (("reduce", f"[{NINES[:4001]},-{NINES[:4001]},0]"),
                         f"window '({NINES[:39]}'... (8010 characters) must meet each residue class mod 3 once"),
-    "riemann-quotient": (("riemann", "quotient", f"({NINES},0,0)"),
-                         f"exponents must be integers in '({NINES[:39]}'... (5006 characters)"),
-    "riemann-mult": (("riemann", "mult", f"Q^{NINES}", "W"),
-                     f"bad exponent in token 'Q^{NINES[:38]}'... (5002 characters)"),
+    "riemann-quotient": (("riemann", "quotient", f"({NINES},0,0)"), "exponent of 5000 characters is too "
+                         f"long to read in '({NINES[:39]}'... (5006 characters)"),
+    "riemann-mult": (("riemann", "mult", f"Q^{NINES}", "W"), "exponent of 5000 characters is too long to "
+                     f"read in token 'Q^{NINES[:38]}'... (5002 characters)"),
     "chord-letter": (("chord", "H" + "#" * 100_000),
                      f"unknown note letter 'H' in 'H{'#' * 39}'... (100001 characters) at position 0"),
     "chord-level": (("chord", f"C[q={NINES}]"), "comma level of 5000 characters is too long to read "

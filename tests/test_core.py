@@ -21,6 +21,7 @@ from tonnetz.core import (
     parse_word,
     quote,
     right_mult_generator,
+    too_long_to_read,
     translation_factor,
     triangle_to_perm,
 )
@@ -348,6 +349,15 @@ def test_quote_shows_a_long_value_by_its_prefix_and_length():
     assert quote("C" * 40) == repr("C" * 40) and quote((1, -1, 0)) == "(1, -1, 0)"
     assert quote("C" * 41) == f"'{'C' * 40}'... (41 characters)"
     assert quote((10**40, 0, 0)) == f"'(1{'0' * 38}'... (49 characters)"
+
+
+def test_an_integer_past_the_digit_limit_is_refused_by_its_length():
+    # int() gives one ValueError for "x" and for 5000 digits; the first text it refuses decides
+    nines = "9" * 5000
+    assert too_long_to_read(["1", f" -{nines} "], "entry") == "entry of 5001 characters is too long to read"
+    assert too_long_to_read([f"{nines[:2500]}_{nines[:2500]}"], "entry") is not None
+    assert too_long_to_read(["x", nines], "entry") is None
+    assert too_long_to_read([nines + "x", "1__0"], "entry") is None
 
 
 def test_word_parse_format():
