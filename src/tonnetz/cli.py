@@ -27,6 +27,7 @@ import os
 import sys
 
 from .core import (
+    QUOTE_CHARS,
     AffinePermutation,
     format_window,
     format_word,
@@ -265,7 +266,9 @@ def cmd_path(args: argparse.Namespace) -> tuple:
 
     _, start = _chord(args.start)
     _, goal = _chord(args.goal)
-    _within("path_flips", triangle_distance(start, goal), start=args.start, goal=args.goal)
+    # the symbols as typed; a long one as quote shows it, not whole
+    start_text, goal_text = (s if len(s) <= QUOTE_CHARS else quote(s) for s in (args.start, args.goal))
+    _within("path_flips", triangle_distance(start, goal), start=start_text, goal=goal_text)
     word = plr_path(start, goal)
     g = perm_of(start).inverse() * perm_of(goal)
     payload = {

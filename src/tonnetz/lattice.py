@@ -341,56 +341,68 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     """Minimal number of edge flips from t1 to t2, by breadth-first search.
 
     This is the independent oracle for Coxeter length: for any element f,
-    gallery_distance_bfs(base, triangle_of(f)) == f.length().  Two searches,
-    one from each triangle, take turns and meet in the middle.
+    gallery_distance_bfs(base, triangle_of(f)) == f.length().  Two balls,
+    one about each triangle, grow until they meet in the middle.
 
-    Each side holds a ball: every triangle that a walk of k flips from its
-    start reaches.  Every flip turns a triangle over, so the flip graph is
-    bipartite, and a walk of k flips ends on layer k, k - 2, ... and on
-    every triangle of those layers: a walk can always step out and back.
-    All of a ball's triangles then point the same way, up exactly when the
-    start points up and k is even, or it points down and k is odd, so a
-    root names its triangle, and a ball is one int, a bitmask with bit
+    A ball is every triangle that a walk of k flips from its start reaches.
+    Every flip turns a triangle over, so the flip graph is bipartite, and a
+    walk of k flips ends on layer k, k - 2, ... and on every triangle of
+    those layers: a walk can always step out and back.  All of a ball's
+    triangles then point the same way, up exactly when the start points up
+    and k is even, or it points down and k is odd, so a root names its
+    triangle, and a ball is one int, a bitmask with bit
     (p - p0 + r) * w + (q - q0 + r) set for each root (p, q), on a frame of
-    w = 2r + 1 rows and columns centred on the side's own root (p0, q0).
-    A flip moves the root by one of three fixed offsets; the fifth keeps
-    it, and the other two are one left and one right shift of the bitmask,
-    so the next ball is b | b << left | b >> right, with nothing to subtract.
+    w = 2r + 1 rows and columns centred on the start's own root (p0, q0).
+    A flip moves the root by one of three fixed offsets of its triangle's
+    orientation; the fifth keeps it, and the other two are one left and one
+    right shift of the bitmask, so the next ball is b | b << left | b >> right,
+    with nothing to subtract.
+
+    Both balls are one int, in frames of one width, at every even depth:
+    a ball's roots, less its start's, are the sums of one offset of each
+    step, and two steps from either orientation add one up offset and one
+    down offset, in either order.  When t1 and t2 point the same way they
+    are one int at every depth.  So the search grows t1's ball alone, b1,
+    and t2's ball b2 is b1 but for one step with t2's own shifts out of
+    each even depth when the orientations differ.  The sums are exact: the
+    frame keeps every root in its place, as below, so a shift adds an offset.
 
     Two balls of depths k1 and k2 share a triangle exactly when some walk of
     k1 + k2 flips joins t1 to t2.  All walks between two triangles have the
     parity of their distance d, and a shortest one can be lengthened two
     flips at a time, so that happens exactly when k1 + k2 >= d and
     k1 + k2 has d's parity, which is the parity of t1.up != t2.up.  The
-    sides take turns, t1's first, and the balls are compared only after a
-    turn that brings the depths to that parity: once every two layers, and
-    the first meeting is at depth d.
+    balls are compared after each step of b1, at depths k1 = k2 when that
+    parity is even and k1 = k2 + 1 when it is odd, so k1 + k2 grows by two
+    from one test to the next, and the first meeting is at k1 + k2 = d.
 
     The distance is symmetric, so the search names the triangle with the
     smaller root t1.  Both frames have width w, so a root's bit in t1's
     frame is its bit in t2's plus c = dp * w + dq, where (dp, dq) is t2's
-    root less t1's and c >= 0, as |dq| < w: the balls meet where b1 and
-    b2 << c share a bit.  A root of t2's frame whose column plus dq falls
-    outside 0 .. w - 1 lies outside t1's frame, but the shift carries it
-    into the next or the previous row, onto a root it is not; a column
-    mask, built once per call, drops those columns from the test.
+    root less t1's and c >= 0, as |dq| < w: the balls meet where b1 >> c
+    and b2 share a bit, a test on ints of t2's frame, not of w^2 + c bits.
+    A root of t1's frame whose column less dq falls outside 0 .. w - 1 lies
+    outside t2's frame, but the shift carries it into the next or the
+    previous row, onto a root it is not; a mask of t2's columns that are
+    t1's too, built once per call, drops those columns from the test.
 
     The frame is sized by the lattice's hexagonal metric, with
     h = max(|dp|, |dq|, |dp + dq|).  Two flips move a root one step along
     (1, 0), (0, 1) or (1, -1), or back, so 2h flips reach t2's root with
     t1's orientation, and the fifth flip, which keeps the root, turns the
-    triangle over: the distance is at most 2h + 1, and each side stops by
-    depth K = h + 1.  A side that would pass depth K raises instead: a
+    triangle over: the distance is at most 2h + 1, and each ball stops by
+    depth K = h + 1.  A ball that would pass depth K raises instead: a
     wrong bound is an error, never a wrong distance.  k flips move a root
     at most ceil(k / 2) of those steps, so at most that far along each axis,
-    and the margin r = ceil(K / 2) keeps every root a side reaches inside
+    and the margin r = ceil(K / 2) keeps every root a ball reaches inside
     its frame, so no shift carries a bit across a row.
 
-    A layer costs 4 big-int operations on (2r + 1)^2 bits, about h^2, and
-    a meet test 3 more every two layers, so a search at distance D takes
-    time about D^3 in every direction, where one over sets of roots takes
-    about D^2; the bitmask is much the faster at the distances the tests
-    and the benchmark ask for, up to a few hundred.
+    The search takes about D / 2 steps of b1 at distance D, each 4 big-int
+    operations on (2r + 1)^2 bits, about h^2, and a meet test 3 more, with
+    a step of b2 after every other one when the orientations differ.  So it
+    takes time about D^3 in every direction, where one over sets of roots
+    takes about D^2; the bitmask is much the faster at the distances the
+    tests and the benchmark ask for, up to a few hundred.
 
     >>> gallery_distance_bfs(BASE_TRIANGLE, Triangle((2, -1), up=False))
     5
@@ -411,23 +423,22 @@ def gallery_distance_bfs(t1: Triangle, t2: Triangle) -> int:
     for o, offsets in _FLIP_OFFSETS.items():
         right, _, left = sorted(a * w + b for a, b in offsets.values())
         shifts[o] = left, -right
-    # out of even depths, then out of odd ones
     steps1 = shifts[up1], shifts[not up1]
-    steps2 = shifts[up2], shifts[not up2]
+    left2, right2 = shifts[up2]
     c = dp * w + dq
-    # t1's columns that are t2's columns too, in every row
+    # t2's columns that are t1's columns too, in every row
     rows = ((1 << w * w) - 1) // ((1 << w) - 1)
-    mask = ((1 << min(w, w + dq)) - (1 << max(0, dq))) * rows
+    mask = ((1 << min(w, w - dq)) - (1 << max(0, -dq))) * rows
     odd = up1 != up2
     b1 = b2 = 1 << r * w + r
     for depth in range(bound):
         left, right = steps1[depth % 2]
         b1 |= b1 << left | b1 >> right
-        if odd and b1 & b2 << c & mask:
+        if odd and b1 >> c & b2 & mask:
             return 2 * depth + 1
-        left, right = steps2[depth % 2]
-        b2 |= b2 << left | b2 >> right
-        if not odd and b1 & b2 << c & mask:
+        # t2's ball is t1's, but for one step with t2's shifts out of an even depth
+        b2 = b2 | b2 << left2 | b2 >> right2 if odd and not depth % 2 else b1
+        if not odd and b1 >> c & b2 & mask:
             return 2 * depth + 2
     raise RuntimeError(f"flip search from {t1} to {t2} passed its depth bound {bound}")
 

@@ -193,9 +193,10 @@ def _parse_chord(text: str, default_comma: int | None) -> tuple[ChordName, Trian
     assert m is not None  # first character already checked
     if m.end() != len(s):
         raise ChordParseError(f"unexpected {quote(s[m.end():])}", text, m.end())
-    # the pattern admits only all flats or sharps mixed with double sharps
-    acc = m.group("accidentals")
-    sharps = len(acc) + acc.count("x") if acc[:1] != "b" else -len(acc)
+    # the pattern admits only all flats or sharps mixed with double sharps,
+    # counted in place so that a long run of them is never copied
+    a, z = m.span("accidentals")
+    sharps = z - a + s.count("x", a, z) if s[a:a + 1] != "b" else a - z
     fifth_index = LETTERS.index(m.group("letter")) - 1 + 7 * sharps
     digits = m.group("comma")
     if digits is not None:

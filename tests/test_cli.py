@@ -779,6 +779,9 @@ LONG_ARGUMENTS = {
                      f"unknown note letter 'H' in 'H{'#' * 39}'... (100001 characters) at position 0"),
     "chord-level": (("chord", f"C[q={NINES}]"), "comma level of 5000 characters is too long to read "
                     f"in 'C[q={NINES[:36]}'... (5005 characters) at position 4"),
+    # a symbol of at most 40 characters stays bare, as in "C and Cm[q=-12500] are ..."
+    "path-flips": (("path", "C" + "#" * 30_000, "C"), f"'C{'#' * 39}'... (30001 characters) and C "
+                   "are 105000 flips apart; path prints at most 100000"),
 }
 
 

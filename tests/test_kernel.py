@@ -486,7 +486,8 @@ def test_gallery_distance_bfs_edge_cases():
 
 
 def test_gallery_distance_bfs_holds_two_balls():
-    # one bitmask ball per side, each on its own frame of about (h + 2)^2 bits
+    # two bitmask balls at most, t1's and t2's, which is t1's but one step out of
+    # an even depth, each on a frame of about (h + 2)^2 bits
     far = triangle_of(translation_perm((40, 0)))
     tracemalloc.start()
     try:
