@@ -65,6 +65,9 @@ class AffinePermutation(_Window):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, c: int) -> AffinePermutation:
+        # a float or Fraction equal to an int passes both tests below, but indexes no window
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
+            raise ValueError(f"window {quote((a, b, c))} must be integers")
         if a + b + c != 0:
             raise ValueError(f"window {quote((a, b, c))} does not sum to zero")
         if {a % 3, b % 3, c % 3} != {0, 1, 2}:
@@ -414,6 +417,8 @@ def triangle_to_perm(coords: TriangleCoords | tuple[int, int, int]) -> AffinePer
     (0, -1, 1)
     """
     c1, c2, c3 = coords
+    if not (isinstance(c1, int) and isinstance(c2, int) and isinstance(c3, int)):
+        raise ValueError(f"{quote((c1, c2, c3))} is not a triangle center")
     out = _window_at(c1, c2, c3)
     if None in out:
         raise ValueError(f"{(c1, c2, c3)} is not a triangle center")

@@ -21,6 +21,7 @@ from .core import (
     AffinePermutation,
     TriangleCoords,
     _center_coords,
+    _make_element as _make,
     _not_a_sequence,
     _window_at,
     quote,
@@ -78,10 +79,6 @@ class Triangle(NamedTuple):
 
 
 BASE_TRIANGLE = Triangle(ORIGIN, up=True)
-
-# builds named tuples without their Python-level __new__, as core's
-# _make_element does
-_make = tuple.__new__
 
 
 def triangle_from_vertices(verts: frozenset[Vertex] | set[Vertex]) -> Triangle:
@@ -274,6 +271,8 @@ def triangle_from_coords(coords: TriangleCoords | tuple[int, int, int]) -> Trian
     not sum to zero.
     """
     c1, c2, c3 = coords
+    if not (isinstance(c1, int) and isinstance(c2, int) and isinstance(c3, int)):
+        raise ValueError(f"{quote(coords)} is not a triangle center")
     if c1 + c2 + c3 or (c2 - c3) % 3 == 2:
         raise ValueError(f"{coords} is not a triangle center")
     return _triangle_at(c2, c3)

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import from_word, greedy_walk, walk_table
+from .core import _make_element as _make, from_word, greedy_walk, walk_table
 from .lattice import (
     Edge,
     Triangle,
@@ -146,10 +146,6 @@ def _strip_offsets(t1: Triangle, t2: Triangle) -> tuple[int, int, int]:
 # the walls through a class-c vertex, as generator indices in the order crossed:
 # those opposite its class c + 1 and c + 2 vertices, s_i's being opposite 3 - i
 _VERTEX_WALLS = ((2, 1), (1, 3), (3, 2))
-
-# builds named tuples without their Python-level __new__, as core's
-# _make_element does
-_make = tuple.__new__
 
 
 class HexagonCycle(NamedTuple):

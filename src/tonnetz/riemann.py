@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .core import quote, too_long_to_read
+from .core import _make_element as _make, quote, too_long_to_read
 from .lattice import Isometry
 
 
@@ -63,10 +63,6 @@ TERZSCHRITT = RElement(False, 0, 1)
 SEITENWECHSEL = RElement(True, 0, 0)
 
 P_IDENTITY = PElement(0, 0, False)
-
-# builds named tuples without their Python-level __new__, as core's
-# _make_element does; RElement and PElement check nothing there
-_make = tuple.__new__
 
 
 def r_compose(x: RElement, y: RElement) -> RElement:

@@ -13,7 +13,15 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .core import IDENTITY, AffinePermutation, from_word, generator, translation_factor
+from .core import (
+    IDENTITY,
+    AffinePermutation,
+    _make_element as _make,
+    from_word,
+    generator,
+    quote,
+    translation_factor,
+)
 
 
 class NotATranslationError(ValueError):
@@ -62,10 +70,6 @@ _S3_PERMS = {el: from_word(el.value) for el in FiniteS3Element}
 
 # the members by word: FiniteS3Element(word) is an Enum call by value
 _S3_BY_WORD = {el.value: el for el in FiniteS3Element}
-
-# builds named tuples without their Python-level __new__, as core's
-# _make_element does
-_make = tuple.__new__
 
 S3_ELEMENTS = tuple(FiniteS3Element)
 
@@ -118,6 +122,8 @@ def translation_perm(vec: TranslationVector | tuple[int, int]) -> AffinePermutat
     (2, 3, -5)
     """
     e1, e2 = vec
+    if not (isinstance(e1, int) and isinstance(e2, int)):
+        raise ValueError(f"translation exponents {quote(vec)} must be integers")
     return AffinePermutation(3 * e1 - 1, 3 * (e2 - e1), 1 - 3 * e2)
 
 

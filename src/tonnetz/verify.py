@@ -4,14 +4,15 @@ Each suite re-verifies one cluster of algebraic facts by brute force:
 relations by window identities, lengths against breadth-first search on
 the flip graph, subgroup laws on exponent boxes, and so on.  SUITES is
 the one home of ball and box sweeps and backs the `verify` subcommand;
-the tests run each suite at radius 6 with its check count and its case
-count, the sum of `CheckResult.cases`, pinned, so a new sweep invariant
-goes into a suite, not a test.  The one exception is
-tests/test_riemann.py's check of P, P/K and R by what they act on
-(lattice isometries and the 24 triads), kept in tier-1 so the verify
-output and its pinned digests stay as they are.  A sweep builds each
-value it reuses, such as a translation, an isometry or a product, once,
-and still evaluates and labels every one of its cases.
+the tests pin each suite at radius 6 by one row, its check count, its
+case count (the sum of `CheckResult.cases`) and a digest of its rows as
+`verify --json` prints them, so a new sweep invariant goes into a suite,
+not a test, and re-pins that suite's row alone.  tests/test_riemann.py
+still checks P, P/K and R by what they act on (lattice isometries and
+the 24 triads) in tier-1; no pin keeps those sweeps out of a suite any
+more.  A sweep builds each value it reuses, such as a translation, an
+isometry or a product, once, and still evaluates and labels every one of
+its cases.
 
 The radius bounds the search: the ball of reduced words of that length,
 exponents in [-radius, radius], or both, depending on the suite.

@@ -7,11 +7,12 @@ import json
 import pkgutil
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from conftest import BUDGET_S, within_budget
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 import tonnetz
 from tonnetz import cli, lattice, verify
@@ -181,37 +182,25 @@ def test_riemann_comma(capsys):
     assert "in-comma-subgroup: no" in out
 
 
-def test_verify_single_suite(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "relations")
-    assert code == 0
-    assert "checks passed" in out
-    assert "FAIL" not in out
-
-
-def test_verify_json(capsys):
-    payload = run_json(capsys, "verify", "--suite", "relations", "--radius", "2")
-    assert payload["failed"] == 0
-    assert all(c["ok"] for c in payload["checks"])
-
-
-# (checks, cases) of each suite at radius 6: a sweep counts the cases it
-# evaluated, a single assertion counts one
-SUITE_SIZES = {
-    "bijection": (6, 258),
-    "center-distance": (3, 66),
-    "hexagons": (2, 433),
-    "isometries": (3, 1344),
-    "length-oracle": (1, 64),
-    "pitch": (3, 676),
-    "progressions": (5, 265),
-    "reduce": (2, 128),
-    "relations": (9, 9),
-    "render": (3, 3),
-    "riemann-p": (10, 2672),
-    "riemann-r": (5, 7861),
-    "translations": (6, 2698),
-    "vertex-classes": (2, 219),
-    "windows": (4, 1408),
+# (checks, cases, sha256) of each suite at radius 6: a sweep counts the cases it
+# evaluated, a single assertion counts one, and the digest is of the suite's rows as
+# --json prints them, so a new or changed check re-pins its own suite's row alone
+SUITE_PINS = {
+    "bijection": (6, 258, "301fdbbd4b423c6babf374b283311683d79552a34b6f4db903f49fd985c3f8fd"),
+    "center-distance": (3, 66, "a0d3eaa5c2c3de679d178bc4d852ac04a90746df2565c9a1a3b090e0d7054128"),
+    "hexagons": (2, 433, "3210b64268804b30cada9fbc06064e713d685a04f2a18772e49612d8179f22f7"),
+    "isometries": (3, 1344, "afecd7f43381085a33b6a08bfad8a9e8a927e462336db98204ea8211f193adbd"),
+    "length-oracle": (1, 64, "8d7087424a181fec9d4bf4e003d67074c6e6623a7d6b24ae010e58ab8ae82f7d"),
+    "pitch": (3, 676, "6633d75edffa1963ab5275716d8d93606239e00c590df79e785f4bee58ef324c"),
+    "progressions": (5, 265, "725bf814890d4ce0958e669ef3a53792af15466bfab1bc224ec90bd4dda27105"),
+    "reduce": (2, 128, "d8e700b2a7580fbaedc377cb4acb789cf8640334795c00fa17d3e5e9df14ad3f"),
+    "relations": (9, 9, "9f94ebbf73b83c7414dca829eca9218250eabe7d43fdbd7021c2c121ded97293"),
+    "render": (3, 3, "c8b27cb6b605b0d9ea732238e7a17b9b30aadcb323480e398ab9f0bd0fb05a37"),
+    "riemann-p": (10, 2672, "5a224b59e557fec26215e71624549b1ad84296050a0e2ecb039f07c6a61dd390"),
+    "riemann-r": (5, 7861, "483e4bc621648e199cafb25cf45745357ff5a98e565dcb2938250cc8cd2f2fe9"),
+    "translations": (6, 2698, "93df1c3bf38c40a9b85a8d823eb3ef6d8269ea2c040b6a173d3e9c341b77e0e6"),
+    "vertex-classes": (2, 219, "79fbf3877c4133cd5f226caa0e77a77415407777db7a9819df6c220187b665e6"),
+    "windows": (4, 1408, "97c06e536a55ff8837e915a67863f7603384d44c8d1488f4762a15eded9b0e39"),
 }
 
 
@@ -220,17 +209,32 @@ def test_verify_suite(suite):
     # the suites are the one home of ball and box sweeps; this runs each once
     results = verify.run_suite(suite, 6)
     assert [r for r in results if not r.ok] == []
-    assert (len(results), sum(r.cases for r in results)) == SUITE_SIZES[suite]
+    rows = [{"suite": suite, "check": r.name, "ok": r.ok, "detail": r.detail} for r in results]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert (len(results), sum(r.cases for r in results), digest) == SUITE_PINS[suite]
 
 
-def test_verify_all_output_is_pinned(capsys):
-    # every line of the report, not only the verdict, at the radius of the suite tests
-    _, human, _ = run(capsys, "verify", "--suite", "all", "--radius", "6")
-    _, as_json, _ = run(capsys, "verify", "--suite", "all", "--radius", "6", "--json")
-    assert [hashlib.sha256(out.encode()).hexdigest() for out in (human, as_json)] == [
-        "ebebaee0a8e883bad6b30c1ddfff8528980b341407063a075312d9d3b151ca44",
-        "09597ec6c26bb3208630a5dc8c2be9c35d5f0438dd3432caea09026a772ffee8",
-    ]
+def test_verify_report_format(monkeypatch, capsys):
+    # two real names, so that argparse takes --suite, for stub suites of fixed results
+    monkeypatch.setattr(verify, "SUITES", {
+        "relations": lambda radius: [verify.CheckResult("holds", True, "3 cases", 3),
+                                     verify.CheckResult("bare", True)],
+        "center-distance": lambda radius: [verify.CheckResult("breaks", False, "1 failures")],
+    })
+    assert run(capsys, "verify") == (1, (
+        "FAIL center-distance  breaks  (1 failures)\n"
+        "ok  relations        holds  (3 cases)\n"
+        "ok  relations        bare\n"
+        "2/3 checks passed\n"), "")
+    assert run(capsys, "verify", "--suite", "relations") == (0, (
+        "ok  relations  holds  (3 cases)\n"
+        "ok  relations  bare\n"
+        "2/2 checks passed\n"), "")
+    assert run(capsys, "verify", "--json") == (1, (
+        '{"checks": [{"check": "breaks", "detail": "1 failures", "ok": false, '
+        '"suite": "center-distance"}, {"check": "holds", "detail": "3 cases", "ok": true, '
+        '"suite": "relations"}, {"check": "bare", "detail": "", "ok": true, '
+        '"suite": "relations"}], "failed": 1, "radius": 4}\n'), "")
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
@@ -383,15 +387,19 @@ def test_verify_reports_a_suite_that_raises(monkeypatch, capsys):
     monkeypatch.setattr(verify, "translation_perm", s1_for_e1)
     code, out, err = run(capsys, "verify", "--suite", "all", "--radius", "3")
     lines = out.splitlines()
+    suites = [line.split()[1] for line in lines[:-1]]
     assert (code, err) == (1, "")
-    assert lines[-1] == "57/59 checks passed"
+    # every suite reports each of its checks, the translations suite one in place of all
+    checks = {name: pin[0] for name, pin in SUITE_PINS.items()}
+    assert Counter(suites) == checks | {"translations": 1}
+    assert lines[-1] == f"{len(suites) - 2}/{len(suites)} checks passed"
+    width = max(map(len, SUITE_PINS))
     assert [line for line in lines if line.startswith("FAIL")] == [
-        "FAIL hexagons         hexagon shares exactly its center tone"
+        f"FAIL {'hexagons':<{width}}  hexagon shares exactly its center tone"
         "  (1 failures, first: hexagon (1,0))",
-        "FAIL translations     suite runs to the end"
+        f"FAIL {'translations':<{width}}  suite runs to the end"
         "  (NotATranslationError: (0, -1, 1) is not a translation)",
     ]
-    assert {line.split()[1] for line in lines[:-1]} == set(verify.SUITES)
 
 
 def test_verify_does_not_report_running_out_of_memory(monkeypatch):
@@ -630,7 +638,8 @@ LIMIT_CASES = {
                            "(12225 on the center); render prints at most 5000000\n"),
     # all suites at radius 40 take longer than BUDGET_S, one suite far less
     "verify-all": ("verify_radius", ("verify", "--suite", "reduce", "--radius", "40"),
-                   "2/2 checks passed", ("verify", "--suite", "all", "--radius", "41"),
+                   "{0}/{0} checks passed".format(SUITE_PINS["reduce"][0]),
+                   ("verify", "--suite", "all", "--radius", "41"),
                    VERIFY_REFUSED),
     "verify-reduce": ("verify_radius", None, None,
                       ("verify", "--suite", "reduce", "--radius", "41"), VERIFY_REFUSED),
@@ -865,10 +874,13 @@ HOSTILE_ARGV = st.one_of(
 )
 
 
+# no shrinking: an example runs one command of up to BUDGET_S, so shrinking a failure
+# would spend hypothesis's whole 300 s allowance, and the failing argv is reported as drawn
 @settings(
     max_examples=40,
     deadline=None,
     database=None,
+    phases=[Phase.explicit, Phase.generate],
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(argv=HOSTILE_ARGV, as_json=st.booleans())
@@ -921,7 +933,7 @@ def test_parser_choices_are_the_enums():
     # the parser reads literal tuples so that building it imports nothing
     assert cli.STRIPE_KINDS == tuple(k.value for k in StripeKind)
     assert cli.LABEL_MODES == tuple(m.value for m in LabelMode)
-    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES)) == tuple(SUITE_SIZES)
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES)) == tuple(SUITE_PINS)
 
 
 def test_path_cap_is_the_library_cap():

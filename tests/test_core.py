@@ -1,6 +1,8 @@
 """Window arithmetic: composition, reduction, length, classification."""
 
 import itertools
+import re
+from fractions import Fraction
 
 import pytest
 from conftest import long_words
@@ -32,6 +34,7 @@ from tonnetz.lattice import (
     triangle_from_coords,
     triangle_of,
 )
+from tonnetz.subgroups import translation_perm
 
 words = st.lists(st.sampled_from([1, 2, 3]), max_size=8)
 
@@ -312,6 +315,31 @@ def test_triangle_to_perm_rejects_non_centers():
         if not rest and base in windows:
             message = f"window {rotate(windows[base], k)} does not sum to zero"
         assert refusal(triangle_to_perm, coords) == message
+
+
+# triples equal to (0, -1, 1), a window and a triangle center, each with a value that is
+# not an int among its first two, which translation_perm reads as exponents; unchecked,
+# a float window passed for an element and a float center gave a triangle off the lattice
+NOT_INTEGERS = [(0.0, -1.0, 1.0), (Fraction(0), -1, 1), (0, -1.0, 1)]
+
+# each entry point taking a window, a center or exponents, with its refusal of one
+INTEGER_ENTRY_POINTS = {
+    "window": (lambda v: AffinePermutation(*v), lambda v: f"window {quote(v)} must be integers"),
+    "triangle-to-perm": (triangle_to_perm, lambda v: f"{quote(v)} is not a triangle center"),
+    "triangle-from-coords": (triangle_from_coords, lambda v: f"{quote(v)} is not a triangle center"),
+    "translation-perm": (lambda v: translation_perm(v[:2]),
+                         lambda v: f"translation exponents {quote(v[:2])} must be integers"),
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_non_integers_are_refused(entry, value):
+    call, message = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message(value))}$"):
+        call(value)
+    # the ints it equals are answered, and bools too, being ints
+    assert call(tuple(map(int, value))) == call((False, -1, True))
 
 
 def test_center_distance_fixtures():

@@ -10,7 +10,16 @@ import pytest
 from conftest import MEMO_POLICY, MEMOS, NOT_TRIANGLES, refuses_by_name
 
 import tonnetz
-from tonnetz.lattice import BASE_TRIANGLE, Triangle, class_vertex, format_triangle, triangle_ball
+from tonnetz.core import from_word
+from tonnetz.lattice import (
+    BASE_TRIANGLE,
+    Triangle,
+    class_vertex,
+    format_triangle,
+    perm_of,
+    triangle_ball,
+    triangle_of,
+)
 from tonnetz.pitch import (
     ChordName,
     NoteName,
@@ -18,6 +27,7 @@ from tonnetz.pitch import (
     format_chord,
     format_note,
     name_triangle,
+    parse_chord,
     spell_vertex,
 )
 from tonnetz.progressions import (
@@ -94,6 +104,31 @@ def test_voice_leading_drift():
     assert fm == Triangle((-1, 0), up=False)
     assert triangle_distance(g, fm) == 5
     assert len(plr_path(g, fm)) == 5
+
+
+def test_plr_drifts_where_the_group_rotates():
+    # PLPLPL is the hexatonic cycle, back at C's pitch classes, but on the Tonnetz a
+    # major triad ends three comma levels up and a minor three down, and no station
+    # of the walk is where it began; s1s2 acting on the left returns in three steps
+    def named(t):
+        return format_chord(name_triangle(t), with_comma=True)
+
+    def left_orbit(t):
+        stations = [t]
+        for _ in range(3):
+            stations.append(triangle_of(from_word((1, 2)) * perm_of(stations[-1])))
+        return stations
+
+    am = parse_chord("Am")[1]
+    assert [named(apply_plr(t, "PLPLPL")) for t in (BASE_TRIANGLE, am)] == ["B#[q=3]", "Bbbm[q=-2]"]
+    assert chords(left_orbit(BASE_TRIANGLE)) == ["C", "Ab", "F", "C"]
+    for t in triangle_ball(BASE_TRIANGLE, 4):
+        (p, q), up = t
+        assert apply_plr(t, "PLPLPL") == Triangle((p, q + 3 if up else q - 3), up)
+        assert t not in [apply_plr(t, "PLPLPL"[k:]) for k in range(6)]
+        stations = left_orbit(t)
+        assert stations[3] == t
+        assert t not in stations[1:3]
 
 
 def test_hexagon_cycle_around_e():

@@ -10,10 +10,10 @@ them through it, trivially exactly on K, and d12_compose, d12_inverse
 and d12_order are composition, inversion and order of one triad
 permutation per coset.  P, L and R permute the triads as its dual
 (Lewin), and S3~'s translations are the index-3 sublattice of P's.
-These sweeps stay here, not in verify's riemann-p suite: the triad
-checks take about 10 ms in process on a 2-CPU Xeon, against 4.5 ms for
-riemann-p and 39 ms for every suite at radius 6, and in verify they
-would re-pin every output digest.
+These sweeps are still here, not in verify's riemann-p suite, though
+moving them would now re-pin only that suite's row: the triad checks
+take about 10 ms in process on a 2-CPU Xeon, against 4.5 ms for
+riemann-p and 39 ms for every suite at radius 6.
 """
 
 import pytest
